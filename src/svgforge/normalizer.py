@@ -164,10 +164,75 @@ def to_absolute(cmds: list[RawCommand] | tuple[RawCommand, ...]) -> list[RawComm
     return out
 
 
+# --- segment walk -----------------------------------------------------------
+
+
+def _reflect(ctrl: Point | None, cur: Point) -> Point:
+    # S/T implicit control point: the previous one mirrored about cur, else cur
+    if ctrl is None:
+        return cur
+    return Point(2.0 * cur.x - ctrl.x, 2.0 * cur.y - ctrl.y)
+
+
+def iter_segments(cmds: list[RawCommand] | tuple[RawCommand, ...]):
+    """Walk absolute raw commands (see :func:`to_absolute`) as typed segments.
+
+    Yields ``("M", p)``, ``("L", p0, p1)``, ``("C", p0, c1, c2, p1)``,
+    ``("Q", p0, q, p1)``, ``("A", p0, rx, ry, rot, large_arc, sweep, p1)``
+    and ``("Z", cur, start)``. H/V are projected onto lines, S/T get their
+    reflected control point, repeated moveto groups become lines, and the
+    current point and subpath start are tracked per SVG semantics.
+    """
+    cur = start = Point(0.0, 0.0)
+    last_c2: Point | None = None
+    last_q: Point | None = None
+
+    for cmd in cmds:
+        if cmd.is_relative:
+            raise ValidationError(f"iter_segments needs absolute input, got {cmd.opcode!r}")
+        for i, group in enumerate(cmd.groups()):
+            op = "L" if cmd.opcode == "M" and i > 0 else cmd.opcode
+            p0 = cur
+            next_c2 = next_q = None
+            if op in ("L", "H", "V"):
+                if op == "L":
+                    cur = Point(*group)
+                elif op == "H":
+                    cur = Point(group[0], p0.y)
+                else:
+                    cur = Point(p0.x, group[0])
+                yield ("L", p0, cur)
+            elif op in ("C", "S"):
+                if op == "C":
+                    c1, group = Point(group[0], group[1]), group[2:]
+                else:
+                    c1 = _reflect(last_c2, p0)
+                next_c2, cur = Point(group[0], group[1]), Point(group[2], group[3])
+                yield ("C", p0, c1, next_c2, cur)
+            elif op in ("Q", "T"):
+                if op == "Q":
+                    next_q, group = Point(group[0], group[1]), group[2:]
+                else:
+                    next_q = _reflect(last_q, p0)
+                cur = Point(*group)
+                yield ("Q", p0, next_q, cur)
+            elif op == "M":
+                cur = start = Point(*group)
+                yield ("M", cur)
+            elif op == "A":
+                rx, ry, rot, laf, swf, x, y = group
+                cur = Point(x, y)
+                yield ("A", p0, rx, ry, rot, laf, swf, cur)
+            else:  # Z
+                cur = start
+                yield ("Z", p0, start)
+            last_c2, last_q = next_c2, next_q
+
+
 # --- arc conversion -------------------------------------------------------
 
 
-def arc_to_cubics(
+def arc_center(
     start: Point,
     rx: float,
     ry: float,
@@ -175,26 +240,24 @@ def arc_to_cubics(
     large_arc: bool | float,
     sweep: bool | float,
     end: Point,
-) -> list[CubicTo | LineTo]:
-    """Convert one endpoint-parameterized elliptical arc to cubic segments.
+) -> tuple[float, float, float, float, float, float, float] | None:
+    """Endpoint to center parameterization of an elliptical arc.
 
-    Degenerate radii collapse to a single LineTo; identical endpoints
-    produce no segments. Otherwise the arc is converted to center
-    parameterization, split into spans of at most 90 degrees, and each
-    span approximated by one cubic with handle length 4/3*tan(delta/4).
-    The first segment starts exactly at ``start`` and the last ends
-    exactly at ``end``.
+    Returns ``(cx, cy, rx, ry, phi, theta1, delta)``: the center, the radii
+    after out-of-range scale-up, the x-axis rotation in radians, the start
+    angle and the signed sweep angle (SVG 1.1 implementation notes, F.6.5).
+    Returns ``None`` for identical endpoints or a zero radius, which draw
+    nothing or a straight line. A large arc between near-coincident
+    endpoints whose sweep angle comes out as exactly 0 is a full turn in
+    the direction of the sweep flag.
     """
-    if start == end:
-        return []
-    if rx == 0.0 or ry == 0.0:
-        return [LineTo(end)]
+    if start == end or rx == 0.0 or ry == 0.0:
+        return None
     rx, ry = abs(rx), abs(ry)
 
     phi = math.radians(x_rotation_deg % 360.0)
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
 
-    # endpoint -> center parameterization (SVG 1.1 implementation notes)
     dx2, dy2 = (start.x - end.x) / 2.0, (start.y - end.y) / 2.0
     x1p = cos_phi * dx2 + sin_phi * dy2
     y1p = -sin_phi * dx2 + cos_phi * dy2
@@ -228,8 +291,39 @@ def arc_to_cubics(
     delta = angle(ux, uy, vx, vy) % (2.0 * math.pi)
     if not sweep and delta > 0:
         delta -= 2.0 * math.pi
-    if sweep and delta == 0.0 and large_arc:
-        delta = 2.0 * math.pi
+    if delta == 0.0 and large_arc:
+        delta = 2.0 * math.pi if sweep else -2.0 * math.pi
+    return cx, cy, rx, ry, phi, theta1, delta
+
+
+def arc_spans(delta: float) -> int:
+    """Number of spans of at most 90 degrees that cover a sweep of ``delta``."""
+    return max(1, math.ceil(abs(delta) / (math.pi / 2.0) - 1e-9))
+
+
+def arc_to_cubics(
+    start: Point,
+    rx: float,
+    ry: float,
+    x_rotation_deg: float,
+    large_arc: bool | float,
+    sweep: bool | float,
+    end: Point,
+) -> list[CubicTo | LineTo]:
+    """Convert one endpoint-parameterized elliptical arc to cubic segments.
+
+    Degenerate radii collapse to a single LineTo; identical endpoints
+    produce no segments. Otherwise the arc is converted to center
+    parameterization (:func:`arc_center`), split into spans of at most 90
+    degrees, and each span approximated by one cubic with handle length
+    4/3*tan(delta/4). The first segment starts exactly at ``start`` and
+    the last ends exactly at ``end``.
+    """
+    center = arc_center(start, rx, ry, x_rotation_deg, large_arc, sweep, end)
+    if center is None:
+        return [] if start == end else [LineTo(end)]
+    cx, cy, rx, ry, phi, theta1, delta = center
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
 
     def ellipse_point(theta: float) -> Point:
         ct, st = math.cos(theta), math.sin(theta)
@@ -245,7 +339,7 @@ def arc_to_cubics(
             -rx * st * sin_phi + ry * ct * cos_phi,
         )
 
-    segments = max(1, math.ceil(abs(delta) / (math.pi / 2.0) - 1e-9))
+    segments = arc_spans(delta)
     step = delta / segments
     k = 4.0 / 3.0 * math.tan(step / 4.0)
 
@@ -284,84 +378,36 @@ def simplify_commands(
 ) -> list[PathCommand]:
     """Reduce an absolute command list to the M/L/C alphabet.
 
-    H/V project onto lines, S/T reflect their implicit control point, Q is
-    degree-elevated exactly, arcs go through :func:`arc_to_cubics`, and Z
-    materializes as a LineTo back to the subpath start unless the current
-    point is already there. Runs of MoveTo collapse to the last one and a
-    trailing MoveTo is dropped, so empty subpaths leave no residue.
+    Maps the segments of :func:`iter_segments`: Q is degree-elevated
+    exactly, arcs go through :func:`arc_to_cubics`, and Z materializes as
+    a LineTo back to the subpath start unless the current point is already
+    there. Runs of MoveTo collapse to the last one and a trailing MoveTo is
+    dropped, so empty subpaths leave no residue.
     """
     out: list[PathCommand] = []
-    cur = Point(0.0, 0.0)
-    start = cur
-    last_cubic_c2: Point | None = None
-    last_quad_q: Point | None = None
-
-    for cmd in cmds:
-        if cmd.is_relative:
-            raise ValidationError(f"simplify_commands needs absolute input, got {cmd.opcode!r}")
-        for i, group in enumerate(cmd.groups()):
-            op = "L" if cmd.opcode == "M" and i > 0 else cmd.opcode
-            next_c2: Point | None = None
-            next_q: Point | None = None
-            if op == "M":
-                cur = start = Point(*group)
-                if out and isinstance(out[-1], MoveTo):
-                    out[-1] = MoveTo(cur)
-                else:
-                    out.append(MoveTo(cur))
-            elif op == "L":
-                cur = Point(*group)
-                out.append(LineTo(cur))
-            elif op == "H":
-                cur = Point(group[0], cur.y)
-                out.append(LineTo(cur))
-            elif op == "V":
-                cur = Point(cur.x, group[0])
-                out.append(LineTo(cur))
-            elif op == "C":
-                c1, c2 = Point(group[0], group[1]), Point(group[2], group[3])
-                cur = Point(group[4], group[5])
-                out.append(CubicTo(c1, c2, cur))
-                next_c2 = c2
-            elif op == "S":
-                if last_cubic_c2 is not None:
-                    c1 = Point(2.0 * cur.x - last_cubic_c2.x, 2.0 * cur.y - last_cubic_c2.y)
-                else:
-                    c1 = cur
-                c2 = Point(group[0], group[1])
-                cur = Point(group[2], group[3])
-                out.append(CubicTo(c1, c2, cur))
-                next_c2 = c2
-            elif op == "Q":
-                q = Point(group[0], group[1])
-                p1 = Point(group[2], group[3])
-                out.append(_elevate_quadratic(cur, q, p1))
-                cur = p1
-                next_q = q
-            elif op == "T":
-                if last_quad_q is not None:
-                    q = Point(2.0 * cur.x - last_quad_q.x, 2.0 * cur.y - last_quad_q.y)
-                else:
-                    q = cur
-                p1 = Point(*group)
-                out.append(_elevate_quadratic(cur, q, p1))
-                cur = p1
-                next_q = q
-            elif op == "A":
-                rx, ry, rot, laf, swf, x, y = group
-                end = Point(x, y)
-                out.extend(arc_to_cubics(cur, rx, ry, rot, laf, swf, end))
-                cur = end
+    for seg in iter_segments(cmds):
+        kind = seg[0]
+        if kind == "L":
+            out.append(LineTo(seg[2]))
+        elif kind == "C":
+            out.append(CubicTo(seg[2], seg[3], seg[4]))
+        elif kind == "Q":
+            out.append(_elevate_quadratic(seg[1], seg[2], seg[3]))
+        elif kind == "M":
+            if out and isinstance(out[-1], MoveTo):
+                out[-1] = MoveTo(seg[1])
+            else:
+                out.append(MoveTo(seg[1]))
+        elif kind == "A":
+            out.extend(arc_to_cubics(*seg[1:]))
+            if report is not None:
+                report.arcs_converted += 1
+        else:  # Z
+            _, cur, start = seg
+            if max(abs(cur.x - start.x), abs(cur.y - start.y)) > _CLOSE_EPS:
+                out.append(LineTo(start))
                 if report is not None:
-                    report.arcs_converted += 1
-            else:  # Z
-                if max(abs(cur.x - start.x), abs(cur.y - start.y)) > _CLOSE_EPS:
-                    out.append(LineTo(start))
-                    if report is not None:
-                        report.closures_materialized += 1
-                cur = start
-            last_cubic_c2 = next_c2
-            last_quad_q = next_q
+                    report.closures_materialized += 1
 
     if out and isinstance(out[-1], MoveTo):
         out.pop()
@@ -369,6 +415,23 @@ def simplify_commands(
 
 
 # --- shape conversion -------------------------------------------------------
+
+
+def rect_radii(element: ShapeElement) -> tuple[float, float]:
+    """Effective corner radii of a rect with positive width and height.
+
+    A missing radius takes the value of the other (both missing is a sharp
+    corner), then each is clamped to half its side.
+    """
+    w, h = element.get("width"), element.get("height")
+    rx, ry = element.get("rx", -1.0), element.get("ry", -1.0)
+    if rx < 0 and ry < 0:
+        rx = ry = 0.0
+    elif rx < 0:
+        rx = ry
+    elif ry < 0:
+        ry = rx
+    return min(rx, w / 2.0), min(ry, h / 2.0)
 
 
 def _rounded_corner(start: Point, rx: float, ry: float, end: Point) -> list[CubicTo]:
@@ -400,14 +463,7 @@ def shape_to_path(element: ShapeElement) -> PathElement:
         w, h = element.get("width"), element.get("height")
         if w <= 0 or h <= 0:
             raise DegenerateShape(f"rect {w}x{h}")
-        rx, ry = element.get("rx", -1.0), element.get("ry", -1.0)
-        if rx < 0 and ry < 0:
-            rx = ry = 0.0
-        elif rx < 0:
-            rx = ry
-        elif ry < 0:
-            ry = rx
-        rx, ry = min(rx, w / 2.0), min(ry, h / 2.0)
+        rx, ry = rect_radii(element)
         if rx > 0 and ry > 0:
             cmds = [MoveTo(Point(x + rx, y))]
             edges = [

@@ -40,6 +40,9 @@ STAGE_ORDER = (
 )
 DEFAULT_EPOCHS = (1, 1, 3, 3)
 
+#: What one input file can raise that becomes its own error row, not an abort.
+_FILE_ERRORS = (SvgForgeError, OSError, UnicodeDecodeError)
+
 
 @dataclass(frozen=True)
 class DatasetRecord:
@@ -155,7 +158,7 @@ def run_normalize(
             doc, _ = parse_document(text)
             normalized, report = normalize_document(doc)
             return rel, serialize_document(normalized), report, None
-        except (SvgForgeError, OSError, UnicodeDecodeError) as exc:
+        except _FILE_ERRORS as exc:
             return rel, None, None, f"{type(exc).__name__}: {exc}"
 
     results = _parallel_map(work, files, jobs)
@@ -213,7 +216,7 @@ def run_classify(input_dir: Path, out_path: Path, jobs: int = 1) -> int:
             if record.svg != text.strip():
                 row["auto_normalized"] = True
             return rid, row, None
-        except (SvgForgeError, OSError, UnicodeDecodeError) as exc:
+        except _FILE_ERRORS as exc:
             return rid, None, {"id": rid, "error": f"{type(exc).__name__}: {exc}"}
 
     results = sorted(_parallel_map(work, files, jobs), key=lambda r: r[0])
@@ -493,7 +496,7 @@ def run_verify(
             norm_doc, _ = normalize_document(norm_doc)
             result = verify_normalization(raw_doc, norm_doc, tolerance)
             return rid, result.passed, result.worst, None
-        except (SvgForgeError, OSError) as exc:
+        except _FILE_ERRORS as exc:
             return rid, False, float("inf"), f"{type(exc).__name__}: {exc}"
 
     results = sorted(_parallel_map(work, files, jobs), key=lambda r: r[0])

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidReference, SvgForgeError, Unparseable, ValidationError
+from .errors import InvalidReference, Unparseable, ValidationError
 from .normalizer import normalize_document
 from .parser import parse_document
 
@@ -61,16 +61,13 @@ def integrity_indicator(svg_text: str) -> int:
     """1 iff the text parses as SVG and normalizes to a non-empty document.
 
     Well-formed XML with an svg root, every path's ``d`` valid under the
-    full grammar, and at least one drawable surviving normalization.
-    Total on arbitrary input: anything else maps to 0.
+    full grammar, and at least one drawable surviving normalization, i.e.
+    :func:`path_count` succeeds. Total on arbitrary input: anything else
+    maps to 0.
     """
     try:
-        doc, _ = parse_document(svg_text)
-        normalize_document(doc)
-    except SvgForgeError:
-        return 0
-    except Exception:
-        # arbitrary model output can break in arbitrary ways; that is a 0
+        path_count(svg_text)
+    except Unparseable:
         return 0
     return 1
 
@@ -85,9 +82,8 @@ def path_count(svg_text: str) -> int:
     try:
         doc, _ = parse_document(svg_text)
         normalized, _ = normalize_document(doc)
-    except SvgForgeError as exc:
-        raise Unparseable(str(exc)) from None
     except Exception as exc:
+        # arbitrary model output can break in arbitrary ways; that fails integrity
         raise Unparseable(str(exc)) from None
     return len(normalized.paths)
 
@@ -107,15 +103,7 @@ def match_reward(
     rather than aborting, so every rollout receives a reward. Raises
     :class:`InvalidReference` when the reference itself fails integrity.
     """
-    try:
-        n_ref = path_count(reference)
-    except Unparseable as exc:
-        raise InvalidReference(f"reference failed integrity: {exc}") from None
-    try:
-        n_gen = path_count(generated)
-    except Unparseable:
-        n_gen = 0
-    return _match_from_counts(n_gen, n_ref, params)
+    return total_reward(generated, reference, params).match
 
 
 def total_reward(

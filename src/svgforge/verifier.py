@@ -1,11 +1,24 @@
 """Geometric oracle for the normalization pipeline.
 
-Original drawables are sampled analytically (shape outlines by their own
-parameterization, arcs by center parameterization, quadratics directly),
-converted paths are flattened, and the two point sets are compared with a
-symmetric point-to-segment Hausdorff measure. Because the original side
-never goes through the command conversions it is checking, a conversion
-bug shows up as deviation.
+Original drawables are sampled analytically and converted paths are
+flattened; the two point sets are compared with a symmetric
+point-to-segment Hausdorff measure.
+
+The original side shares four rules with the normalizer rather than
+restating them: relative-to-absolute resolution (``to_absolute``), the
+segment walk with its S/T reflection and H/V projection
+(``iter_segments``), the arc endpoint-to-center conversion
+(``arc_center``) and the rect corner radii (``rect_radii``). A bug there
+would show on both sides alike, so those rules are pinned by
+explicit-value tests instead (``test_smooth_cubic_reflection``,
+``test_smooth_quad_reflection_chain``, ``test_h_projection``,
+``test_rx_clamped_to_half`` and the ``arc_center`` property test
+``TestArcCenter``). Everything the normalizer then does with them stays
+independent and is checked here: quadratics are sampled directly rather
+than degree-elevated, arcs by angle rather than split into 90-degree
+cubics, shapes by their own parameterization rather than
+``shape_to_path``, and transforms and the canvas map are applied to the
+samples rather than flattened into coordinates.
 """
 
 from __future__ import annotations
@@ -26,7 +39,15 @@ from .model import (
     Point,
     ShapeElement,
 )
-from .normalizer import canvas_transform, convert_element, to_absolute
+from .normalizer import (
+    arc_center,
+    arc_spans,
+    canvas_transform,
+    convert_element,
+    iter_segments,
+    rect_radii,
+    to_absolute,
+)
 
 DEFAULT_TOLERANCE = 0.5
 
@@ -167,126 +188,55 @@ def _arc_samples(
     return out
 
 
-def _arc_center(start: Point, rx, ry, rot_deg, large_arc, sweep, end: Point):
-    """Endpoint to center parameterization; returns None for degenerate arcs."""
-    if start == end or rx == 0 or ry == 0:
-        return None
-    rx, ry = abs(rx), abs(ry)
-    phi = math.radians(rot_deg % 360.0)
-    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
-    dx2, dy2 = (start.x - end.x) / 2.0, (start.y - end.y) / 2.0
-    x1p = cos_phi * dx2 + sin_phi * dy2
-    y1p = -sin_phi * dx2 + cos_phi * dy2
-    lam = (x1p / rx) ** 2 + (y1p / ry) ** 2
-    if lam > 1.0:
-        s = math.sqrt(lam)
-        rx, ry = rx * s, ry * s
-    rx2, ry2 = rx * rx, ry * ry
-    num = rx2 * ry2 - rx2 * y1p * y1p - ry2 * x1p * x1p
-    den = rx2 * y1p * y1p + ry2 * x1p * x1p
-    factor = math.sqrt(max(0.0, num / den)) if den else 0.0
-    if bool(large_arc) == bool(sweep):
-        factor = -factor
-    cxp = factor * rx * y1p / ry
-    cyp = -factor * ry * x1p / rx
-    cx = cos_phi * cxp - sin_phi * cyp + (start.x + end.x) / 2.0
-    cy = sin_phi * cxp + cos_phi * cyp + (start.y + end.y) / 2.0
-
-    def angle(ux, uy, vx, vy):
-        dot = ux * vx + uy * vy
-        norm = math.hypot(ux, uy) * math.hypot(vx, vy)
-        a = math.acos(max(-1.0, min(1.0, dot / norm)))
-        return -a if ux * vy - uy * vx < 0 else a
-
-    ux, uy = (x1p - cxp) / rx, (y1p - cyp) / ry
-    vx, vy = (-x1p - cxp) / rx, (-y1p - cyp) / ry
-    theta1 = angle(1.0, 0.0, ux, uy)
-    delta = angle(ux, uy, vx, vy) % (2.0 * math.pi)
-    if not sweep and delta > 0:
-        delta -= 2.0 * math.pi
-    return cx, cy, rx, ry, phi, theta1, delta
-
-
-def _sample_raw_commands(commands, n: int) -> list[list[Point]]:
-    """Analytically sample an absolute raw command walk, one list per subpath."""
-    subpaths: list[list[Point]] = []
-    current: list[Point] = []
+def _mlc_segments(commands):
+    # M/L/C commands as the segment tuples of normalizer.iter_segments
     cur = Point(0.0, 0.0)
-    start = cur
-    last_c2: Point | None = None
-    last_q: Point | None = None
-
-    def begin(p: Point) -> None:
-        nonlocal current
-        if len(current) > 1:
-            subpaths.append(current)
-        current = [p]
-
     for cmd in commands:
-        for i, group in enumerate(cmd.groups()):
-            op = "L" if cmd.opcode == "M" and i > 0 else cmd.opcode
-            next_c2 = next_q = None
-            if op == "M":
-                cur = start = Point(*group)
-                begin(cur)
-            elif op in ("L", "H", "V"):
-                if op == "L":
-                    p1 = Point(*group)
-                elif op == "H":
-                    p1 = Point(group[0], cur.y)
-                else:
-                    p1 = Point(cur.x, group[0])
-                current.extend(_sample_line(cur, p1, n))
-                cur = p1
-            elif op in ("C", "S"):
-                if op == "C":
-                    c1, c2 = Point(group[0], group[1]), Point(group[2], group[3])
-                    p1 = Point(group[4], group[5])
-                else:
-                    c1 = (Point(2 * cur.x - last_c2.x, 2 * cur.y - last_c2.y)
-                          if last_c2 is not None else cur)
-                    c2, p1 = Point(group[0], group[1]), Point(group[2], group[3])
-                current.extend(
-                    _cubic_point(cur, c1, c2, p1, i / n) for i in range(1, n + 1)
-                )
-                cur = p1
-                next_c2 = c2
-            elif op in ("Q", "T"):
-                if op == "Q":
-                    q, p1 = Point(group[0], group[1]), Point(group[2], group[3])
-                else:
-                    q = (Point(2 * cur.x - last_q.x, 2 * cur.y - last_q.y)
-                         if last_q is not None else cur)
-                    p1 = Point(*group)
-                current.extend(
-                    _quad_point(cur, q, p1, i / n) for i in range(1, n + 1)
-                )
-                cur = p1
-                next_q = q
-            elif op == "A":
-                rx, ry, rot, laf, swf, x, y = group
-                end = Point(x, y)
-                center = _arc_center(cur, rx, ry, rot, laf, swf, end)
-                if center is None:
-                    if cur != end:
-                        current.extend(_sample_line(cur, end, n))
-                else:
-                    cx, cy, arx, ary, phi, t1, delta = center
-                    spans = max(1, math.ceil(abs(delta) / (math.pi / 2.0) - 1e-9))
-                    current.extend(
-                        _arc_samples(cx, cy, arx, ary, phi, t1, delta, n * spans)
-                    )
-                    current[-1] = end  # endpoint is exact by construction
-                cur = end
-            else:  # Z
-                if cur != start:
-                    current.extend(_sample_line(cur, start, n))
-                cur = start
-            last_c2, last_q = next_c2, next_q
+        if isinstance(cmd, MoveTo):
+            yield ("M", cmd.end)
+        elif isinstance(cmd, LineTo):
+            yield ("L", cur, cmd.end)
+        else:
+            yield ("C", cur, cmd.c1, cmd.c2, cmd.end)
+        cur = cmd.end
 
+
+def _chains(segments, expand) -> list[Polyline]:
+    """One polyline per subpath: each MoveTo starts a chain that ``expand``
+    extends with the points of every following segment after its start."""
+    chains: list[list[Point]] = []
+    current: list[Point] = []
+    for seg in segments:
+        if seg[0] == "M":
+            if len(current) > 1:
+                chains.append(current)
+            current = [seg[1]]
+        else:
+            current.extend(expand(seg))
     if len(current) > 1:
-        subpaths.append(current)
-    return subpaths
+        chains.append(current)
+    return [pl for pl in (polyline(c) for c in chains) if pl is not None]
+
+
+def _sample_segment(seg: tuple, n: int) -> list[Point]:
+    """Analytic samples of one segment after its start point."""
+    kind, p0 = seg[0], seg[1]
+    if kind == "L":
+        return _sample_line(p0, seg[2], n)
+    if kind == "C":
+        return [_cubic_point(p0, seg[2], seg[3], seg[4], i / n) for i in range(1, n + 1)]
+    if kind == "Q":
+        return [_quad_point(p0, seg[2], seg[3], i / n) for i in range(1, n + 1)]
+    if kind == "Z":
+        return _sample_line(p0, seg[2], n) if p0 != seg[2] else []
+    end = seg[7]  # A
+    center = arc_center(*seg[1:])
+    if center is None:
+        return _sample_line(p0, end, n) if p0 != end else []
+    cx, cy, rx, ry, phi, theta1, delta = center
+    pts = _arc_samples(cx, cy, rx, ry, phi, theta1, delta, n * arc_spans(delta))
+    pts[-1] = end  # endpoint is exact by construction
+    return pts
 
 
 def sample_outline(source: Drawable, n_per_segment: int = 16) -> list[Polyline]:
@@ -303,29 +253,10 @@ def sample_outline(source: Drawable, n_per_segment: int = 16) -> list[Polyline]:
     if isinstance(source, ShapeElement):
         return _sample_shape(source, n)
     if source.is_raw:
-        chains = _sample_raw_commands(to_absolute(source.commands), n)
+        segments = iter_segments(to_absolute(source.commands))
     else:
-        chains = []
-        current: list[Point] = []
-        cur = Point(0.0, 0.0)
-        for cmd in source.commands:
-            if isinstance(cmd, MoveTo):
-                if len(current) > 1:
-                    chains.append(current)
-                current = [cmd.end]
-                cur = cmd.end
-            elif isinstance(cmd, LineTo):
-                current.extend(_sample_line(cur, cmd.end, n))
-                cur = cmd.end
-            else:
-                current.extend(
-                    _cubic_point(cur, cmd.c1, cmd.c2, cmd.end, i / n)
-                    for i in range(1, n + 1)
-                )
-                cur = cmd.end
-        if len(current) > 1:
-            chains.append(current)
-    return [pl for pl in (polyline(c) for c in chains) if pl is not None]
+        segments = _mlc_segments(source.commands)
+    return _chains(segments, lambda seg: _sample_segment(seg, n))
 
 
 def _sample_shape(el: ShapeElement, n: int) -> list[Polyline]:
@@ -347,14 +278,7 @@ def _sample_shape(el: ShapeElement, n: int) -> list[Polyline]:
         x, y, w, h = el.get("x"), el.get("y"), el.get("width"), el.get("height")
         if w <= 0 or h <= 0:
             raise DegenerateShape(tag)
-        rx, ry = el.get("rx", -1.0), el.get("ry", -1.0)
-        if rx < 0 and ry < 0:
-            rx = ry = 0.0
-        elif rx < 0:
-            rx = ry
-        elif ry < 0:
-            ry = rx
-        rx, ry = min(rx, w / 2.0), min(ry, h / 2.0)
+        rx, ry = rect_radii(el)
         if rx > 0 and ry > 0:
             # edge endpoint, then corner-ellipse center and start angle
             edges = [
@@ -467,25 +391,12 @@ def _transform_polys(polys: list[Polyline], t: AffineTransform) -> list[Polyline
 
 
 def _flatten_path(path: PathElement, tolerance: float) -> list[Polyline]:
-    chains: list[list[Point]] = []
-    current: list[Point] = []
-    cur = Point(0.0, 0.0)
-    for cmd in path.commands:
-        if isinstance(cmd, MoveTo):
-            if len(current) > 1:
-                chains.append(current)
-            current = [cmd.end]
-            cur = cmd.end
-        elif isinstance(cmd, LineTo):
-            current.append(cmd.end)
-            cur = cmd.end
-        else:
-            flat = flatten_cubic(cur, cmd.c1, cmd.c2, cmd.end, tolerance)
-            current.extend(flat.points[1:])
-            cur = cmd.end
-    if len(current) > 1:
-        chains.append(current)
-    return [pl for pl in (polyline(c) for c in chains) if pl is not None]
+    def expand(seg: tuple) -> tuple[Point, ...]:
+        if seg[0] == "L":
+            return (seg[2],)
+        return flatten_cubic(*seg[1:], tolerance).points[1:]
+
+    return _chains(_mlc_segments(path.commands), expand)
 
 
 def verify_normalization(

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corpus import full_corpus, random_raw_svg
 from svgforge.errors import (
@@ -28,6 +30,7 @@ from svgforge.model import (
 from svgforge.normalizer import (
     KAPPA,
     apply_transform,
+    arc_center,
     arc_to_cubics,
     canvas_transform,
     normalize_canvas,
@@ -236,6 +239,68 @@ class TestArcToCubics:
         assert segs[-1].end == Point(10, 0)
         mid = cubic_at(Point(0, 0), segs[0].c1, segs[0].c2, segs[0].end, 0.5)
         assert abs(mid.y) > 1  # actually curved, not collapsed
+
+    @pytest.mark.parametrize("sweep", [0, 1])
+    def test_full_turn_large_arc(self, sweep):
+        # a large arc whose endpoints nearly coincide is a whole circle either way
+        doc, _ = parse_document(
+            '<svg viewBox="0 0 1024 1024">'
+            f'<path d="M500 500A100 100 0 1 {sweep} 500.000001 500Z"/></svg>'
+        )
+        norm, _ = normalize_document(doc)
+        xs = [c.end.x for c in norm.paths[0].commands]
+        assert max(xs) - min(xs) == pytest.approx(200.0, abs=1e-3)
+
+
+_coord = st.floats(-500, 500, allow_nan=False)
+_radius = st.floats(0.01, 400, allow_nan=False)
+
+
+class TestArcCenter:
+    """Properties of the one endpoint-to-center conversion behind both the
+    arc converter and the verifier's analytic arc sampling."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_coord, _coord, _coord, _coord, _radius, _radius,
+           st.floats(-720, 720, allow_nan=False), st.booleans(), st.booleans())
+    def test_center_parameterization(self, x0, y0, x1, y1, rx, ry, rot, large, sweep):
+        start, end = Point(x0, y0), Point(x1, y1)
+        assume(math.hypot(x1 - x0, y1 - y0) > 1e-6)
+        # the radius scale factor squared, from the rotated half chord
+        phi = math.radians(rot % 360.0)
+        hx, hy = (x0 - x1) / 2.0, (y0 - y1) / 2.0
+        lam = ((math.cos(phi) * hx + math.sin(phi) * hy) / rx) ** 2 + (
+            (-math.sin(phi) * hx + math.cos(phi) * hy) / ry
+        ) ** 2
+        assume(abs(lam - 1.0) > 1e-6)
+
+        cx, cy, arx, ary, aphi, theta1, delta = arc_center(
+            start, rx, ry, rot, large, sweep, end
+        )
+        scale = max(1.0, arx, ary, *map(abs, (x0, y0, x1, y1)))
+
+        def at(theta):
+            ct, st_ = math.cos(theta), math.sin(theta)
+            return Point(
+                cx + arx * ct * math.cos(aphi) - ary * st_ * math.sin(aphi),
+                cy + arx * ct * math.sin(aphi) + ary * st_ * math.cos(aphi),
+            )
+
+        # the angles come from acos, which keeps only about half its digits
+        # next to 0 and pi: there they are good to about sqrt(eps)
+        def near_half_turns(a):
+            return min(abs(a) % math.pi, math.pi - abs(a) % math.pi) <= 1e-6
+
+        tol = 1e-7 if near_half_turns(theta1) or near_half_turns(delta) else 1e-9
+        for p, q in ((at(theta1), start), (at(theta1 + delta), end)):
+            assert math.hypot(p.x - q.x, p.y - q.y) <= tol * scale
+        assert (delta > 0) == sweep
+        if lam < 1.0:
+            assert (abs(delta) > math.pi) == large
+            assert (arx, ary) == (rx, ry)
+        else:  # radii scaled up until the chord is a diameter: a half turn
+            assert abs(abs(delta) - math.pi) < 1e-6
+            assert arx / rx == pytest.approx(math.sqrt(lam), rel=1e-12)
 
 
 class TestShapeToPath:

@@ -383,6 +383,20 @@ class TestVerifyRuns:
     def test_missing_dir(self, tmp_path):
         assert run_verify(tmp_path / "a", tmp_path / "b", 0.5) == EXIT_USAGE
 
+    def test_undecodable_file_is_one_error_row(self, tmp_path):
+        raw, normalized = tmp_path / "raw", tmp_path / "norm"
+        raw.mkdir()
+        (raw / "bad.svg").write_bytes(b"\xff\xfe")
+        (raw / "good.svg").write_text(VALID, encoding="utf-8")
+        run_normalize(raw, normalized)
+        report = tmp_path / "verify.jsonl"
+        code = main(["verify", str(raw), str(normalized), "--out", str(report), "--quiet"])
+        assert code == EXIT_VERIFY_FAILED
+        rows = read_jsonl(report)
+        assert [r["id"] for r in rows] == ["bad", "good"]
+        assert rows[0]["error"].startswith("UnicodeDecodeError")
+        assert rows[1]["pass"] and "error" not in rows[1]
+
 
 class TestCli:
     def test_normalize_roundtrip(self, tmp_path):

@@ -232,6 +232,14 @@ class TestVerifyNormalization:
             result = verify_normalization(doc, norm, 0.5)
             assert result.passed, (name, result.worst)
 
+    def test_full_turn_large_arc_verifies(self):
+        # near-coincident endpoints with large-arc set draw a whole circle
+        doc, norm = self._roundtrip(
+            '<svg viewBox="0 0 1024 1024">'
+            '<path d="M500 500A100 100 0 1 1 500.000001 500Z"/></svg>'
+        )
+        assert verify_normalization(doc, norm, 0.5).passed
+
     def test_flattening_converges_to_true_curve(self):
         p0, c1, c2, p1 = Point(0, 0), Point(120, -80), Point(-40, 160), Point(100, 100)
 
