@@ -1,9 +1,10 @@
 """Path unification: everything becomes absolute M/L/C on a 1024 canvas.
 
 The pipeline per drawable: shapes are rewritten as path commands, raw path
-data is made absolute and simplified to the MoveTo/LineTo/CubicTo alphabet,
-element transforms are flattened into coordinates, and the whole canvas is
-mapped onto (0, 0, 1024, 1024). Every conversion preserves segment
+data of either relativity is made absolute and simplified to the
+MoveTo/LineTo/CubicTo alphabet in one walk, element transforms are
+flattened into coordinates, and the whole canvas is mapped onto
+(0, 0, 1024, 1024). Every conversion preserves segment
 endpoints exactly; curved conversions stay within a tight analytic error
 bound (arcs are split at 90 degrees, worst-case radial error about
 2.7e-4 of the radius).
@@ -38,6 +39,7 @@ from .model import (
     Point,
     RawCommand,
     ShapeElement,
+    _require_finite,
 )
 
 #: Cubic handle length approximating a unit quarter circle: 4/3 * tan(pi/8).
@@ -85,83 +87,63 @@ class NormalizeReport:
         }
 
 
-# --- absolute coordinates ------------------------------------------------
+# --- raw command walk -------------------------------------------------------
+
+
+def _walk(cmds: list[RawCommand] | tuple[RawCommand, ...]):
+    """Resolve raw commands of either relativity, one argument group at a time.
+
+    Yields ``(opcode, args, p0, p1)``: the uppercase opcode, its absolute
+    argument group, and the current point before and after it (``p0`` is
+    ``None`` for the leading moveto). This is the one place that applies
+    the SVG current-point rules: relative offsets, a leading ``m`` read as
+    absolute, repeated moveto groups as linetos, and Z's return to the
+    subpath start. Raises :class:`NoCurrentPoint` for a command before any
+    moveto and :class:`ValidationError` when an offset overflows.
+    """
+    cur = start = None
+    for cmd in cmds:
+        op, rel = cmd.opcode.upper(), cmd.is_relative
+        for group in cmd.groups():
+            p0 = cur
+            if p0 is None:
+                if op != "M":
+                    where = f"relative {cmd.opcode!r}" if rel else op
+                    raise NoCurrentPoint(f"{where} before any MoveTo")
+            elif op != "Z" and (rel or op in ("H", "V")):
+                # an absolute H/V adds 0.0 too, so -0 comes out as 0
+                dx, dy = (p0.x, p0.y) if rel else (0.0, 0.0)
+                if op == "V":
+                    group = (group[0] + dy,)
+                else:
+                    k = 5 if op == "A" else 0  # an arc offsets its endpoint only
+                    group = group[:k] + tuple(
+                        v + (dy if i % 2 else dx) for i, v in enumerate(group[k:])
+                    )
+                _require_finite(*group)
+            if op == "H":
+                cur = Point(group[0], p0.y)
+            elif op == "V":
+                cur = Point(p0.x, group[0])
+            elif op == "Z":
+                cur = start
+            else:
+                cur = Point(group[-2], group[-1])
+            yield op, group, p0, cur
+            if op == "M":
+                start = cur
+                op = "L"  # repeated moveto groups are implicit linetos
 
 
 def to_absolute(cmds: list[RawCommand] | tuple[RawCommand, ...]) -> list[RawCommand]:
     """Rewrite relative opcodes as absolute, one argument group per command.
 
     Current-point bookkeeping follows SVG semantics: Z returns the current
-    point to the subpath start, and a leading ``m`` is absolute. Raises
-    :class:`NoCurrentPoint` when a command requires a current point that
-    does not exist yet.
+    point to the subpath start, and a leading ``m`` is absolute. H/V/S/T
+    keep their opcodes. Raises :class:`NoCurrentPoint` when a command
+    requires a current point that does not exist yet.
     """
-    out: list[RawCommand] = []
-    cx = cy = 0.0
-    sx = sy = 0.0
-    have_point = False
-
-    for cmd in cmds:
-        for i, group in enumerate(cmd.groups()):
-            op = cmd.opcode
-            # repeated moveto groups are implicit linetos per the grammar
-            if i > 0 and op in ("M", "m"):
-                op = "L" if op == "M" else "l"
-            upper = op.upper()
-            rel = op.islower() and have_point  # leading "m" is absolute
-            if op.islower() and not have_point and upper != "M":
-                raise NoCurrentPoint(f"relative {op!r} before any MoveTo")
-
-            if upper == "M":
-                x, y = group
-                if rel:
-                    x, y = cx + x, cy + y
-                cx, cy, sx, sy = x, y, x, y
-                have_point = True
-                out.append(RawCommand("M", (x, y)))
-            elif upper == "L":
-                if not have_point:
-                    raise NoCurrentPoint("L before any MoveTo")
-                x, y = group
-                if rel:
-                    x, y = cx + x, cy + y
-                cx, cy = x, y
-                out.append(RawCommand("L", (x, y)))
-            elif upper == "H":
-                if not have_point:
-                    raise NoCurrentPoint("H before any MoveTo")
-                x = group[0] + (cx if rel else 0.0)
-                cx = x
-                out.append(RawCommand("H", (x,)))
-            elif upper == "V":
-                if not have_point:
-                    raise NoCurrentPoint("V before any MoveTo")
-                y = group[0] + (cy if rel else 0.0)
-                cy = y
-                out.append(RawCommand("V", (y,)))
-            elif upper in ("C", "S", "Q", "T"):
-                if not have_point:
-                    raise NoCurrentPoint(f"{upper} before any MoveTo")
-                if rel:
-                    group = tuple(
-                        v + (cx if i % 2 == 0 else cy) for i, v in enumerate(group)
-                    )
-                cx, cy = group[-2], group[-1]
-                out.append(RawCommand(upper, group))
-            elif upper == "A":
-                if not have_point:
-                    raise NoCurrentPoint("A before any MoveTo")
-                rx, ry, rot, laf, swf, x, y = group
-                if rel:
-                    x, y = cx + x, cy + y
-                cx, cy = x, y
-                out.append(RawCommand("A", (rx, ry, rot, laf, swf, x, y)))
-            else:  # Z
-                if not have_point:
-                    raise NoCurrentPoint("Z before any MoveTo")
-                cx, cy = sx, sy
-                out.append(RawCommand("Z"))
-    return out
+    return [RawCommand(op, args) for op, args, _, _ in _walk(cmds)]
 
 
 # --- segment walk -----------------------------------------------------------
@@ -175,58 +157,34 @@ def _reflect(ctrl: Point | None, cur: Point) -> Point:
 
 
 def iter_segments(cmds: list[RawCommand] | tuple[RawCommand, ...]):
-    """Walk absolute raw commands (see :func:`to_absolute`) as typed segments.
+    """Walk raw commands of either relativity as typed segments.
 
     Yields ``("M", p)``, ``("L", p0, p1)``, ``("C", p0, c1, c2, p1)``,
     ``("Q", p0, q, p1)``, ``("A", p0, rx, ry, rot, large_arc, sweep, p1)``
-    and ``("Z", cur, start)``. H/V are projected onto lines, S/T get their
-    reflected control point, repeated moveto groups become lines, and the
-    current point and subpath start are tracked per SVG semantics.
+    and ``("Z", cur, start)``. On top of the current-point rules of the
+    shared walk (the same one behind :func:`to_absolute`), H/V are
+    projected onto lines and S/T get their reflected control point.
     """
-    cur = start = Point(0.0, 0.0)
     last_c2: Point | None = None
     last_q: Point | None = None
-
-    for cmd in cmds:
-        if cmd.is_relative:
-            raise ValidationError(f"iter_segments needs absolute input, got {cmd.opcode!r}")
-        for i, group in enumerate(cmd.groups()):
-            op = "L" if cmd.opcode == "M" and i > 0 else cmd.opcode
-            p0 = cur
-            next_c2 = next_q = None
-            if op in ("L", "H", "V"):
-                if op == "L":
-                    cur = Point(*group)
-                elif op == "H":
-                    cur = Point(group[0], p0.y)
-                else:
-                    cur = Point(p0.x, group[0])
-                yield ("L", p0, cur)
-            elif op in ("C", "S"):
-                if op == "C":
-                    c1, group = Point(group[0], group[1]), group[2:]
-                else:
-                    c1 = _reflect(last_c2, p0)
-                next_c2, cur = Point(group[0], group[1]), Point(group[2], group[3])
-                yield ("C", p0, c1, next_c2, cur)
-            elif op in ("Q", "T"):
-                if op == "Q":
-                    next_q, group = Point(group[0], group[1]), group[2:]
-                else:
-                    next_q = _reflect(last_q, p0)
-                cur = Point(*group)
-                yield ("Q", p0, next_q, cur)
-            elif op == "M":
-                cur = start = Point(*group)
-                yield ("M", cur)
-            elif op == "A":
-                rx, ry, rot, laf, swf, x, y = group
-                cur = Point(x, y)
-                yield ("A", p0, rx, ry, rot, laf, swf, cur)
-            else:  # Z
-                cur = start
-                yield ("Z", p0, start)
-            last_c2, last_q = next_c2, next_q
+    for op, args, p0, p1 in _walk(cmds):
+        next_c2 = next_q = None
+        if op in ("L", "H", "V"):
+            yield ("L", p0, p1)
+        elif op in ("C", "S"):
+            c1 = Point(args[0], args[1]) if op == "C" else _reflect(last_c2, p0)
+            next_c2 = Point(args[-4], args[-3])
+            yield ("C", p0, c1, next_c2, p1)
+        elif op in ("Q", "T"):
+            next_q = Point(args[0], args[1]) if op == "Q" else _reflect(last_q, p0)
+            yield ("Q", p0, next_q, p1)
+        elif op == "M":
+            yield ("M", p1)
+        elif op == "A":
+            yield ("A", p0, *args[:5], p1)
+        else:  # Z
+            yield ("Z", p0, p1)
+        last_c2, last_q = next_c2, next_q
 
 
 # --- arc conversion -------------------------------------------------------
@@ -376,7 +334,7 @@ def simplify_commands(
     cmds: list[RawCommand] | tuple[RawCommand, ...],
     report: NormalizeReport | None = None,
 ) -> list[PathCommand]:
-    """Reduce an absolute command list to the M/L/C alphabet.
+    """Reduce a raw command list of either relativity to the M/L/C alphabet.
 
     Maps the segments of :func:`iter_segments`: Q is degree-elevated
     exactly, arcs go through :func:`arc_to_cubics`, and Z materializes as
@@ -610,7 +568,7 @@ def convert_element(
             report.relative_resolved += sum(
                 1 for c in el.commands for _ in c.groups() if c.is_relative
             )
-        cmds = simplify_commands(to_absolute(el.commands), report)
+        cmds = simplify_commands(el.commands, report)
     else:
         cmds = list(el.commands)
 

@@ -10,6 +10,7 @@ auditable without sacrificing corpus yield.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from xml.parsers import expat
@@ -161,9 +162,12 @@ def parse_paint(value: str) -> Paint | None:
         channels = []
         for part in parts[:3]:
             if part.endswith("%"):
-                channels.append(round(float(part[:-1]) * 255.0 / 100.0))
+                channel = float(part[:-1]) * 255.0 / 100.0
             else:
-                channels.append(round(float(part)))
+                channel = float(part)
+            if not math.isfinite(channel):
+                raise ValueError(f"non-finite rgb() channel in {value!r}")
+            channels.append(round(channel))
         r, g, b = (min(255, max(0, c)) for c in channels)
         return Hex(f"{r:02x}{g:02x}{b:02x}")
     if low in NAMED_COLORS:

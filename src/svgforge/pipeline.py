@@ -12,13 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .augment import AugmentSpec, replace_colors, swap_paths
 from .classifier import classify
-from .errors import InvalidReference, SchemaError, SvgForgeError
+from .errors import SchemaError, SvgForgeError, ValidationError
 from .model import DifficultyLevel, Document
 from .normalizer import NormalizeReport, normalize_document
 from .parser import parse_document, serialize_document
@@ -39,9 +40,6 @@ STAGE_ORDER = (
     DifficultyLevel.MULTICOLOR_DIFFICULT,
 )
 DEFAULT_EPOCHS = (1, 1, 3, 3)
-
-#: What one input file can raise that becomes its own error row, not an abort.
-_FILE_ERRORS = (SvgForgeError, OSError, UnicodeDecodeError)
 
 
 @dataclass(frozen=True)
@@ -97,6 +95,34 @@ def iter_svg_files(root: Path) -> list[Path]:
     return sorted(p.relative_to(root) for p in root.rglob("*.svg") if p.is_file())
 
 
+def _error_text(what, exc: Exception) -> str:
+    """One input's failure as ``"<Type>: <message>"``; the traceback goes to the debug log.
+
+    Every per-input handler catches ``Exception``, so whatever one input
+    raises becomes its own error row and never aborts the run.
+    """
+    log.debug("%s failed", what, exc_info=exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _id_claims(files: list[Path]):
+    """A check that a file is the first in sorted ``files`` with its record id.
+
+    When ids collide (``a/b.svg`` and ``a__b.svg`` are both ``a__b``), the
+    check raises for every later file, naming both paths.
+    """
+    owners: dict[str, Path] = {}
+    for rel in files:
+        owners.setdefault(file_id(rel), rel)
+
+    def claim(rel: Path) -> None:
+        first = owners[file_id(rel)]
+        if first != rel:
+            raise SchemaError(f"{rel.as_posix()} has the record id of {first.as_posix()}")
+
+    return claim
+
+
 def _parallel_map(fn, items, jobs: int) -> list:
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -108,7 +134,7 @@ def _write_jsonl(path: Path, rows: list[dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(row, ensure_ascii=False, allow_nan=False) + "\n")
 
 
 def _read_jsonl(path: Path) -> list[dict]:
@@ -158,8 +184,8 @@ def run_normalize(
             doc, _ = parse_document(text)
             normalized, report = normalize_document(doc)
             return rel, serialize_document(normalized), report, None
-        except _FILE_ERRORS as exc:
-            return rel, None, None, f"{type(exc).__name__}: {exc}"
+        except Exception as exc:
+            return rel, None, None, _error_text(rel, exc)
 
     results = _parallel_map(work, files, jobs)
 
@@ -204,10 +230,12 @@ def run_classify(input_dir: Path, out_path: Path, jobs: int = 1) -> int:
         log.error("input directory %s does not exist", input_dir)
         return EXIT_USAGE
     files = iter_svg_files(input_dir)
+    claim_id = _id_claims(files)
 
     def work(rel: Path):
         rid = file_id(rel)
         try:
+            claim_id(rel)
             text = (input_dir / rel).read_text(encoding="utf-8")
             doc, _ = parse_document(text)
             normalized, _ = normalize_document(doc)
@@ -216,8 +244,8 @@ def run_classify(input_dir: Path, out_path: Path, jobs: int = 1) -> int:
             if record.svg != text.strip():
                 row["auto_normalized"] = True
             return rid, row, None
-        except _FILE_ERRORS as exc:
-            return rid, None, {"id": rid, "error": f"{type(exc).__name__}: {exc}"}
+        except Exception as exc:
+            return rid, None, {"id": rid, "error": _error_text(rel, exc)}
 
     results = sorted(_parallel_map(work, files, jobs), key=lambda r: r[0])
     rows = [row for _, row, _ in results if row is not None]
@@ -366,8 +394,10 @@ def run_score(
     def work(row: dict):
         try:
             r = total_reward(row["generated"], row["reference"], params)
-        except InvalidReference as exc:
-            return None, {"id": row["id"], "error": f"InvalidReference: {exc}"}
+            if not math.isfinite(r.total):
+                raise ValidationError(f"reward total {r.total} is not finite")
+        except Exception as exc:
+            return None, {"id": row["id"], "error": _error_text(row["id"], exc)}
         scored = dict(row)
         scored.update(
             integrity=r.integrity,
@@ -384,7 +414,7 @@ def run_score(
     _write_jsonl(Path(out_path), scored)
     if errors:
         _write_jsonl(_errors_path(Path(out_path)), errors)
-    log.info("scored %d pairs, %d invalid references", len(scored), len(errors))
+    log.info("scored %d pairs, %d errors", len(scored), len(errors))
     return EXIT_PARTIAL if errors else EXIT_OK
 
 
@@ -419,8 +449,8 @@ def run_augment(
         try:
             doc, _ = parse_document(row["svg"])
             normalized, _ = normalize_document(doc)
-        except SvgForgeError as exc:
-            log.warning("augment: cannot parse record %s: %s", rid, exc)
+        except Exception as exc:
+            log.warning("augment: cannot parse record %s: %s", rid, _error_text(rid, exc))
             errors += 1
             continue
         for k in range(spec.n_variants):
@@ -485,10 +515,12 @@ def run_verify(
         log.error("both directories must exist")
         return EXIT_USAGE
     files = iter_svg_files(raw_dir)
+    claim_id = _id_claims(files)
 
     def work(rel: Path):
         rid = file_id(rel)
         try:
+            claim_id(rel)
             raw_doc, _ = parse_document((raw_dir / rel).read_text(encoding="utf-8"))
             norm_doc, _ = parse_document(
                 (normalized_dir / rel).read_text(encoding="utf-8")
@@ -496,15 +528,15 @@ def run_verify(
             norm_doc, _ = normalize_document(norm_doc)
             result = verify_normalization(raw_doc, norm_doc, tolerance)
             return rid, result.passed, result.worst, None
-        except _FILE_ERRORS as exc:
-            return rid, False, float("inf"), f"{type(exc).__name__}: {exc}"
+        except Exception as exc:
+            return rid, False, float("inf"), _error_text(rel, exc)
 
     results = sorted(_parallel_map(work, files, jobs), key=lambda r: r[0])
     rows = []
     worst_id, worst_dev = None, -1.0
     failures = 0
     for rid, passed, worst, error in results:
-        row = {"id": rid, "pass": passed, "worst_path_deviation": worst}
+        row = {"id": rid, "pass": passed, "worst_path_deviation": None if error else worst}
         if error:
             row["error"] = error
         rows.append(row)

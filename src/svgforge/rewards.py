@@ -34,7 +34,7 @@ class MatchSemantics(Enum):
 
 @dataclass(frozen=True, slots=True)
 class RewardParams:
-    """Reward coefficients; all three default to 1."""
+    """Reward coefficients; all three default to 1 and must be finite."""
 
     alpha: float = 1.0
     beta: float = 1.0
@@ -43,8 +43,9 @@ class RewardParams:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValidationError(f"{name} must be finite and strictly positive")
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,13 +4,14 @@ Original drawables are sampled analytically and converted paths are
 flattened; the two point sets are compared with a symmetric
 point-to-segment Hausdorff measure.
 
-The original side shares four rules with the normalizer rather than
-restating them: relative-to-absolute resolution (``to_absolute``), the
-segment walk with its S/T reflection and H/V projection
-(``iter_segments``), the arc endpoint-to-center conversion
-(``arc_center``) and the rect corner radii (``rect_radii``). A bug there
-would show on both sides alike, so those rules are pinned by
-explicit-value tests instead (``test_smooth_cubic_reflection``,
+The original side shares three rules with the normalizer rather than
+restating them: the raw-command walk (``iter_segments``, which reads raw
+commands of either relativity and applies relative offsets, implicit
+linetos, Z's return, the S/T reflection and the H/V projection), the
+arc endpoint-to-center conversion (``arc_center``) and the rect corner
+radii (``rect_radii``). A bug there would show on both sides alike, so
+those rules are pinned by explicit-value tests instead (the
+``TestToAbsolute`` cases, ``test_smooth_cubic_reflection``,
 ``test_smooth_quad_reflection_chain``, ``test_h_projection``,
 ``test_rx_clamped_to_half`` and the ``arc_center`` property test
 ``TestArcCenter``). Everything the normalizer then does with them stays
@@ -46,7 +47,6 @@ from .normalizer import (
     convert_element,
     iter_segments,
     rect_radii,
-    to_absolute,
 )
 
 DEFAULT_TOLERANCE = 0.5
@@ -253,7 +253,7 @@ def sample_outline(source: Drawable, n_per_segment: int = 16) -> list[Polyline]:
     if isinstance(source, ShapeElement):
         return _sample_shape(source, n)
     if source.is_raw:
-        segments = iter_segments(to_absolute(source.commands))
+        segments = iter_segments(source.commands)
     else:
         segments = _mlc_segments(source.commands)
     return _chains(segments, lambda seg: _sample_segment(seg, n))

@@ -11,6 +11,7 @@ from svgforge.errors import (
     EmptyDocument,
     NoCurrentPoint,
     SingularTransform,
+    ValidationError,
 )
 from svgforge.model import (
     AffineTransform,
@@ -33,6 +34,7 @@ from svgforge.normalizer import (
     arc_center,
     arc_to_cubics,
     canvas_transform,
+    iter_segments,
     normalize_canvas,
     normalize_document,
     shape_to_path,
@@ -40,6 +42,7 @@ from svgforge.normalizer import (
     to_absolute,
 )
 from svgforge.parser import parse_document
+from svgforge.verifier import sample_outline
 
 
 def cubic_at(p0, c1, c2, p1, t):
@@ -99,6 +102,73 @@ class TestToAbsolute:
     def test_multigroup_moveto_simplifies_to_lineto(self):
         out = simplify_commands([RawCommand("M", (0, 0, 7, 7))])
         assert out == [MoveTo(Point(0, 0)), LineTo(Point(7, 7))]
+
+
+_ARITY = {"M": 2, "L": 2, "H": 1, "V": 1, "C": 6, "S": 4, "Q": 4, "T": 2, "A": 7, "Z": 0}
+# small integers make coincident points (closed subpaths, zero-length arcs) likely
+_walk_coord = st.one_of(st.integers(-20, 20).map(float), st.floats(-1e4, 1e4))
+_walk_radius = st.one_of(st.just(0.0), st.floats(1e-6, 400))
+
+
+@st.composite
+def _raw_command(draw, opcodes="MLHVCSQTAZ"):
+    upper = draw(st.sampled_from(opcodes))
+    groups = 1 if upper == "Z" else draw(st.integers(1, 3))
+    args: tuple[float, ...] = ()
+    for _ in range(groups):
+        if upper == "A":
+            # radii far below 1e-100 make arc_center overflow or return NaN
+            rx, ry = draw(_walk_radius), draw(_walk_radius)
+            flags = (float(draw(st.booleans())), float(draw(st.booleans())))
+            rot = draw(st.floats(-360, 360))
+            args += (rx, ry, rot, *flags, draw(_walk_coord), draw(_walk_coord))
+        else:
+            args += tuple(draw(_walk_coord) for _ in range(_ARITY[upper]))
+    return RawCommand(upper.lower() if draw(st.booleans()) else upper, args)
+
+
+_raw_paths = st.builds(
+    lambda first, rest: [first, *rest],
+    _raw_command("M"),
+    st.lists(_raw_command(), max_size=12),
+)
+
+
+class TestOneWalk:
+    """``to_absolute`` and ``iter_segments`` share one current-point walk, so
+    resolving relative commands first changes nothing downstream."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_raw_paths)
+    def test_raw_input_walks_like_its_absolute_form(self, cmds):
+        absolute = to_absolute(cmds)
+        assert list(iter_segments(cmds)) == list(iter_segments(absolute))
+        assert simplify_commands(cmds) == simplify_commands(absolute)
+
+    @pytest.mark.parametrize("relative", [False, True])
+    @pytest.mark.parametrize("opcode", list("LHVCSQTAZ"))
+    def test_no_current_point_before_moveto(self, opcode, relative):
+        args = (1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0)[: _ARITY[opcode]]
+        cmds = [RawCommand(opcode.lower() if relative else opcode, args),
+                RawCommand("M", (0.0, 0.0))]
+        for walk in (to_absolute, simplify_commands, lambda c: list(iter_segments(c))):
+            with pytest.raises(NoCurrentPoint):
+                walk(cmds)
+
+    @pytest.mark.parametrize(
+        "d", ["M1e308 0 l1e308 0", "M1e308 0 c1e308 0 -1e308 0 -1e308 0"]
+    )
+    def test_overflowing_offset_is_invalid(self, d):
+        doc, _ = parse_document(f'<svg viewBox="0 0 10 10"><path d="{d}"/></svg>')
+        el = doc.paths[0]
+        for stage in (
+            lambda: to_absolute(el.commands),
+            lambda: simplify_commands(el.commands),
+            lambda: sample_outline(el),
+            lambda: normalize_document(doc),
+        ):
+            with pytest.raises(ValidationError, match="non-finite"):
+                stage()
 
 
 class TestSimplify:

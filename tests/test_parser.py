@@ -164,6 +164,13 @@ class TestParsePaint:
     def test_rgb_clamped(self):
         assert parse_paint("rgb(300, -5, 12)") == Hex("ff000c")
 
+    @pytest.mark.parametrize(
+        "value", ["rgb(1e999,0,0)", "rgb(0, inf, 0)", "rgb(0,0,1e999%)", "rgb(nan,0,0)"]
+    )
+    def test_non_finite_rgb_channel_raises(self, value):
+        with pytest.raises(ValueError):
+            parse_paint(value)
+
 
 class TestParseTransform:
     def test_matrix(self):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from corpus import colored_icons, write_corpus
+from svgforge import pipeline
 from svgforge.augment import AugmentSpec
 from svgforge.cli import main
 from svgforge.errors import SchemaError
@@ -25,12 +26,26 @@ from svgforge.pipeline import (
     run_stats,
     run_verify,
 )
+from svgforge.rewards import RewardParams
 
 VALID = '<svg viewBox="0 0 1024 1024"><path d="M0 0L10 10" fill="#ff0000"/></svg>'
 
 
 def read_jsonl(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines() if line]
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def read_strict_jsonl(path):
+    """Rows of a JSONL file that must hold no Infinity or NaN token."""
+    return [
+        json.loads(line, parse_constant=_no_constant)
+        for line in Path(path).read_text().splitlines()
+        if line
+    ]
 
 
 def record(rid, level, color="Monochrome", count=10):
@@ -473,6 +488,118 @@ class TestCli:
         normalized = tmp_path / "norm"
         main(["normalize", str(corpus_dir), str(normalized), "--quiet"])
         assert main(["verify", str(corpus_dir), str(normalized), "--quiet"]) == 0
+
+
+class TestFailureContract:
+    """Whatever one input raises becomes its own error row; the run goes on."""
+
+    def _two_files(self, tmp_path, second=VALID):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "a.svg").write_text(VALID)
+        (raw / "b.svg").write_text(second)
+        return raw
+
+    def test_bad_rgb_channel_falls_back_to_inherited_fill(self, tmp_path):
+        raw = self._two_files(
+            tmp_path,
+            '<svg viewBox="0 0 1024 1024"><path d="M0 0L9 9" fill="rgb(1e999,0,0)"/></svg>',
+        )
+        out = tmp_path / "out"
+        assert run_normalize(raw, out) == EXIT_OK
+        assert sorted(p.name for p in out.glob("*.svg")) == ["a.svg", "b.svg"]
+        assert 'fill="#000000"' in (out / "b.svg").read_text()
+
+    def test_memory_error_in_verify_is_one_row(self, tmp_path, monkeypatch):
+        raw = self._two_files(tmp_path)
+        normalized = tmp_path / "norm"
+        run_normalize(raw, normalized)
+        real = pipeline.verify_normalization
+        calls = []
+
+        def flaky(raw_doc, norm_doc, tolerance):
+            calls.append(1)
+            if len(calls) == 2:
+                raise MemoryError("dense distance matrix")
+            return real(raw_doc, norm_doc, tolerance)
+
+        monkeypatch.setattr(pipeline, "verify_normalization", flaky)
+        report = tmp_path / "verify.jsonl"
+        assert run_verify(raw, normalized, 0.5, report) == EXIT_VERIFY_FAILED
+        rows = read_strict_jsonl(report)
+        assert [r["id"] for r in rows] == ["a", "b"]
+        assert rows[0]["pass"] and "error" not in rows[0]
+        assert rows[1] == {
+            "id": "b", "pass": False, "worst_path_deviation": None,
+            "error": "MemoryError: dense distance matrix",
+        }
+
+    def test_runtime_error_in_classify_is_one_row(self, tmp_path, monkeypatch):
+        raw = self._two_files(tmp_path)
+        real = pipeline.normalize_document
+        calls = []
+
+        def flaky(doc):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("boom")
+            return real(doc)
+
+        monkeypatch.setattr(pipeline, "normalize_document", flaky)
+        out = tmp_path / "records.jsonl"
+        assert run_classify(raw, out) == EXIT_PARTIAL
+        assert len(read_strict_jsonl(out)) == 1
+        errors = read_strict_jsonl(tmp_path / "errors.jsonl")
+        assert len(errors) == 1 and errors[0]["error"] == "RuntimeError: boom"
+
+    def _colliding(self, tmp_path):
+        raw = tmp_path / "raw"
+        (raw / "a").mkdir(parents=True)
+        (raw / "a" / "b.svg").write_text(VALID)
+        (raw / "a__b.svg").write_text(VALID)
+        return raw
+
+    def test_duplicate_id_in_classify(self, tmp_path):
+        raw = self._colliding(tmp_path)
+        out = tmp_path / "records.jsonl"
+        assert run_classify(raw, out) == EXIT_PARTIAL
+        assert [r["id"] for r in read_strict_jsonl(out)] == ["a__b"]
+        (error,) = read_strict_jsonl(tmp_path / "errors.jsonl")
+        assert error["id"] == "a__b"
+        assert "a/b.svg" in error["error"] and "a__b.svg" in error["error"]
+
+    def test_duplicate_id_in_verify(self, tmp_path):
+        raw = self._colliding(tmp_path)
+        normalized = tmp_path / "norm"
+        run_normalize(raw, normalized)
+        report = tmp_path / "verify.jsonl"
+        assert run_verify(raw, normalized, 0.5, report) == EXIT_VERIFY_FAILED
+        first, second = read_strict_jsonl(report)
+        assert first == {"id": "a__b", "pass": True, "worst_path_deviation": 0.0}
+        assert second["id"] == "a__b" and second["worst_path_deviation"] is None
+        assert "a/b.svg" in second["error"] and "a__b.svg" in second["error"]
+
+    def test_infinite_alpha_is_usage_error(self, tmp_path):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"id": "x", "generated": "<svg", "reference": VALID}) + "\n")
+        out = tmp_path / "scored.jsonl"
+        assert main(["score", str(pairs), "--out", str(out), "--alpha", "inf", "--quiet"]) == 2
+        assert not out.exists()
+
+    def test_overflowing_reward_is_one_row(self, tmp_path):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(
+            json.dumps({"id": "big", "generated": VALID, "reference": VALID}) + "\n"
+            + json.dumps({"id": "bad", "generated": VALID, "reference": "<svg"}) + "\n"
+        )
+        out = tmp_path / "scored.jsonl"
+        params = RewardParams(alpha=1e308, beta=1e308)
+        assert run_score(pairs, out, params) == EXIT_PARTIAL
+        assert read_strict_jsonl(out) == []
+        errors = read_strict_jsonl(tmp_path / "errors.jsonl")
+        assert [e["id"] for e in errors] == ["big", "bad"]
+        assert errors[0]["error"].startswith("ValidationError")
+        assert errors[1]["error"].startswith("InvalidReference")
 
 
 def _fills(svg_text):

@@ -127,6 +127,11 @@ class TestParams:
             with pytest.raises(ValidationError):
                 RewardParams(**bad)
 
+    def test_finite_required(self):
+        for bad in ({"alpha": math.inf}, {"beta": math.inf}, {"gamma": math.nan}):
+            with pytest.raises(ValidationError):
+                RewardParams(**bad)
+
 
 class TestProperties:
     def _oracle(self, n, n_gt, alpha, beta, gamma, flag):
