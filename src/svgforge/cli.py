@@ -60,7 +60,8 @@ class Settings:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel workers (default 1; results are identical at any level)")
+                        help="threads for verify only, whose numpy kernel releases the GIL; "
+                             "the rest is pure Python (default 1; same bytes at any level)")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed for seeded operations (default 0)")
     parser.add_argument("--config", default=None,

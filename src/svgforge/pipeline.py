@@ -1,10 +1,13 @@
 """Batch pipeline: directories of SVG in, JSONL datasets and reports out.
 
 All subcommand bodies live here as plain functions so they are usable as
-a library; the CLI module only does argument wiring. Outputs are
-deterministic for fixed inputs, flags and seeds: work may fan out across
-threads but results are assembled in sorted order before anything is
-written, so any ``--jobs`` level produces identical bytes.
+a library; the CLI module only does argument wiring. Each input goes
+through :func:`_each`, which makes whatever it raises its error row.
+Outputs are deterministic for fixed inputs, flags and seeds, and
+byte-identical at any ``jobs`` level. Only ``verify`` uses ``jobs``
+threads: its numpy kernel releases the interpreter lock (bench, 2 cores: 74
+against 43 items/s). The rest is pure Python, where two threads were slower
+than one (build 217 against 226, score 825 against 884 items/s).
 """
 
 from __future__ import annotations
@@ -95,16 +98,6 @@ def iter_svg_files(root: Path) -> list[Path]:
     return sorted(p.relative_to(root) for p in root.rglob("*.svg") if p.is_file())
 
 
-def _error_text(what, exc: Exception) -> str:
-    """One input's failure as ``"<Type>: <message>"``; the traceback goes to the debug log.
-
-    Every per-input handler catches ``Exception``, so whatever one input
-    raises becomes its own error row and never aborts the run.
-    """
-    log.debug("%s failed", what, exc_info=exc)
-    return f"{type(exc).__name__}: {exc}"
-
-
 def _id_claims(files: list[Path]):
     """A check that a file is the first in sorted ``files`` with its record id.
 
@@ -123,11 +116,33 @@ def _id_claims(files: list[Path]):
     return claim
 
 
-def _parallel_map(fn, items, jobs: int) -> list:
+def _each(fn, items: list, jobs: int = 1):
+    """Yield ``(fn(item), None)`` or ``(None, "<Type>: <message>")`` per item, in order.
+
+    The one per-input failure boundary: whatever an input raises, even
+    ``MemoryError``, is its error, with the traceback in the debug log.
+    On one thread, items run lazily, so a caller that stops early stops
+    the work.
+    """
+
+    def attempt(item):
+        try:
+            return fn(item), None
+        except Exception as exc:
+            log.debug("%.80s failed", item, exc_info=exc)
+            return None, f"{type(exc).__name__}: {exc}"
+
     if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        yield from map(attempt, items)
+        return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(attempt, items)
+
+
+def _write_json(path: Path, obj: dict, sort_keys: bool = False) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
 
 
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
@@ -170,7 +185,8 @@ def run_normalize(
     """Normalize every .svg under ``input_dir`` into ``output_dir``.
 
     Output files keep their relative paths. Failures are logged and
-    skipped (exit 1), or abort immediately under ``strict`` (exit 2).
+    skipped (exit 1), or abort at the first failure under ``strict``
+    (exit 2) before any later file is read.
     """
     input_dir, output_dir = Path(input_dir), Path(output_dir)
     if not input_dir.is_dir():
@@ -179,19 +195,13 @@ def run_normalize(
     files = iter_svg_files(input_dir)
 
     def work(rel: Path):
-        try:
-            text = (input_dir / rel).read_text(encoding="utf-8")
-            doc, _ = parse_document(text)
-            normalized, report = normalize_document(doc)
-            return rel, serialize_document(normalized), report, None
-        except Exception as exc:
-            return rel, None, None, _error_text(rel, exc)
-
-    results = _parallel_map(work, files, jobs)
+        doc, _ = parse_document((input_dir / rel).read_text(encoding="utf-8"))
+        normalized, report = normalize_document(doc)
+        return serialize_document(normalized), report
 
     aggregate = NormalizeReport()
     failures = 0
-    for rel, text, report, error in results:
+    for rel, (result, error) in zip(files, _each(work, files)):
         if error is not None:
             failures += 1
             log.warning("failed %s: %s", rel, error)
@@ -199,6 +209,7 @@ def run_normalize(
                 log.error("aborting on first failure (--strict)")
                 return EXIT_USAGE
             continue
+        text, report = result
         out_file = output_dir / rel
         out_file.parent.mkdir(parents=True, exist_ok=True)
         out_file.write_text(text, encoding="utf-8", newline="\n")
@@ -208,10 +219,7 @@ def run_normalize(
         summary = aggregate.as_dict()
         summary["files_total"] = len(files)
         summary["files_failed"] = failures
-        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(report_path).write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(report_path, summary, sort_keys=True)
     log.info("normalized %d/%d files", len(files) - failures, len(files))
     return EXIT_PARTIAL if failures else EXIT_OK
 
@@ -229,27 +237,23 @@ def run_classify(input_dir: Path, out_path: Path, jobs: int = 1) -> int:
     if not input_dir.is_dir():
         log.error("input directory %s does not exist", input_dir)
         return EXIT_USAGE
-    files = iter_svg_files(input_dir)
+    files = sorted(iter_svg_files(input_dir), key=file_id)
     claim_id = _id_claims(files)
 
     def work(rel: Path):
-        rid = file_id(rel)
-        try:
-            claim_id(rel)
-            text = (input_dir / rel).read_text(encoding="utf-8")
-            doc, _ = parse_document(text)
-            normalized, _ = normalize_document(doc)
-            record = record_from_document(rid, normalized)
-            row = record.to_dict()
-            if record.svg != text.strip():
-                row["auto_normalized"] = True
-            return rid, row, None
-        except Exception as exc:
-            return rid, None, {"id": rid, "error": _error_text(rel, exc)}
+        claim_id(rel)
+        text = (input_dir / rel).read_text(encoding="utf-8")
+        doc, _ = parse_document(text)
+        normalized, _ = normalize_document(doc)
+        record = record_from_document(file_id(rel), normalized)
+        row = record.to_dict()
+        if record.svg != text.strip():
+            row["auto_normalized"] = True
+        return row
 
-    results = sorted(_parallel_map(work, files, jobs), key=lambda r: r[0])
-    rows = [row for _, row, _ in results if row is not None]
-    errors = [err for _, _, err in results if err is not None]
+    results = list(_each(work, files))
+    rows = [row for row, error in results if error is None]
+    errors = [{"id": file_id(rel), "error": e} for rel, (_, e) in zip(files, results) if e]
     _write_jsonl(out_path, rows)
     if errors:
         _write_jsonl(_errors_path(out_path), errors)
@@ -304,9 +308,7 @@ def run_stats(records_path: Path, out_path: Path | None = None) -> tuple[int, di
         },
     }
     if out_path is not None:
-        Path(out_path).write_text(
-            json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(out_path, summary)
     return EXIT_OK, summary
 
 
@@ -364,9 +366,7 @@ def run_curriculum(
 ) -> int:
     rows = _read_jsonl(Path(records_path))
     manifest = build_curriculum(rows, epochs, extra_stage)
-    Path(out_path).write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out_path, manifest)
     log.info(
         "curriculum over %d records (%d out of range)",
         sum(len(s["record_ids"]) for s in manifest["stages"]),
@@ -392,25 +392,21 @@ def run_score(
                 raise SchemaError(f"pair {i}: missing field {name!r}")
 
     def work(row: dict):
-        try:
-            r = total_reward(row["generated"], row["reference"], params)
-            if not math.isfinite(r.total):
-                raise ValidationError(f"reward total {r.total} is not finite")
-        except Exception as exc:
-            return None, {"id": row["id"], "error": _error_text(row["id"], exc)}
-        scored = dict(row)
-        scored.update(
+        r = total_reward(row["generated"], row["reference"], params)
+        if not math.isfinite(r.total):
+            raise ValidationError(f"reward total {r.total} is not finite")
+        return dict(
+            row,
             integrity=r.integrity,
             match=r.match,
             total=r.total,
             n_generated=r.n_generated,
             n_reference=r.n_reference,
         )
-        return scored, None
 
-    results = _parallel_map(work, rows, jobs)
-    scored = [s for s, _ in results if s is not None]
-    errors = [e for _, e in results if e is not None]
+    results = list(_each(work, rows))
+    scored = [result for result, error in results if error is None]
+    errors = [{"id": row["id"], "error": e} for row, (_, e) in zip(rows, results) if e]
     _write_jsonl(Path(out_path), scored)
     if errors:
         _write_jsonl(_errors_path(Path(out_path)), errors)
@@ -437,21 +433,24 @@ def run_augment(
     Each variant recolors through a seeded injective map and, when a safe
     adjacent pair exists, swaps it. Variants that cannot be produced under
     the requested ops (too few paths for a swap-only run, palette smaller
-    than the fill set) are logged and skipped.
+    than the fill set) are logged and skipped. A record whose svg fails to
+    parse or normalize becomes a row in the sidecar errors.jsonl (exit 1).
     """
     rows = _read_jsonl(Path(records_path))
-    out_rows: list[dict] = []
-    skipped = 0
-    errors = 0
     for row in rows:
         _check_record(row, f"record {row.get('id', '?')!r}")
+
+    def load(row: dict) -> Document:
+        doc, _ = parse_document(row["svg"])
+        return normalize_document(doc)[0]
+
+    out_rows, errors = [], []
+    skipped = 0
+    for row, (normalized, error) in zip(rows, _each(load, rows)):
         rid = row["id"]
-        try:
-            doc, _ = parse_document(row["svg"])
-            normalized, _ = normalize_document(doc)
-        except Exception as exc:
-            log.warning("augment: cannot parse record %s: %s", rid, _error_text(rid, exc))
-            errors += 1
+        if error is not None:
+            log.warning("augment: cannot parse record %s: %s", rid, error)
+            errors.append({"id": rid, "error": error})
             continue
         for k in range(spec.n_variants):
             seed_k = _variant_seed(spec.seed, rid, k)
@@ -492,6 +491,8 @@ def run_augment(
             record = record_from_document(f"{rid}__aug{k + 1}", variant, augmented_from=rid)
             out_rows.append(record.to_dict())
     _write_jsonl(Path(out_path), out_rows)
+    if errors:
+        _write_jsonl(_errors_path(Path(out_path)), errors)
     log.info(
         "augmented %d records into %d variants (%d skipped)",
         len(rows), len(out_rows), skipped,
@@ -509,33 +510,27 @@ def run_verify(
     out_path: Path | None = None,
     jobs: int = 1,
 ) -> int:
-    """Geometry-check normalized outputs against their raw sources."""
+    """Geometry-check normalized outputs against their raw sources, on ``jobs`` threads."""
     raw_dir, normalized_dir = Path(raw_dir), Path(normalized_dir)
     if not raw_dir.is_dir() or not normalized_dir.is_dir():
         log.error("both directories must exist")
         return EXIT_USAGE
-    files = iter_svg_files(raw_dir)
+    files = sorted(iter_svg_files(raw_dir), key=file_id)
     claim_id = _id_claims(files)
 
     def work(rel: Path):
-        rid = file_id(rel)
-        try:
-            claim_id(rel)
-            raw_doc, _ = parse_document((raw_dir / rel).read_text(encoding="utf-8"))
-            norm_doc, _ = parse_document(
-                (normalized_dir / rel).read_text(encoding="utf-8")
-            )
-            norm_doc, _ = normalize_document(norm_doc)
-            result = verify_normalization(raw_doc, norm_doc, tolerance)
-            return rid, result.passed, result.worst, None
-        except Exception as exc:
-            return rid, False, float("inf"), _error_text(rel, exc)
+        claim_id(rel)
+        raw_doc, _ = parse_document((raw_dir / rel).read_text(encoding="utf-8"))
+        norm_doc, _ = parse_document((normalized_dir / rel).read_text(encoding="utf-8"))
+        norm_doc, _ = normalize_document(norm_doc)
+        return verify_normalization(raw_doc, norm_doc, tolerance)
 
-    results = sorted(_parallel_map(work, files, jobs), key=lambda r: r[0])
     rows = []
     worst_id, worst_dev = None, -1.0
     failures = 0
-    for rid, passed, worst, error in results:
+    for rel, (result, error) in zip(files, _each(work, files, jobs)):
+        rid = file_id(rel)
+        passed, worst = (False, math.inf) if error else (result.passed, result.worst)
         row = {"id": rid, "pass": passed, "worst_path_deviation": None if error else worst}
         if error:
             row["error"] = error

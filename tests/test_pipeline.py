@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import colored_icons, write_corpus
 from svgforge import pipeline
@@ -46,6 +49,14 @@ def read_strict_jsonl(path):
         for line in Path(path).read_text().splitlines()
         if line
     ]
+
+
+def tree(root):
+    """Every file under ``root`` as {relative posix path: bytes}."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in sorted(Path(root).rglob("*")) if p.is_file()
+    }
 
 
 def record(rid, level, color="Monochrome", count=10):
@@ -91,6 +102,24 @@ class TestNormalize:
         src.mkdir()
         (src / "broken.svg").write_text("<svg")
         assert run_normalize(src, dst, strict=True) == EXIT_USAGE
+
+    def test_strict_stops_at_first_failure(self, tmp_path, monkeypatch):
+        src, dst = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        (src / "a.svg").write_text("<svg")
+        (src / "b.svg").write_text(VALID)
+        (src / "c.svg").write_text(VALID)
+        real = pipeline.parse_document
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(pipeline, "parse_document", counted)
+        assert run_normalize(src, dst, strict=True) == EXIT_USAGE
+        assert calls == ["<svg"]
+        assert not dst.exists()
 
     def test_missing_input_dir(self, tmp_path):
         assert run_normalize(tmp_path / "nope", tmp_path / "out") == EXIT_USAGE
@@ -374,6 +403,18 @@ class TestAugment:
         assert run_augment(records, out, AugmentSpec(seed=1), ops=("swap",)) == EXIT_OK
         assert read_jsonl(out) == []
 
+    def test_unparseable_record_is_error_row(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        bad = dict(record("bad", "Monocolor_easy"), svg=VALID[:40])
+        records.write_text(
+            json.dumps(record("good", "Monocolor_easy")) + "\n" + json.dumps(bad) + "\n"
+        )
+        out = tmp_path / "aug.jsonl"
+        assert run_augment(records, out, AugmentSpec(seed=1)) == EXIT_PARTIAL
+        assert [r["augmented_from"] for r in read_strict_jsonl(out)] == ["good"]
+        (error,) = read_strict_jsonl(tmp_path / "errors.jsonl")
+        assert error["id"] == "bad" and error["error"].startswith("MalformedXml: ")
+
 
 class TestVerifyRuns:
     def test_corpus_passes(self, tmp_path, corpus_dir):
@@ -483,6 +524,15 @@ class TestCli:
         for row in rows:
             fills = {m for m in _fills(row["svg"])}
             assert fills <= allowed
+
+    def test_json_outputs_create_their_directory(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps(record("a", "Monocolor_easy")) + "\n")
+        stats, manifest = tmp_path / "s" / "stats.json", tmp_path / "m" / "manifest.json"
+        assert main(["stats", str(records), "--out", str(stats), "--quiet"]) == 0
+        assert main(["curriculum", str(records), "--out", str(manifest), "--quiet"]) == 0
+        assert json.loads(stats.read_text())["records"] == 1
+        assert json.loads(manifest.read_text())["stages"][0]["record_ids"] == ["a"]
 
     def test_verify_cli(self, tmp_path, corpus_dir):
         normalized = tmp_path / "norm"
@@ -606,3 +656,121 @@ def _fills(svg_text):
     import re
 
     return re.findall(r'fill="#([0-9a-f]{6})"', svg_text)
+
+
+class _PoolBuilt(Exception):
+    pass
+
+
+def _no_pool(*args, **kwargs):
+    raise _PoolBuilt
+
+
+class TestThreads:
+    """Only verify runs on threads; pure-Python subcommands never build a pool."""
+
+    def test_only_verify_builds_a_pool(self, tmp_path, corpus_dir, monkeypatch):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("".join(
+            json.dumps({"id": f"p{i}", "generated": gen, "reference": VALID}) + "\n"
+            for i, gen in enumerate([VALID, "<svg", VALID])
+        ))
+        trees = []
+        for jobs in (1, 2):
+            if jobs == 2:
+                monkeypatch.setattr(pipeline, "ThreadPoolExecutor", _no_pool)
+            out = tmp_path / f"j{jobs}"
+            assert run_normalize(corpus_dir, out / "norm", jobs=jobs) == EXIT_OK
+            assert run_classify(corpus_dir, out / "classify" / "records.jsonl", jobs=jobs) == EXIT_OK
+            assert run_score(pairs, out / "score" / "scored.jsonl", jobs=jobs) == EXIT_OK
+            trees.append(tree(out))
+        assert trees[0] == trees[1]
+        with pytest.raises(_PoolBuilt):
+            run_verify(corpus_dir, tmp_path / "j1" / "norm", jobs=2)
+
+
+_ICONS = (
+    VALID,
+    '<svg viewBox="0 0 24 24"><rect x="2" y="2" width="8" height="6" rx="1" fill="#00f"/>'
+    '<circle cx="16" cy="16" r="4" fill="red"/></svg>',
+    '<svg viewBox="0 0 24 24"><path d="m2 2h10v10a5 5 0 0 1-5 5z" fill="#0a0"/></svg>',
+)
+_BAD_RGB = '<svg viewBox="0 0 24 24"><path d="M0 0L9 9" fill="rgb(1e999,0,0)"/></svg>'
+_FILE_KINDS = {
+    "icon0": _ICONS[0].encode(),
+    "icon1": _ICONS[1].encode(),
+    "icon2": _ICONS[2].encode(),
+    "truncated": VALID[:40].encode(),
+    "undecodable": b"\xff\xfe",
+    "bad_rgb": _BAD_RGB.encode(),
+    "colliding": None,  # c<i>/x.svg and c<i>__x.svg, both valid
+}
+_GENERATED = (*_ICONS, VALID[:40], _BAD_RGB, "")
+_REFERENCES = (*_ICONS, _BAD_RGB, "<svg", "<svg viewBox='0 0 8 8'/>")
+
+
+def _write_inputs(raw, kinds):
+    """Write one input per kind (two for ``colliding``); return their record ids."""
+    ids = []
+    for i, kind in enumerate(kinds):
+        content = _FILE_KINDS[kind]
+        rels = [f"c{i}/x.svg", f"c{i}__x.svg"] if content is None else [f"f{i}.svg"]
+        for rel in rels:
+            (raw / rel).parent.mkdir(parents=True, exist_ok=True)
+            (raw / rel).write_bytes(content or _ICONS[1].encode())
+            ids.append(file_id(rel))
+    return sorted(ids)
+
+
+def _ids(*paths):
+    return sorted(row["id"] for p in paths if p.exists() for row in read_strict_jsonl(p))
+
+
+class TestCliFailureContract:
+    """Through ``cli.main``: one output or error row per input, no escaping
+    exception, exit codes in {0, 1, 3}, and the same bytes at ``--jobs 1`` and 2."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(sorted(_FILE_KINDS)), min_size=1, max_size=5),
+        pairs=st.lists(
+            st.tuples(st.sampled_from(_GENERATED), st.sampled_from(_REFERENCES)),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_one_row_per_input_at_any_jobs(self, kinds, pairs):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            raw = root / "raw"
+            ids = _write_inputs(raw, kinds)
+            pairs_path = root / "pairs.jsonl"
+            pairs_path.write_text("".join(
+                json.dumps({"id": f"p{i}", "generated": g, "reference": r}) + "\n"
+                for i, (g, r) in enumerate(pairs)
+            ))
+            trees = []
+            for jobs in ("1", "2"):
+                out = root / f"j{jobs}"
+                (out / "norm").mkdir(parents=True)
+                flags = ["--jobs", jobs, "--quiet"]
+                codes = [
+                    main(["normalize", str(raw), str(out / "norm"),
+                          "--report", str(out / "report.json"), *flags]),
+                    main(["classify", str(raw), "--out", str(out / "c" / "records.jsonl"),
+                          *flags]),
+                    main(["verify", str(raw), str(out / "norm"),
+                          "--out", str(out / "verify.jsonl"), *flags]),
+                    main(["score", str(pairs_path), "--out", str(out / "s" / "scored.jsonl"),
+                          *flags]),
+                ]
+                assert set(codes) <= {0, 1, 3}, codes
+                report = json.loads((out / "report.json").read_text())
+                written = len(list((out / "norm").rglob("*.svg")))
+                assert written + report["files_failed"] == report["files_total"] == len(ids)
+                assert _ids(out / "c" / "records.jsonl", out / "c" / "errors.jsonl") == ids
+                assert _ids(out / "verify.jsonl") == ids
+                assert _ids(out / "s" / "scored.jsonl", out / "s" / "errors.jsonl") == sorted(
+                    f"p{i}" for i in range(len(pairs))
+                )
+                trees.append(tree(out))
+            assert trees[0] == trees[1]
