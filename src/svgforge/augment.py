@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import PaletteTooSmall, TooFewPaths, ValidationError
-from .model import CubicTo, Document, Hex, PathElement
+from .model import Document, Hex, PathElement
 from .parser import parse_paint
 
 #: Note attached when no safe swap pair exists and overlap swaps are off.
@@ -64,8 +64,7 @@ def path_bbox(path: PathElement) -> tuple[float, float, float, float]:
     xs: list[float] = []
     ys: list[float] = []
     for cmd in path.commands:
-        points = (cmd.c1, cmd.c2, cmd.end) if isinstance(cmd, CubicTo) else (cmd.end,)
-        for p in points:
+        for p in cmd.points:
             xs.append(p.x)
             ys.append(p.y)
     return min(xs), min(ys), max(xs), max(ys)

@@ -72,10 +72,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _parse_epochs(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise SchemaError(f"bad --epochs value {text!r}") from None
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,12 +201,8 @@ def main(argv: list[str] | None = None) -> int:
                                  cast=lambda v: v.lower() in ("1", "true", "yes"))
                 ),
             )
-            ops_text = settings.get("ops", "recolor,swap")
+            ops_text = settings.get("ops", ",".join(pipeline.AUGMENT_OPS))
             ops = tuple(op.strip() for op in ops_text.split(",") if op.strip())
-            unknown = set(ops) - {"recolor", "swap"}
-            if unknown:
-                print(f"svgforge: unknown ops {sorted(unknown)}", file=sys.stderr)
-                return pipeline.EXIT_USAGE
             return pipeline.run_augment(Path(args.records), Path(args.out), spec, ops)
         if args.command == "verify":
             return pipeline.run_verify(
@@ -216,10 +211,7 @@ def main(argv: list[str] | None = None) -> int:
                 out_path=Path(args.out) if args.out else None,
                 jobs=jobs,
             )
-    except (SchemaError, ValidationError, ValueError) as exc:
-        print(f"svgforge: {exc}", file=sys.stderr)
-        return pipeline.EXIT_USAGE
-    except OSError as exc:
+    except (SchemaError, ValidationError, ValueError, OSError) as exc:
         print(f"svgforge: {exc}", file=sys.stderr)
         return pipeline.EXIT_USAGE
     except SvgForgeError as exc:

@@ -4,6 +4,10 @@ All types are immutable after construction and safe to share between
 threads. Coordinates are double-precision floats; canonical rounding to the
 0.01-unit serialization grid happens only in :func:`format_number`, never
 inside the model itself.
+
+The M/L/C commands carry their own layout: a class-level ``opcode`` and
+``points`` (control points, then the endpoint, in constructor order, so
+``type(c)(*c.points) == c``). Other modules read those, not the type.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Union
+from typing import ClassVar, NamedTuple, Union
 
 from .errors import ValidationError
 
@@ -102,29 +106,42 @@ class RawCommand:
 
 
 @dataclass(frozen=True, slots=True)
-class MoveTo:
+class _EndOnly:
+    """The shared layout of MoveTo and LineTo: an endpoint and nothing else."""
+
     end: Point
 
     def __post_init__(self) -> None:
         _require_finite(*self.end)
+
+    @property
+    def points(self) -> tuple[Point]:
+        return (self.end,)
 
 
 @dataclass(frozen=True, slots=True)
-class LineTo:
-    end: Point
+class MoveTo(_EndOnly):
+    opcode: ClassVar[str] = "M"
 
-    def __post_init__(self) -> None:
-        _require_finite(*self.end)
+
+@dataclass(frozen=True, slots=True)
+class LineTo(_EndOnly):
+    opcode: ClassVar[str] = "L"
 
 
 @dataclass(frozen=True, slots=True)
 class CubicTo:
+    opcode: ClassVar[str] = "C"
     c1: Point
     c2: Point
     end: Point
 
     def __post_init__(self) -> None:
         _require_finite(*self.c1, *self.c2, *self.end)
+
+    @property
+    def points(self) -> tuple[Point, Point, Point]:
+        return (self.c1, self.c2, self.end)
 
 
 #: The post-normalization command alphabet. Nothing else exists after
@@ -368,13 +385,8 @@ def _command_keys(commands) -> list[tuple]:
         if isinstance(cmd, RawCommand):
             for group in cmd.groups():
                 keys.append((cmd.opcode, tuple(format_number(a) for a in group)))
-        elif isinstance(cmd, MoveTo):
-            keys.append(("M", (format_number(cmd.end.x), format_number(cmd.end.y))))
-        elif isinstance(cmd, LineTo):
-            keys.append(("L", (format_number(cmd.end.x), format_number(cmd.end.y))))
         else:
-            keys.append(("C", tuple(format_number(v)
-                                    for p in (cmd.c1, cmd.c2, cmd.end) for v in p)))
+            keys.append((cmd.opcode, tuple(format_number(v) for p in cmd.points for v in p)))
     return keys
 
 

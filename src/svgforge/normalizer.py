@@ -13,7 +13,7 @@ bound (arcs are split at 90 degrees, worst-case radial error about
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import (
     DegenerateShape,
@@ -51,7 +51,11 @@ _SINGULAR_EPS = 1e-12
 
 @dataclass
 class NormalizeReport:
-    """Counters describing what one normalization run had to do."""
+    """Counters describing what one normalization run had to do.
+
+    Every field is a count, or a dict of counts by key; :meth:`merge` and
+    :meth:`as_dict` read the field list, so a new counter is one field.
+    """
 
     shapes_converted: dict[str, int] = field(default_factory=dict)
     arcs_converted: int = 0
@@ -67,24 +71,17 @@ class NormalizeReport:
         self.paths_dropped[reason] = self.paths_dropped.get(reason, 0) + 1
 
     def merge(self, other: "NormalizeReport") -> None:
-        for k, v in other.shapes_converted.items():
-            self.shapes_converted[k] = self.shapes_converted.get(k, 0) + v
-        for k, v in other.paths_dropped.items():
-            self.paths_dropped[k] = self.paths_dropped.get(k, 0) + v
-        self.arcs_converted += other.arcs_converted
-        self.relative_resolved += other.relative_resolved
-        self.transforms_flattened += other.transforms_flattened
-        self.closures_materialized += other.closures_materialized
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, dict):
+                for key, n in theirs.items():
+                    mine[key] = mine.get(key, 0) + n
+            else:
+                setattr(self, f.name, mine + theirs)
 
     def as_dict(self) -> dict:
-        return {
-            "shapes_converted": dict(sorted(self.shapes_converted.items())),
-            "arcs_converted": self.arcs_converted,
-            "relative_resolved": self.relative_resolved,
-            "transforms_flattened": self.transforms_flattened,
-            "closures_materialized": self.closures_materialized,
-            "paths_dropped": dict(sorted(self.paths_dropped.items())),
-        }
+        return {name: dict(sorted(v.items())) if isinstance(v, dict) else v
+                for name, v in asdict(self).items()}
 
 
 # --- raw command walk -------------------------------------------------------
@@ -204,10 +201,11 @@ def arc_center(
     Returns ``(cx, cy, rx, ry, phi, theta1, delta)``: the center, the radii
     after out-of-range scale-up, the x-axis rotation in radians, the start
     angle and the signed sweep angle (SVG 1.1 implementation notes, F.6.5).
-    Returns ``None`` for identical endpoints or a zero radius, which draw
-    nothing or a straight line. A large arc between near-coincident
-    endpoints whose sweep angle comes out as exactly 0 is a full turn in
-    the direction of the sweep flag.
+    Returns ``None`` for identical endpoints, a zero radius, or a chord
+    whose square underflows against the radii (below about 1e-154 of a
+    radius): these draw nothing or a straight line. A large arc between
+    near-coincident endpoints whose sweep angle comes out as exactly 0 is
+    a full turn in the direction of the sweep flag.
     """
     if start == end or rx == 0.0 or ry == 0.0:
         return None
@@ -228,7 +226,9 @@ def arc_center(
     rx2, ry2 = rx * rx, ry * ry
     num = rx2 * ry2 - rx2 * y1p * y1p - ry2 * x1p * x1p
     den = rx2 * y1p * y1p + ry2 * x1p * x1p
-    factor = math.sqrt(max(0.0, num / den)) if den else 0.0
+    if not den:
+        return None
+    factor = math.sqrt(max(0.0, num / den))
     if bool(large_arc) == bool(sweep):
         factor = -factor
     cxp = factor * rx * y1p / ry
@@ -342,6 +342,8 @@ def simplify_commands(
     there. Runs of MoveTo collapse to the last one and a trailing MoveTo is
     dropped, so empty subpaths leave no residue.
     """
+    if report is None:
+        report = NormalizeReport()
     out: list[PathCommand] = []
     for seg in iter_segments(cmds):
         kind = seg[0]
@@ -353,19 +355,16 @@ def simplify_commands(
             out.append(_elevate_quadratic(seg[1], seg[2], seg[3]))
         elif kind == "M":
             if out and isinstance(out[-1], MoveTo):
-                out[-1] = MoveTo(seg[1])
-            else:
-                out.append(MoveTo(seg[1]))
+                out.pop()
+            out.append(MoveTo(seg[1]))
         elif kind == "A":
             out.extend(arc_to_cubics(*seg[1:]))
-            if report is not None:
-                report.arcs_converted += 1
+            report.arcs_converted += 1
         else:  # Z
             _, cur, start = seg
             if max(abs(cur.x - start.x), abs(cur.y - start.y)) > _CLOSE_EPS:
                 out.append(LineTo(start))
-                if report is not None:
-                    report.closures_materialized += 1
+                report.closures_materialized += 1
 
     if out and isinstance(out[-1], MoveTo):
         out.pop()
@@ -488,15 +487,8 @@ def apply_transform(path: PathElement, m: AffineTransform) -> PathElement:
     if m.is_identity:
         return path
     ap = m.apply_point
-    cmds: list[PathCommand] = []
-    for cmd in path.commands:
-        if isinstance(cmd, MoveTo):
-            cmds.append(MoveTo(ap(cmd.end)))
-        elif isinstance(cmd, LineTo):
-            cmds.append(LineTo(ap(cmd.end)))
-        else:
-            cmds.append(CubicTo(ap(cmd.c1), ap(cmd.c2), ap(cmd.end)))
-    return PathElement(tuple(cmds), path.fill, path.transform)
+    cmds = tuple(type(cmd)(*map(ap, cmd.points)) for cmd in path.commands)
+    return PathElement(cmds, path.fill, path.transform)
 
 
 def canvas_transform(view_box: tuple[float, float, float, float]) -> AffineTransform:
@@ -530,10 +522,6 @@ def normalize_canvas(doc: Document) -> Document:
 # --- full pipeline ------------------------------------------------------------
 
 
-def _has_geometry(cmds: list[PathCommand]) -> bool:
-    return any(not isinstance(c, MoveTo) for c in cmds)
-
-
 def convert_element(
     el: Drawable, report: NormalizeReport | None = None
 ) -> PathElement | None:
@@ -544,45 +532,40 @@ def convert_element(
     or no drawing commands after simplification. The same predicate drives
     both normalization and geometric verification.
     """
+    if report is None:
+        report = NormalizeReport()
     if el.fill == NO_FILL:
-        if report is not None:
-            report.count_drop("fill_none")
+        report.count_drop("fill_none")
         return None
     if abs(el.transform.det) < _SINGULAR_EPS:
-        if report is not None:
-            report.count_drop("singular_transform")
+        report.count_drop("singular_transform")
         return None
 
     if isinstance(el, ShapeElement):
         try:
             path = shape_to_path(el)
         except DegenerateShape:
-            if report is not None:
-                report.count_drop("degenerate_shape")
+            report.count_drop("degenerate_shape")
             return None
-        if report is not None:
-            report.count_shape(el.tag)
+        report.count_shape(el.tag)
         cmds = list(path.commands)
     elif el.is_raw:
-        if report is not None:
-            report.relative_resolved += sum(
-                1 for c in el.commands for _ in c.groups() if c.is_relative
-            )
+        report.relative_resolved += sum(
+            1 for c in el.commands for _ in c.groups() if c.is_relative
+        )
         cmds = simplify_commands(el.commands, report)
     else:
         cmds = list(el.commands)
 
-    if not _has_geometry(cmds):
-        if report is not None:
-            report.count_drop("no_geometry")
+    if all(isinstance(c, MoveTo) for c in cmds):
+        report.count_drop("no_geometry")
         return None
 
     fill = el.fill if el.fill is not None else BLACK
     flattened = PathElement(tuple(cmds), fill, IDENTITY)
     if not el.transform.is_identity:
         flattened = apply_transform(flattened, el.transform)
-        if report is not None:
-            report.transforms_flattened += 1
+        report.transforms_flattened += 1
     return flattened
 
 

@@ -13,18 +13,16 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from xml.parsers import expat
 
 from .errors import MalformedXml, MissingRoot, NoCanvas, NotNormalized
 from .model import (
     IDENTITY,
     AffineTransform,
-    CubicTo,
     Document,
     Drawable,
     Hex,
-    LineTo,
-    MoveTo,
     NO_FILL,
     Paint,
     PathElement,
@@ -34,7 +32,7 @@ from .model import (
     ShapeElement,
     format_number,
 )
-from .pathdata import parse_path_data
+from .pathdata import NUMBER, parse_path_data
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -45,7 +43,6 @@ _NON_RENDERED = frozenset({
 })
 _METADATA = frozenset({"title", "desc", "metadata"})
 
-_NUM_RE = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _TRANSFORM_RE = re.compile(
     r"(matrix|translate|scale|rotate|skewX|skewY)\s*\(([^)]*)\)"
 )
@@ -187,7 +184,7 @@ def parse_transform(value: str) -> AffineTransform:
         if gap.strip(" \t\r\n,"):
             raise ValueError(f"unexpected transform text {gap!r}")
         name = m.group(1)
-        args = [float(x) for x in _NUM_RE.findall(m.group(2))]
+        args = [float(x) for x in NUMBER.findall(m.group(2))]
         if name == "matrix" and len(args) == 6:
             t = AffineTransform(*args)
         elif name == "translate" and len(args) in (1, 2):
@@ -217,7 +214,7 @@ def _parse_length(value: str) -> float:
 
 
 def _parse_points(value: str) -> tuple[tuple[Point, ...], int]:
-    nums = [float(x) for x in _NUM_RE.findall(value)]
+    nums = [float(x) for x in NUMBER.findall(value)]
     pairs = len(nums) // 2
     return tuple(Point(nums[2 * i], nums[2 * i + 1]) for i in range(pairs)), len(nums) % 2
 
@@ -371,7 +368,7 @@ class _SvgBuilder:
     def _read_canvas(self, attrs: dict[str, str]) -> None:
         vb = attrs.get("viewBox")
         if vb:
-            nums = [float(x) for x in _NUM_RE.findall(vb)]
+            nums = [float(x) for x in NUMBER.findall(vb)]
             if len(nums) == 4 and nums[2] > 0 and nums[3] > 0:
                 self.view_box = tuple(nums)
                 return
@@ -449,20 +446,9 @@ def parse_document(text: str) -> tuple[Document, ParseDiagnostics]:
 
 
 def _format_commands(commands) -> str:
-    parts: list[str] = []
-    for cmd in commands:
-        if isinstance(cmd, MoveTo):
-            parts.append(f"M{format_number(cmd.end.x)} {format_number(cmd.end.y)}")
-        elif isinstance(cmd, LineTo):
-            parts.append(f"L{format_number(cmd.end.x)} {format_number(cmd.end.y)}")
-        elif isinstance(cmd, CubicTo):
-            coords = " ".join(
-                format_number(v) for p in (cmd.c1, cmd.c2, cmd.end) for v in p
-            )
-            parts.append(f"C{coords}")
-        else:
-            raise NotNormalized(f"cannot serialize command {cmd!r}")
-    return "".join(parts)
+    return "".join(
+        cmd.opcode + " ".join(map(format_number, chain(*cmd.points))) for cmd in commands
+    )
 
 
 def _format_fill(fill: Paint) -> str:

@@ -17,8 +17,9 @@ from .errors import PathSyntax, UnexpectedEnd
 from .model import PARAM_COUNTS, ARC_FLAG_INDICES, RawCommand
 
 _WSP = re.compile(r"[ \t\r\n\f,]*")
-# number: sign? (digits '.' digits? | '.' digits | digits) exponent?
-_NUMBER = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+#: One SVG number: sign? (digits '.' digits? | '.' digits | digits) exponent?
+#: The parser reads attribute number lists with the same grammar.
+NUMBER = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _COMMANDS = frozenset("MmLlHhVvCcSsQqTtAaZz")
 _NUMBER_START = frozenset("+-.0123456789")
 
@@ -31,7 +32,7 @@ def _scan_number(d: str, pos: int, opcode: str) -> tuple[float, int]:
     pos = _skip(d, pos)
     if pos >= len(d):
         raise UnexpectedEnd(pos, f"missing arguments for {opcode!r}")
-    m = _NUMBER.match(d, pos)
+    m = NUMBER.match(d, pos)
     if m is None:
         raise PathSyntax(pos, f"expected number for {opcode!r}, got {d[pos]!r}")
     value = float(m.group())

@@ -17,12 +17,12 @@ import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .augment import AugmentSpec, replace_colors, swap_paths
 from .classifier import classify
-from .errors import SchemaError, SvgForgeError, ValidationError
+from .errors import SchemaError, SvgForgeError, TooFewPaths, ValidationError
 from .model import DifficultyLevel, Document
 from .normalizer import NormalizeReport, normalize_document
 from .parser import parse_document, serialize_document
@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_USAGE = 2
 EXIT_VERIFY_FAILED = 3
+
+#: The ops ``run_augment`` knows, in the order it applies them.
+AUGMENT_OPS = ("recolor", "swap")
 
 STAGE_ORDER = (
     DifficultyLevel.MONOCOLOR_EASY,
@@ -168,8 +171,11 @@ def _read_jsonl(path: Path) -> list[dict]:
     return rows
 
 
-def _errors_path(out_path: Path) -> Path:
-    return out_path.parent / "errors.jsonl"
+def _write_rows(out_path: Path, rows: list[dict], errors: list[dict]) -> None:
+    """Write ``rows`` to ``out_path``, and ``errors``, if any, to errors.jsonl beside it."""
+    _write_jsonl(out_path, rows)
+    if errors:
+        _write_jsonl(out_path.parent / "errors.jsonl", errors)
 
 
 # --- normalize ---------------------------------------------------------------
@@ -186,7 +192,8 @@ def run_normalize(
 
     Output files keep their relative paths. Failures are logged and
     skipped (exit 1), or abort at the first failure under ``strict``
-    (exit 2) before any later file is read.
+    (exit 2) before any later file is read. ``output_dir`` is created
+    even when every file fails, so ``verify`` can give each an error row.
     """
     input_dir, output_dir = Path(input_dir), Path(output_dir)
     if not input_dir.is_dir():
@@ -214,6 +221,7 @@ def run_normalize(
         out_file.parent.mkdir(parents=True, exist_ok=True)
         out_file.write_text(text, encoding="utf-8", newline="\n")
         aggregate.merge(report)
+    output_dir.mkdir(parents=True, exist_ok=True)
 
     if report_path is not None:
         summary = aggregate.as_dict()
@@ -254,9 +262,7 @@ def run_classify(input_dir: Path, out_path: Path, jobs: int = 1) -> int:
     results = list(_each(work, files))
     rows = [row for row, error in results if error is None]
     errors = [{"id": file_id(rel), "error": e} for rel, (_, e) in zip(files, results) if e]
-    _write_jsonl(out_path, rows)
-    if errors:
-        _write_jsonl(_errors_path(out_path), errors)
+    _write_rows(out_path, rows, errors)
     log.info("classified %d records, %d errors", len(rows), len(errors))
     return EXIT_PARTIAL if errors else EXIT_OK
 
@@ -407,9 +413,7 @@ def run_score(
     results = list(_each(work, rows))
     scored = [result for result, error in results if error is None]
     errors = [{"id": row["id"], "error": e} for row, (_, e) in zip(rows, results) if e]
-    _write_jsonl(Path(out_path), scored)
-    if errors:
-        _write_jsonl(_errors_path(Path(out_path)), errors)
+    _write_rows(Path(out_path), scored, errors)
     log.info("scored %d pairs, %d errors", len(scored), len(errors))
     return EXIT_PARTIAL if errors else EXIT_OK
 
@@ -426,7 +430,7 @@ def run_augment(
     records_path: Path,
     out_path: Path,
     spec: AugmentSpec,
-    ops: tuple[str, ...] = ("recolor", "swap"),
+    ops: tuple[str, ...] = AUGMENT_OPS,
 ) -> int:
     """Emit ``n_variants`` augmented records per input record.
 
@@ -435,7 +439,12 @@ def run_augment(
     the requested ops (too few paths for a swap-only run, palette smaller
     than the fill set) are logged and skipped. A record whose svg fails to
     parse or normalize becomes a row in the sidecar errors.jsonl (exit 1).
+    Empty ``ops``, or a name outside :data:`AUGMENT_OPS`, raises
+    :class:`ValidationError` before any file is read.
     """
+    unknown = sorted(set(ops) - set(AUGMENT_OPS))
+    if unknown or not ops:
+        raise ValidationError(f"unknown ops {unknown}" if unknown else "no ops given")
     rows = _read_jsonl(Path(records_path))
     for row in rows:
         _check_record(row, f"record {row.get('id', '?')!r}")
@@ -453,46 +462,31 @@ def run_augment(
             errors.append({"id": rid, "error": error})
             continue
         for k in range(spec.n_variants):
-            seed_k = _variant_seed(spec.seed, rid, k)
+            variant_spec = replace(spec, seed=_variant_seed(spec.seed, rid, k))
             variant = normalized
-            changed = False
             try:
                 if "recolor" in ops:
-                    variant = replace_colors(
-                        variant,
-                        AugmentSpec(
-                            seed=seed_k,
-                            palette=spec.palette,
-                            allow_overlap_swap=spec.allow_overlap_swap,
-                        ),
-                    )
-                    changed = True
+                    variant = replace_colors(variant, variant_spec)
                 if "swap" in ops:
-                    if len(variant.paths) < 2:
-                        if not changed:
-                            log.info("augment: %s variant %d: TooFewPaths", rid, k)
+                    try:
+                        variant, note = swap_paths(
+                            variant, variant_spec.seed + 1, spec.allow_overlap_swap
+                        )
+                    except TooFewPaths as exc:
+                        note = f"TooFewPaths: {exc}"
+                    if note is not None:
+                        log.info("augment: %s variant %d: %s", rid, k, note)
+                        # a swap-only variant without a swap is the input again
+                        if "recolor" not in ops:
                             skipped += 1
                             continue
-                    else:
-                        variant, note = swap_paths(
-                            variant, seed_k + 1, spec.allow_overlap_swap
-                        )
-                        if note is not None:
-                            log.info("augment: %s variant %d: %s", rid, k, note)
-                            if not changed:
-                                skipped += 1
-                                continue
-                        else:
-                            changed = True
             except SvgForgeError as exc:
                 log.warning("augment: %s variant %d skipped: %s", rid, k, exc)
                 skipped += 1
                 continue
             record = record_from_document(f"{rid}__aug{k + 1}", variant, augmented_from=rid)
             out_rows.append(record.to_dict())
-    _write_jsonl(Path(out_path), out_rows)
-    if errors:
-        _write_jsonl(_errors_path(Path(out_path)), errors)
+    _write_rows(Path(out_path), out_rows, errors)
     log.info(
         "augmented %d records into %d variants (%d skipped)",
         len(rows), len(out_rows), skipped,

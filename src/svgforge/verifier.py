@@ -34,8 +34,6 @@ from .model import (
     AffineTransform,
     Document,
     Drawable,
-    LineTo,
-    MoveTo,
     PathElement,
     Point,
     ShapeElement,
@@ -192,12 +190,7 @@ def _mlc_segments(commands):
     # M/L/C commands as the segment tuples of normalizer.iter_segments
     cur = Point(0.0, 0.0)
     for cmd in commands:
-        if isinstance(cmd, MoveTo):
-            yield ("M", cmd.end)
-        elif isinstance(cmd, LineTo):
-            yield ("L", cur, cmd.end)
-        else:
-            yield ("C", cur, cmd.c1, cmd.c2, cmd.end)
+        yield ("M", cmd.end) if cmd.opcode == "M" else (cmd.opcode, cur, *cmd.points)
         cur = cmd.end
 
 

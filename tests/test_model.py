@@ -86,6 +86,29 @@ class TestCommands:
             CubicTo(Point(0, 0), Point(float("inf"), 1), Point(2, 2))
 
 
+class TestCommandLayout:
+    COMMANDS = [
+        (MoveTo(Point(1, 2)), "M"),
+        (LineTo(Point(-3.5, 4)), "L"),
+        (CubicTo(Point(1, 2), Point(3, 4), Point(5, 6)), "C"),
+    ]
+
+    @pytest.mark.parametrize("cmd,opcode", COMMANDS)
+    def test_points_rebuild_the_command(self, cmd, opcode):
+        assert cmd.opcode == type(cmd).opcode == opcode
+        assert type(cmd)(*cmd.points) == cmd
+        assert cmd.points[-1] == cmd.end
+
+    def test_cubic_points_in_constructor_order(self):
+        c1, c2, end = Point(1, 2), Point(3, 4), Point(5, 6)
+        assert CubicTo(c1, c2, end).points == (c1, c2, end)
+
+    def test_moveto_and_lineto_stay_distinct(self):
+        p = Point(1, 2)
+        assert MoveTo(p) != LineTo(p)
+        assert not isinstance(LineTo(p), MoveTo) and not isinstance(MoveTo(p), LineTo)
+
+
 class TestPathElement:
     def test_first_must_be_moveto(self):
         with pytest.raises(ValidationError):

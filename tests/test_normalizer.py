@@ -42,7 +42,7 @@ from svgforge.normalizer import (
     to_absolute,
 )
 from svgforge.parser import parse_document
-from svgforge.verifier import sample_outline
+from svgforge.verifier import sample_outline, verify_normalization
 
 
 def cubic_at(p0, c1, c2, p1, t):
@@ -583,3 +583,23 @@ class TestNormalizeDocument:
             assert norm.normalized
             once, _ = normalize_document(norm)
             assert document_equal(once, norm)
+
+
+class TestUnresolvableChord:
+    """An arc whose chord underflows against its radii has no computable
+    center; it is drawn as its chord on both sides of the verifier."""
+
+    CMDS = [RawCommand("M", (17.0, 0.0)), RawCommand("m", (-5.0, 5e-324)),
+            RawCommand("h", (-11.0,)), RawCommand("A", (1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0))]
+
+    def test_arc_becomes_its_chord(self):
+        out = simplify_commands(self.CMDS)
+        assert out[-1] == LineTo(Point(1.0, 0.0))
+        assert simplify_commands(to_absolute(self.CMDS)) == out
+
+    @pytest.mark.parametrize("large_arc", [0, 1])
+    def test_document_normalizes_and_verifies(self, large_arc):
+        d = f"M17 0m-5 5e-324h-11A1 1 0 {large_arc} 1 1 0Z"
+        doc, _ = parse_document(f'<svg viewBox="0 0 20 20"><path d="{d}"/></svg>')
+        norm, _ = normalize_document(doc)
+        assert verify_normalization(doc, norm).passed

@@ -10,6 +10,7 @@ from svgforge.errors import (
     PathSyntax,
 )
 from svgforge.model import (
+    CubicTo,
     Document,
     Hex,
     LineTo,
@@ -224,6 +225,23 @@ class TestSerialize:
         text = serialize_document(doc)
         assert 'fill="url(#g1)"' in text
         assert document_equal(parse_document(text)[0], doc)
+
+
+class TestSerializeCommands:
+    def test_mlc_path_data_exact(self):
+        commands = (
+            MoveTo(Point(0, 0)),
+            LineTo(Point(10.5, -2)),
+            CubicTo(Point(1 / 3, 2), Point(3.25, -0.001), Point(1024, 6.006)),
+            MoveTo(Point(7, 8)),
+            LineTo(Point(9, 9)),
+        )
+        doc = Document(NORMALIZED_VIEW_BOX, (PathElement(commands, Hex("00ff00")),),
+                       normalized=True)
+        assert serialize_document(doc) == (
+            '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1024 1024">'
+            '<path d="M0 0L10.5 -2C0.33 2 3.25 0 1024 6.01M7 8L9 9" fill="#00ff00"/></svg>'
+        )
 
 
 class TestRoundtrip:

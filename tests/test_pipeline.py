@@ -12,7 +12,7 @@ from corpus import colored_icons, write_corpus
 from svgforge import pipeline
 from svgforge.augment import AugmentSpec
 from svgforge.cli import main
-from svgforge.errors import SchemaError
+from svgforge.errors import SchemaError, ValidationError
 from svgforge.pipeline import (
     DEFAULT_EPOCHS,
     EXIT_OK,
@@ -774,3 +774,91 @@ class TestCliFailureContract:
                 )
                 trees.append(tree(out))
             assert trees[0] == trees[1]
+
+
+class TestNormalizeOutputDir:
+    def test_all_failed_still_creates_output_dir(self, tmp_path):
+        raw, norm, report = tmp_path / "raw", tmp_path / "norm", tmp_path / "r.jsonl"
+        raw.mkdir()
+        (raw / "bad.svg").write_text("<svg")
+        assert main(["normalize", str(raw), str(norm), "--quiet"]) == EXIT_PARTIAL
+        assert norm.is_dir() and not any(norm.iterdir())
+        code = main(["verify", str(raw), str(norm), "--out", str(report), "--quiet"])
+        assert code == EXIT_VERIFY_FAILED
+        (row,) = read_strict_jsonl(report)
+        assert row["id"] == "bad" and row["pass"] is False
+        assert row["error"].startswith("MalformedXml: ")
+
+
+def _square(x, y, size, fill):
+    return (f'<path d="M{x} {y}L{x + size} {y}L{x + size} {y + size}L{x} {y + size}Z" '
+            f'fill="#{fill}"/>')
+
+
+def _icon(*paths):
+    return f'<svg viewBox="0 0 1024 1024">{"".join(paths)}</svg>'
+
+
+AUGMENT_CASES = {
+    "single": (_icon(_square(0, 0, 10, "ff0000")), None),
+    "overlap": (_icon(_square(0, 0, 50, "ff0000"), _square(25, 25, 50, "00ff00")), None),
+    "disjoint": (_icon(_square(0, 0, 10, "ff0000"), _square(100, 100, 10, "00ff00")), None),
+    "small_palette": (
+        _icon(_square(0, 0, 10, "ff0000"), _square(100, 100, 10, "00ff00"),
+              _square(200, 200, 10, "0000ff")),
+        "#111111,#222222",
+    ),
+}
+
+
+class TestAugmentOps:
+    """Which variants each op list yields, per kind of record."""
+
+    def _records(self, tmp_path, svg):
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps(dict(record("x", "Monocolor_easy"), svg=svg)) + "\n")
+        return records
+
+    @pytest.mark.parametrize(
+        "case,ops,expected",
+        [
+            ("single", "recolor", ["x__aug1", "x__aug2"]),
+            ("single", "swap", []),
+            ("single", "recolor,swap", ["x__aug1", "x__aug2"]),
+            ("overlap", "recolor", ["x__aug1", "x__aug2"]),
+            ("overlap", "swap", []),
+            ("overlap", "recolor,swap", ["x__aug1", "x__aug2"]),
+            ("disjoint", "recolor", ["x__aug1", "x__aug2"]),
+            ("disjoint", "swap", ["x__aug1", "x__aug2"]),
+            ("disjoint", "recolor,swap", ["x__aug1", "x__aug2"]),
+            ("small_palette", "recolor", []),
+            ("small_palette", "swap", ["x__aug1", "x__aug2"]),
+            ("small_palette", "recolor,swap", []),
+        ],
+    )
+    def test_variants_per_op_list(self, tmp_path, case, ops, expected):
+        svg, palette = AUGMENT_CASES[case]
+        out = tmp_path / "aug.jsonl"
+        argv = ["augment", str(self._records(tmp_path, svg)), "--out", str(out),
+                "--ops", ops, "--variants", "2", "--seed", "3", "--quiet"]
+        if palette:
+            argv += ["--palette", palette]
+        assert main(argv) == EXIT_OK
+        assert [r["id"] for r in read_strict_jsonl(out)] == expected
+        assert not (tmp_path / "errors.jsonl").exists()
+
+    @pytest.mark.parametrize("ops", [("bogus",), ("recolor", "bogus"), ()])
+    def test_unknown_or_empty_ops_raise(self, tmp_path, ops):
+        records = self._records(tmp_path, VALID)
+        out = tmp_path / "aug.jsonl"
+        with pytest.raises(ValidationError):
+            run_augment(records, out, AugmentSpec(seed=1), ops=ops)
+        assert not out.exists()
+
+    def test_cli_unknown_op_is_usage_error(self, tmp_path, capsys):
+        records = self._records(tmp_path, VALID)
+        out = tmp_path / "aug.jsonl"
+        code = main(["augment", str(records), "--out", str(out), "--ops", "swap,bogus"])
+        assert code == EXIT_USAGE
+        assert "unknown ops ['bogus']" in capsys.readouterr().err
+        assert not out.exists()
