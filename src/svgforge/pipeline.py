@@ -5,9 +5,8 @@ a library; the CLI module only does argument wiring. Each input goes
 through :func:`_each`, which makes whatever it raises its error row.
 Outputs are deterministic for fixed inputs, flags and seeds, and
 byte-identical at any ``jobs`` level. Only ``verify`` uses ``jobs``
-threads: its numpy kernel releases the interpreter lock (bench, 2 cores: 74
-against 43 items/s). The rest is pure Python, where two threads were slower
-than one (build 217 against 226, score 825 against 884 items/s).
+threads, because its numpy kernel releases the interpreter lock; the rest
+is pure Python, where a second thread measured slower (README, "CLI").
 """
 
 from __future__ import annotations
@@ -17,12 +16,13 @@ import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .augment import AugmentSpec, replace_colors, swap_paths
 from .classifier import classify
-from .errors import SchemaError, SvgForgeError, TooFewPaths, ValidationError
+from .errors import SchemaError, SvgForgeError, ValidationError
 from .model import DifficultyLevel, Document
 from .normalizer import NormalizeReport, normalize_document
 from .parser import parse_document, serialize_document
@@ -61,17 +61,7 @@ class DatasetRecord:
     augmented_from: str | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "id": self.id,
-            "svg": self.svg,
-            "color_category": self.color_category,
-            "difficulty_level": self.difficulty_level,
-            "command_count": self.command_count,
-            "path_count": self.path_count,
-        }
-        if self.augmented_from is not None:
-            out["augmented_from"] = self.augmented_from
-        return out
+        return {name: value for name, value in asdict(self).items() if value is not None}
 
 
 def record_from_document(
@@ -101,12 +91,11 @@ def iter_svg_files(root: Path) -> list[Path]:
     return sorted(p.relative_to(root) for p in root.rglob("*.svg") if p.is_file())
 
 
-def _id_claims(files: list[Path]):
-    """A check that a file is the first in sorted ``files`` with its record id.
-
-    When ids collide (``a/b.svg`` and ``a__b.svg`` are both ``a__b``), the
-    check raises for every later file, naming both paths.
-    """
+def _claimed_files(root: Path):
+    """The .svg files under ``root`` sorted by record id, and a check that
+    raises, naming both paths, for a file whose id an earlier one has
+    (``a/b.svg`` and ``a__b.svg`` are both ``a__b``)."""
+    files = sorted(iter_svg_files(root), key=file_id)
     owners: dict[str, Path] = {}
     for rel in files:
         owners.setdefault(file_id(rel), rel)
@@ -116,7 +105,13 @@ def _id_claims(files: list[Path]):
         if first != rel:
             raise SchemaError(f"{rel.as_posix()} has the record id of {first.as_posix()}")
 
-    return claim
+    return files, claim
+
+
+def _load(text: str) -> tuple[Document, NormalizeReport]:
+    """Parse and normalize one SVG text."""
+    doc, _ = parse_document(text)
+    return normalize_document(doc)
 
 
 def _each(fn, items: list, jobs: int = 1):
@@ -171,11 +166,22 @@ def _read_jsonl(path: Path) -> list[dict]:
     return rows
 
 
-def _write_rows(out_path: Path, rows: list[dict], errors: list[dict]) -> None:
-    """Write ``rows`` to ``out_path``, and ``errors``, if any, to errors.jsonl beside it."""
+def _write_rows(out_path: Path, ids, results) -> tuple[int, int]:
+    """Write the rows of each :func:`_each` pair in ``results`` to ``out_path``,
+    and an ``{id, error}`` row per failed input, if any, to errors.jsonl
+    beside it. Returns the row and error counts."""
+    rows, errors = [], []
+    for rid, (value, error) in zip(ids, results):
+        if error is None:
+            rows.extend(value)
+        else:
+            log.warning("failed %s: %s", rid, error)
+            errors.append({"id": rid, "error": error})
+    out_path = Path(out_path)
     _write_jsonl(out_path, rows)
     if errors:
         _write_jsonl(out_path.parent / "errors.jsonl", errors)
+    return len(rows), len(errors)
 
 
 # --- normalize ---------------------------------------------------------------
@@ -202,8 +208,7 @@ def run_normalize(
     files = iter_svg_files(input_dir)
 
     def work(rel: Path):
-        doc, _ = parse_document((input_dir / rel).read_text(encoding="utf-8"))
-        normalized, report = normalize_document(doc)
+        normalized, report = _load((input_dir / rel).read_text(encoding="utf-8"))
         return serialize_document(normalized), report
 
     aggregate = NormalizeReport()
@@ -245,42 +250,34 @@ def run_classify(input_dir: Path, out_path: Path, jobs: int = 1) -> int:
     if not input_dir.is_dir():
         log.error("input directory %s does not exist", input_dir)
         return EXIT_USAGE
-    files = sorted(iter_svg_files(input_dir), key=file_id)
-    claim_id = _id_claims(files)
+    files, claim = _claimed_files(input_dir)
 
-    def work(rel: Path):
-        claim_id(rel)
+    def work(rel: Path) -> list[dict]:
+        claim(rel)
         text = (input_dir / rel).read_text(encoding="utf-8")
-        doc, _ = parse_document(text)
-        normalized, _ = normalize_document(doc)
-        record = record_from_document(file_id(rel), normalized)
+        record = record_from_document(file_id(rel), _load(text)[0])
         row = record.to_dict()
         if record.svg != text.strip():
             row["auto_normalized"] = True
-        return row
+        return [row]
 
-    results = list(_each(work, files))
-    rows = [row for row, error in results if error is None]
-    errors = [{"id": file_id(rel), "error": e} for rel, (_, e) in zip(files, results) if e]
-    _write_rows(out_path, rows, errors)
-    log.info("classified %d records, %d errors", len(rows), len(errors))
-    return EXIT_PARTIAL if errors else EXIT_OK
+    n_rows, n_errors = _write_rows(out_path, map(file_id, files), _each(work, files))
+    log.info("classified %d records, %d errors", n_rows, n_errors)
+    return EXIT_PARTIAL if n_errors else EXIT_OK
 
 
 # --- stats -------------------------------------------------------------------
 
+_RECORD_TYPES = get_type_hints(DatasetRecord)
 _REQUIRED_RECORD_FIELDS = {
-    "id": str,
-    "svg": str,
-    "color_category": str,
-    "difficulty_level": str,
-    "command_count": int,
-    "path_count": int,
+    f.name: _RECORD_TYPES[f.name] for f in fields(DatasetRecord) if f.default is MISSING
 }
+# a pair needs each field present; total_reward judges their values
+_PAIR_FIELDS = dict.fromkeys(("id", "generated", "reference"), object)
 
 
-def _check_record(row: dict, where: str) -> None:
-    for name, kind in _REQUIRED_RECORD_FIELDS.items():
+def _check_record(row: dict, where: str, required: dict = _REQUIRED_RECORD_FIELDS) -> None:
+    for name, kind in required.items():
         if name not in row:
             raise SchemaError(f"{where}: missing field {name!r}")
         if not isinstance(row[name], kind):
@@ -390,32 +387,30 @@ def run_score(
     params: RewardParams = RewardParams(),
     jobs: int = 1,
 ) -> int:
-    """Score {id, generated, reference} rows; appends the reward breakdown."""
-    rows = _read_jsonl(Path(pairs_path))
-    for i, row in enumerate(rows, 1):
-        for name in ("id", "generated", "reference"):
-            if name not in row:
-                raise SchemaError(f"pair {i}: missing field {name!r}")
+    """Score {id, generated, reference} rows; appends the reward breakdown.
 
-    def work(row: dict):
+    A pair that lacks a field, whose reference fails integrity or whose
+    reward is not finite becomes a row in the sidecar errors.jsonl (exit 1).
+    """
+    rows = _read_jsonl(Path(pairs_path))
+
+    def work(row: dict) -> list[dict]:
+        _check_record(row, f"pair {row.get('id', '?')!r}", _PAIR_FIELDS)
         r = total_reward(row["generated"], row["reference"], params)
         if not math.isfinite(r.total):
             raise ValidationError(f"reward total {r.total} is not finite")
-        return dict(
+        return [dict(
             row,
             integrity=r.integrity,
             match=r.match,
             total=r.total,
             n_generated=r.n_generated,
             n_reference=r.n_reference,
-        )
+        )]
 
-    results = list(_each(work, rows))
-    scored = [result for result, error in results if error is None]
-    errors = [{"id": row["id"], "error": e} for row, (_, e) in zip(rows, results) if e]
-    _write_rows(Path(out_path), scored, errors)
-    log.info("scored %d pairs, %d errors", len(scored), len(errors))
-    return EXIT_PARTIAL if errors else EXIT_OK
+    n_rows, n_errors = _write_rows(out_path, [row.get("id") for row in rows], _each(work, rows))
+    log.info("scored %d pairs, %d errors", n_rows, n_errors)
+    return EXIT_PARTIAL if n_errors else EXIT_OK
 
 
 # --- augment ---------------------------------------------------------------------
@@ -432,66 +427,48 @@ def run_augment(
     spec: AugmentSpec,
     ops: tuple[str, ...] = AUGMENT_OPS,
 ) -> int:
-    """Emit ``n_variants`` augmented records per input record.
+    """Emit up to ``n_variants`` augmented records per input record.
 
     Each variant recolors through a seeded injective map and, when a safe
-    adjacent pair exists, swaps it. Variants that cannot be produced under
-    the requested ops (too few paths for a swap-only run, palette smaller
-    than the fill set) are logged and skipped. A record whose svg fails to
-    parse or normalize becomes a row in the sidecar errors.jsonl (exit 1).
-    Empty ``ops``, or a name outside :data:`AUGMENT_OPS`, raises
+    adjacent pair exists, swaps it. An op that cannot run is logged and ends
+    the variant's ops; a variant equal to its source is not written. A
+    record with a missing or mistyped field, or an svg that fails to parse
+    or normalize, becomes a row in the sidecar errors.jsonl (exit 1). Empty
+    ``ops``, or a name outside :data:`AUGMENT_OPS`, raises
     :class:`ValidationError` before any file is read.
     """
     unknown = sorted(set(ops) - set(AUGMENT_OPS))
     if unknown or not ops:
         raise ValidationError(f"unknown ops {unknown}" if unknown else "no ops given")
     rows = _read_jsonl(Path(records_path))
-    for row in rows:
+
+    def work(row: dict) -> list[dict]:
         _check_record(row, f"record {row.get('id', '?')!r}")
-
-    def load(row: dict) -> Document:
-        doc, _ = parse_document(row["svg"])
-        return normalize_document(doc)[0]
-
-    out_rows, errors = [], []
-    skipped = 0
-    for row, (normalized, error) in zip(rows, _each(load, rows)):
         rid = row["id"]
-        if error is not None:
-            log.warning("augment: cannot parse record %s: %s", rid, error)
-            errors.append({"id": rid, "error": error})
-            continue
+        source = _load(row["svg"])[0]
+        variants = []
         for k in range(spec.n_variants):
             variant_spec = replace(spec, seed=_variant_seed(spec.seed, rid, k))
-            variant = normalized
+            variant, note = source, None
             try:
                 if "recolor" in ops:
                     variant = replace_colors(variant, variant_spec)
                 if "swap" in ops:
-                    try:
-                        variant, note = swap_paths(
-                            variant, variant_spec.seed + 1, spec.allow_overlap_swap
-                        )
-                    except TooFewPaths as exc:
-                        note = f"TooFewPaths: {exc}"
-                    if note is not None:
-                        log.info("augment: %s variant %d: %s", rid, k, note)
-                        # a swap-only variant without a swap is the input again
-                        if "recolor" not in ops:
-                            skipped += 1
-                            continue
+                    variant, note = swap_paths(
+                        variant, variant_spec.seed + 1, spec.allow_overlap_swap
+                    )
             except SvgForgeError as exc:
-                log.warning("augment: %s variant %d skipped: %s", rid, k, exc)
-                skipped += 1
-                continue
-            record = record_from_document(f"{rid}__aug{k + 1}", variant, augmented_from=rid)
-            out_rows.append(record.to_dict())
-    _write_rows(Path(out_path), out_rows, errors)
-    log.info(
-        "augmented %d records into %d variants (%d skipped)",
-        len(rows), len(out_rows), skipped,
-    )
-    return EXIT_PARTIAL if errors else EXIT_OK
+                note = f"{type(exc).__name__}: {exc}"
+            if note is not None:
+                log.info("augment: %s variant %d: %s", rid, k, note)
+            if variant != source:
+                record = record_from_document(f"{rid}__aug{k + 1}", variant, augmented_from=rid)
+                variants.append(record.to_dict())
+        return variants
+
+    n_rows, n_errors = _write_rows(out_path, [row.get("id") for row in rows], _each(work, rows))
+    log.info("augmented %d records into %d variants, %d errors", len(rows), n_rows, n_errors)
+    return EXIT_PARTIAL if n_errors else EXIT_OK
 
 
 # --- verify ----------------------------------------------------------------------
@@ -509,14 +486,12 @@ def run_verify(
     if not raw_dir.is_dir() or not normalized_dir.is_dir():
         log.error("both directories must exist")
         return EXIT_USAGE
-    files = sorted(iter_svg_files(raw_dir), key=file_id)
-    claim_id = _id_claims(files)
+    files, claim = _claimed_files(raw_dir)
 
     def work(rel: Path):
-        claim_id(rel)
+        claim(rel)
         raw_doc, _ = parse_document((raw_dir / rel).read_text(encoding="utf-8"))
-        norm_doc, _ = parse_document((normalized_dir / rel).read_text(encoding="utf-8"))
-        norm_doc, _ = normalize_document(norm_doc)
+        norm_doc, _ = _load((normalized_dir / rel).read_text(encoding="utf-8"))
         return verify_normalization(raw_doc, norm_doc, tolerance)
 
     rows = []

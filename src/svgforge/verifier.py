@@ -244,7 +244,8 @@ def sample_outline(source: Drawable, n_per_segment: int = 16) -> list[Polyline]:
     n = n_per_segment
 
     if isinstance(source, ShapeElement):
-        return _sample_shape(source, n)
+        pl = polyline(_shape_points(source, n))
+        return [pl] if pl else []
     if source.is_raw:
         segments = iter_segments(source.commands)
     else:
@@ -252,7 +253,8 @@ def sample_outline(source: Drawable, n_per_segment: int = 16) -> list[Polyline]:
     return _chains(segments, lambda seg: _sample_segment(seg, n))
 
 
-def _sample_shape(el: ShapeElement, n: int) -> list[Polyline]:
+def _shape_points(el: ShapeElement, n: int) -> list[Point]:
+    """Analytic samples along a shape's outline, as one chain."""
     tag = el.tag
     if tag in ("circle", "ellipse"):
         if tag == "circle":
@@ -265,8 +267,7 @@ def _sample_shape(el: ShapeElement, n: int) -> list[Polyline]:
         pts = [Point(cx + rx, cy)]
         pts.extend(_arc_samples(cx, cy, rx, ry, 0.0, 0.0, 2.0 * math.pi, 4 * n))
         pts[-1] = pts[0]  # close the loop exactly
-        pl = polyline(pts)
-        return [pl] if pl else []
+        return pts
     if tag == "rect":
         x, y, w, h = el.get("x"), el.get("y"), el.get("width"), el.get("height")
         if w <= 0 or h <= 0:
@@ -288,19 +289,16 @@ def _sample_shape(el: ShapeElement, n: int) -> list[Polyline]:
                     pts.extend(_sample_line(cur, line_end, n))
                 pts.extend(_arc_samples(ccx, ccy, rx, ry, 0.0, t1, math.pi / 2, n))
                 cur = pts[-1]
-            pl = polyline(pts)
-            return [pl] if pl else []
+            return pts
         ring = [Point(x, y), Point(x + w, y), Point(x + w, y + h), Point(x, y + h)]
         pts = [ring[0]]
         for a, b in zip(ring, ring[1:] + ring[:1]):
             pts.extend(_sample_line(a, b, n))
-        pl = polyline(pts)
-        return [pl] if pl else []
+        return pts
     if tag == "line":
         p0 = Point(el.get("x1"), el.get("y1"))
         p1 = Point(el.get("x2"), el.get("y2"))
-        pl = polyline([p0, *_sample_line(p0, p1, n)])
-        return [pl] if pl else []
+        return [p0, *_sample_line(p0, p1, n)]
     # polyline / polygon
     points = el.get("points", ())
     if not isinstance(points, tuple) or len(points) < 2:
@@ -310,26 +308,19 @@ def _sample_shape(el: ShapeElement, n: int) -> list[Polyline]:
         pts.extend(_sample_line(a, b, n))
     if tag == "polygon" and points[-1] != points[0]:
         pts.extend(_sample_line(points[-1], points[0], n))
-    pl = polyline(pts)
-    return [pl] if pl else []
+    return pts
 
 
 # --- deviation measurement -----------------------------------------------------
 
 
-def _points_array(polys: list[Polyline]) -> np.ndarray:
-    return np.array(
-        [(p.x, p.y) for pl in polys for p in pl.points], dtype=np.float64
-    )
-
-
-def _segments_arrays(polys: list[Polyline]) -> tuple[np.ndarray, np.ndarray]:
-    starts, ends = [], []
-    for pl in polys:
-        for a, b in zip(pl.points, pl.points[1:]):
-            starts.append((a.x, a.y))
-            ends.append((b.x, b.y))
-    return np.array(starts, dtype=np.float64), np.array(ends, dtype=np.float64)
+def _arrays(polys: list[Polyline]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points of ``polys`` in order, and their segments' starts and ends."""
+    points = np.array([(p.x, p.y) for pl in polys for p in pl.points], dtype=np.float64)
+    starts = np.ones(len(points), dtype=bool)
+    starts[np.cumsum([len(pl) for pl in polys]) - 1] = False  # each chain's last point
+    i = np.flatnonzero(starts)
+    return points, points[i], points[i + 1]
 
 
 def _dist_points_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -344,21 +335,27 @@ def _dist_points_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) -
     return dist.min(axis=1)
 
 
-def _one_sided(polys_a: list[Polyline], polys_b: list[Polyline]) -> tuple[float, Point]:
-    pts = _points_array(polys_a)
-    seg_a, seg_b = _segments_arrays(polys_b)
-    dists = _dist_points_to_segments(pts, seg_a, seg_b)
+def _one_sided(pts: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[float, Point]:
+    dists = _dist_points_to_segments(pts, starts, ends)
     i = int(np.argmax(dists))
     return float(dists[i]), Point(float(pts[i, 0]), float(pts[i, 1]))
 
 
 def set_deviation(polys_a: list[Polyline], polys_b: list[Polyline]) -> DeviationReport:
-    """Symmetric point-to-segment Hausdorff measure between polyline sets."""
+    """Symmetric point-to-segment Hausdorff measure between polyline sets.
+
+    Reports the larger one-sided measure (the farthest any point of one set
+    lies from the other set's segments, ``polys_a`` first on a tie), the
+    point where it occurs, and the points compared. Each set becomes arrays
+    once, shared by both directions.
+    """
     if not polys_a or not polys_b:
         raise ValidationError("deviation needs non-empty polyline sets")
-    d_ab, w_ab = _one_sided(polys_a, polys_b)
-    d_ba, w_ba = _one_sided(polys_b, polys_a)
-    samples = sum(len(pl) for pl in polys_a) + sum(len(pl) for pl in polys_b)
+    pts_a, *segs_a = _arrays(polys_a)
+    pts_b, *segs_b = _arrays(polys_b)
+    d_ab, w_ab = _one_sided(pts_a, *segs_b)
+    d_ba, w_ba = _one_sided(pts_b, *segs_a)
+    samples = len(pts_a) + len(pts_b)
     if d_ab >= d_ba:
         return DeviationReport(d_ab, w_ab, samples)
     return DeviationReport(d_ba, w_ba, samples)
@@ -375,12 +372,8 @@ def max_deviation(a: Polyline, b: Polyline) -> DeviationReport:
 def _transform_polys(polys: list[Polyline], t: AffineTransform) -> list[Polyline]:
     if t.is_identity:
         return polys
-    out = []
-    for pl in polys:
-        moved = polyline(t.apply_point(p) for p in pl.points)
-        if moved is not None:
-            out.append(moved)
-    return out
+    moved = (polyline(t.apply_point(p) for p in pl.points) for pl in polys)
+    return [pl for pl in moved if pl is not None]
 
 
 def _flatten_path(path: PathElement, tolerance: float) -> list[Polyline]:

@@ -603,3 +603,38 @@ class TestUnresolvableChord:
         doc, _ = parse_document(f'<svg viewBox="0 0 20 20"><path d="{d}"/></svg>')
         norm, _ = normalize_document(doc)
         assert verify_normalization(doc, norm).passed
+
+
+_TRI = '<path d="M0 0L10 10L0 10Z" fill="#ff0000"/>'
+
+
+class TestSilentDecisions:
+    """What parsing and normalization decide without raising: the warning
+    each decision leaves, and what the document keeps."""
+
+    @pytest.mark.parametrize(
+        "body,warnings,paths,dropped",
+        [
+            ('<path d="M0 0L10 10L0 10Z" transform="rotate(45"/>',
+             ["ignored transform: unexpected transform text 'rotate(45'"], 1, {}),
+            (f'<x:blob xmlns:x="urn:x"/>{_TRI}', ["dropped foreign element <blob>"], 1, {}),
+            (f"<svg>{_TRI}</svg>", ["nested <svg> treated as a group"], 1, {}),
+            ('<polygon points="0 0 5 5 0"/>', ["odd coordinate count in <polygon> points"], 1, {}),
+            (f'<rect width="abc" height="4"/>{_TRI}', ["dropped <rect> with bad width='abc'"], 1, {}),
+            (f'<path d="M0 0L10 10" transform="scale(0)"/>{_TRI}', [], 1,
+             {"singular_transform": 1}),
+        ],
+        ids=["bad_transform", "foreign", "nested_svg", "odd_points", "bad_width", "scale0"],
+    )
+    def test_warning_and_what_survives(self, body, warnings, paths, dropped):
+        doc, diag = parse_document(f'<svg viewBox="0 0 24 24">{body}</svg>')
+        assert [message for _, message in diag.warnings] == warnings
+        norm, report = normalize_document(doc)
+        assert len(norm.paths) == paths
+        assert report.paths_dropped == dropped
+
+    def test_ignored_transform_is_the_identity(self):
+        doc, _ = parse_document(
+            '<svg viewBox="0 0 24 24"><path d="M0 0L9 9" transform="rotate(45"/></svg>'
+        )
+        assert doc.paths[0].transform == IDENTITY

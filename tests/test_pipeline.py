@@ -862,3 +862,45 @@ class TestAugmentOps:
         assert code == EXIT_USAGE
         assert "unknown ops ['bogus']" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOneErrorRowPerRow:
+    """A pair or record that fails its schema check is its own error row,
+    and a variant equal to its source is not written."""
+
+    def test_pair_without_reference(self, tmp_path):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(
+            json.dumps({"id": "bad", "generated": VALID}) + "\n"
+            + json.dumps({"id": "good", "generated": VALID, "reference": VALID}) + "\n"
+        )
+        out = tmp_path / "scored.jsonl"
+        assert run_score(pairs, out) == EXIT_PARTIAL
+        assert [r["id"] for r in read_strict_jsonl(out)] == ["good"]
+        (error,) = read_strict_jsonl(tmp_path / "errors.jsonl")
+        assert error["id"] == "bad" and error["error"].startswith("SchemaError: ")
+        assert "'reference'" in error["error"]
+
+    def test_record_without_svg(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        bad = record("bad", "Monocolor_easy")
+        del bad["svg"]
+        records.write_text(
+            json.dumps(bad) + "\n" + json.dumps(record("good", "Monocolor_easy")) + "\n"
+        )
+        out = tmp_path / "aug.jsonl"
+        assert run_augment(records, out, AugmentSpec(seed=1), ops=("recolor",)) == EXIT_PARTIAL
+        assert [r["id"] for r in read_strict_jsonl(out)] == ["good__aug1"]
+        (error,) = read_strict_jsonl(tmp_path / "errors.jsonl")
+        assert error["id"] == "bad" and error["error"].startswith("SchemaError: ")
+        assert "'svg'" in error["error"]
+
+    def test_recolor_without_flat_fill_writes_nothing(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        svg = '<svg viewBox="0 0 24 24"><path d="M0 0L9 9L0 9Z" fill="url(#g)"/></svg>'
+        records.write_text(json.dumps(dict(record("grad", "Monocolor_easy"), svg=svg)) + "\n")
+        out = tmp_path / "aug.jsonl"
+        argv = ["augment", str(records), "--out", str(out), "--ops", "recolor", "--quiet"]
+        assert main(argv) == EXIT_OK
+        assert read_strict_jsonl(out) == []
+        assert not (tmp_path / "errors.jsonl").exists()

@@ -143,6 +143,14 @@ class TestMaxDeviation:
         report = set_deviation(analytic, chains)
         assert report.max_deviation < 3e-4 + 1e-4
 
+    def test_no_segment_joins_two_chains(self):
+        gap = [Polyline((Point(0, 0), Point(1, 0))), Polyline((Point(3, 0), Point(4, 0)))]
+        whole = [Polyline((Point(0, 0), Point(2, 0), Point(4, 0)))]
+        for report in (set_deviation(gap, whole), set_deviation(whole, gap)):
+            assert report.max_deviation == 1.0
+            assert report.argmax_point == Point(2, 0)
+            assert report.samples_used == 7
+
     def test_report_fields(self):
         report = max_deviation(self._line(0), self._line(1))
         assert isinstance(report, DeviationReport)
