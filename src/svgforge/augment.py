@@ -40,7 +40,7 @@ def _canonical_palette(palette) -> tuple[Hex, ...]:
 class AugmentSpec:
     """Augmentation controls: master seed, variant count, optional palette."""
 
-    seed: int
+    seed: int = 0
     n_variants: int = 1
     palette: tuple[Hex, ...] | None = None
     allow_overlap_swap: bool = False

@@ -27,7 +27,7 @@ from .model import DifficultyLevel, Document
 from .normalizer import NormalizeReport, normalize_document
 from .parser import parse_document, serialize_document
 from .rewards import RewardParams, total_reward
-from .verifier import verify_normalization
+from .verifier import DEFAULT_TOLERANCE, check_tolerance, verify_normalization
 
 log = logging.getLogger("svgforge")
 
@@ -150,7 +150,8 @@ def _write_jsonl(path: Path, rows: list[dict]) -> None:
             fh.write(json.dumps(row, ensure_ascii=False, allow_nan=False) + "\n")
 
 
-def _read_jsonl(path: Path) -> list[dict]:
+def _read_jsonl(path: Path) -> list[tuple[str, dict]]:
+    """Each non-blank row of ``path`` with its ``"<path>:<line>"`` location."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -162,7 +163,7 @@ def _read_jsonl(path: Path) -> list[dict]:
                 raise SchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from None
             if not isinstance(row, dict):
                 raise SchemaError(f"{path}:{lineno}: row is not an object")
-            rows.append(row)
+            rows.append((f"{path}:{lineno}", row))
     return rows
 
 
@@ -284,13 +285,20 @@ def _check_record(row: dict, where: str, required: dict = _REQUIRED_RECORD_FIELD
             raise SchemaError(f"{where}: field {name!r} is not {kind.__name__}")
 
 
+def _read_records(path: Path) -> list[dict]:
+    """The rows of ``path``, each checked as a record; one bad row aborts."""
+    rows = _read_jsonl(path)
+    for where, row in rows:
+        _check_record(row, where)
+    return [row for _, row in rows]
+
+
 def run_stats(records_path: Path, out_path: Path | None = None) -> tuple[int, dict]:
     """Histogram of command counts per color category plus level shares."""
-    rows = _read_jsonl(Path(records_path))
+    rows = _read_records(Path(records_path))
     histogram: dict[str, dict[str, int]] = {}
     levels: dict[str, int] = {}
-    for i, row in enumerate(rows, 1):
-        _check_record(row, f"record {i}")
+    for row in rows:
         bucket = histogram.setdefault(row["color_category"], {})
         bin_start = (row["command_count"] // 10) * 10
         key = f"{bin_start}-{bin_start + 9}"
@@ -367,8 +375,7 @@ def run_curriculum(
     epochs: tuple[int, ...] = DEFAULT_EPOCHS,
     extra_stage: str | None = None,
 ) -> int:
-    rows = _read_jsonl(Path(records_path))
-    manifest = build_curriculum(rows, epochs, extra_stage)
+    manifest = build_curriculum(_read_records(Path(records_path)), epochs, extra_stage)
     _write_json(out_path, manifest)
     log.info(
         "curriculum over %d records (%d out of range)",
@@ -394,8 +401,9 @@ def run_score(
     """
     rows = _read_jsonl(Path(pairs_path))
 
-    def work(row: dict) -> list[dict]:
-        _check_record(row, f"pair {row.get('id', '?')!r}", _PAIR_FIELDS)
+    def work(line: tuple[str, dict]) -> list[dict]:
+        where, row = line
+        _check_record(row, where, _PAIR_FIELDS)
         r = total_reward(row["generated"], row["reference"], params)
         if not math.isfinite(r.total):
             raise ValidationError(f"reward total {r.total} is not finite")
@@ -408,7 +416,7 @@ def run_score(
             n_reference=r.n_reference,
         )]
 
-    n_rows, n_errors = _write_rows(out_path, [row.get("id") for row in rows], _each(work, rows))
+    n_rows, n_errors = _write_rows(out_path, [r.get("id") for _, r in rows], _each(work, rows))
     log.info("scored %d pairs, %d errors", n_rows, n_errors)
     return EXIT_PARTIAL if n_errors else EXIT_OK
 
@@ -442,8 +450,9 @@ def run_augment(
         raise ValidationError(f"unknown ops {unknown}" if unknown else "no ops given")
     rows = _read_jsonl(Path(records_path))
 
-    def work(row: dict) -> list[dict]:
-        _check_record(row, f"record {row.get('id', '?')!r}")
+    def work(line: tuple[str, dict]) -> list[dict]:
+        where, row = line
+        _check_record(row, where)
         rid = row["id"]
         source = _load(row["svg"])[0]
         variants = []
@@ -466,7 +475,7 @@ def run_augment(
                 variants.append(record.to_dict())
         return variants
 
-    n_rows, n_errors = _write_rows(out_path, [row.get("id") for row in rows], _each(work, rows))
+    n_rows, n_errors = _write_rows(out_path, [r.get("id") for _, r in rows], _each(work, rows))
     log.info("augmented %d records into %d variants, %d errors", len(rows), n_rows, n_errors)
     return EXIT_PARTIAL if n_errors else EXIT_OK
 
@@ -477,11 +486,16 @@ def run_augment(
 def run_verify(
     raw_dir: Path,
     normalized_dir: Path,
-    tolerance: float = 0.5,
+    tolerance: float = DEFAULT_TOLERANCE,
     out_path: Path | None = None,
     jobs: int = 1,
 ) -> int:
-    """Geometry-check normalized outputs against their raw sources, on ``jobs`` threads."""
+    """Geometry-check normalized outputs against their raw sources, on ``jobs`` threads.
+
+    A ``tolerance`` that is not finite and positive raises
+    :class:`ValidationError` before any file is read.
+    """
+    check_tolerance(tolerance)
     raw_dir, normalized_dir = Path(raw_dir), Path(normalized_dir)
     if not raw_dir.is_dir() or not normalized_dir.is_dir():
         log.error("both directories must exist")

@@ -50,6 +50,12 @@ from .normalizer import (
 DEFAULT_TOLERANCE = 0.5
 
 
+def check_tolerance(tolerance: float) -> None:
+    """Raise :class:`ValidationError` unless ``tolerance`` is finite and positive."""
+    if not (tolerance > 0 and math.isfinite(tolerance)):
+        raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
+
+
 @dataclass(frozen=True)
 class Polyline:
     """An ordered point chain; consecutive duplicates are removed."""
@@ -132,7 +138,7 @@ def flatten_cubic(
     Endpoints are preserved exactly; halving the tolerance never produces
     fewer points.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ValidationError("tolerance must be positive")
     points: list[Point] = [p0]
 
@@ -399,8 +405,7 @@ def verify_normalization(
     surviving-drawable count differs from the normalized path count, which
     signals a pipeline bug rather than a geometric error.
     """
-    if tolerance <= 0:
-        raise ValidationError("tolerance must be positive")
+    check_tolerance(tolerance)
     kept = [el for el in raw_doc.paths if convert_element(el) is not None]
     if len(kept) != len(normalized_doc.paths):
         raise PathCountMismatch(

@@ -1,0 +1,183 @@
+"""Option resolution, bad option values and input-line locations, through ``cli.main``."""
+
+import inspect
+import json
+import logging
+from pathlib import Path
+
+import pytest
+
+from svgforge import pipeline
+from svgforge.cli import main
+from svgforge.pipeline import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE
+from svgforge.rewards import MatchSemantics
+
+VALID = '<svg viewBox="0 0 1024 1024"><path d="M0 0L10 10" fill="#ff0000"/></svg>'
+RECORD = {
+    "id": "a", "svg": VALID, "color_category": "Monochrome",
+    "difficulty_level": "Monocolor_easy", "command_count": 2, "path_count": 1,
+}
+
+#: The library entry points, kept before any test replaces them.
+RUNS = {name: getattr(pipeline, name) for name in (
+    "run_normalize", "run_classify", "run_curriculum", "run_score", "run_augment", "run_verify",
+)}
+
+NORMALIZE = ["normalize", "in", "out"]
+CURRICULUM = ["curriculum", "records.jsonl", "--out", "manifest.json"]
+SCORE = ["score", "pairs.jsonl", "--out", "scored.jsonl"]
+AUGMENT = ["augment", "records.jsonl", "--out", "aug.jsonl"]
+VERIFY = ["verify", "raw", "norm"]
+PROSE, LITERAL = MatchSemantics.PROSE_CONSISTENT, MatchSemantics.LITERAL_FORMULA
+
+
+def _palette(seen):
+    palette = seen["spec"].palette
+    return palette and tuple(color.css for color in palette)
+
+
+# (argv, flag, flag text or None for a switch, env text, config text,
+#  what the library received, expected from flag / env / config / no layer)
+LAYERED = [
+    (NORMALIZE, "--strict", None, "no", "yes", lambda s: s["strict"], (True, False, True, False)),
+    (NORMALIZE, "--report", "f.json", "e.json", "c.json", lambda s: s["report_path"],
+     (Path("f.json"), Path("e.json"), Path("c.json"), None)),
+    (NORMALIZE, "--jobs", "2", "3", "4", lambda s: s["jobs"], (2, 3, 4, 1)),
+    (["classify", "in", "--out", "r.jsonl"], "--quiet", None, "0", "true", lambda s: s["quiet"],
+     (True, False, True, False)),
+    (CURRICULUM, "--epochs", "2,2,2,2", "3,3,3,3", "4,4,4,4,5", lambda s: s["epochs"],
+     ((2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4, 5), (1, 1, 3, 3))),
+    (CURRICULUM, "--extra-stage", "f", "e", "c", lambda s: s["extra_stage"],
+     ("f", "e", "c", None)),
+    (SCORE, "--alpha", "2", "3", "4", lambda s: s["params"].alpha, (2.0, 3.0, 4.0, 1.0)),
+    (SCORE, "--beta", "2", "3", "4", lambda s: s["params"].beta, (2.0, 3.0, 4.0, 1.0)),
+    (SCORE, "--gamma", "2", "3", "4", lambda s: s["params"].gamma, (2.0, 3.0, 4.0, 1.0)),
+    (SCORE, "--semantics", "literal", "prose", "literal", lambda s: s["params"].match_semantics,
+     (LITERAL, PROSE, LITERAL, PROSE)),
+    (AUGMENT, "--seed", "5", "6", "7", lambda s: s["spec"].seed, (5, 6, 7, 0)),
+    (AUGMENT, "--variants", "2", "3", "4", lambda s: s["spec"].n_variants, (2, 3, 4, 1)),
+    (AUGMENT, "--palette", "#111111,#222222", "#333333,#444444", "#555555,#666666", _palette,
+     (("#111111", "#222222"), ("#333333", "#444444"), ("#555555", "#666666"), None)),
+    (AUGMENT, "--ops", "swap", "recolor", " swap , recolor", lambda s: s["ops"],
+     (("swap",), ("recolor",), ("swap", "recolor"), ("recolor", "swap"))),
+    (AUGMENT, "--allow-overlap-swap", None, "no", "1", lambda s: s["spec"].allow_overlap_swap,
+     (True, False, True, False)),
+    (VERIFY, "--tolerance", "0.25", "0.125", "2", lambda s: s["tolerance"],
+     (0.25, 0.125, 2.0, 0.5)),
+]
+
+
+class TestLayeredOptions:
+    """Each optional flag but --config and --out: flag > SVGFORGE_<NAME> >
+    config key > library default, with the same conversion from every layer."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """What the library receives on each ``main`` call, defaults applied."""
+        seen = {}
+
+        def recorder(fn):
+            def record(*args, **kwargs):
+                bound = inspect.signature(fn).bind(*args, **kwargs)
+                bound.apply_defaults()
+                seen.update(bound.arguments)
+                return EXIT_OK
+            return record
+
+        for name, fn in RUNS.items():
+            monkeypatch.setattr(pipeline, name, recorder(fn))
+        monkeypatch.setattr(
+            logging, "basicConfig", lambda **kw: seen.update(quiet=kw["level"] == logging.WARNING)
+        )
+        return seen
+
+    @pytest.mark.parametrize(
+        "argv, flag, flag_text, env_text, config_text, read, expected", LAYERED,
+        ids=[case[1] for case in LAYERED],
+    )
+    def test_flag_env_config_default(self, tmp_path, monkeypatch, seen, argv, flag, flag_text,
+                                     env_text, config_text, read, expected):
+        name = flag[2:].replace("-", "_")
+        config = tmp_path / "cfg"
+        config.write_text(f"{name} = {config_text}\n")
+        with_config = argv + ["--config", str(config)]
+        got = []
+
+        def resolve(argv):
+            seen.clear()
+            assert main(argv) == EXIT_OK
+            got.append(read(seen))
+
+        monkeypatch.setenv("SVGFORGE_" + name.upper(), env_text)
+        resolve(with_config + ([flag] if flag_text is None else [flag, flag_text]))
+        resolve(with_config)
+        monkeypatch.delenv("SVGFORGE_" + name.upper())
+        resolve(with_config)
+        resolve(argv)
+        assert got == list(expected)
+
+    @pytest.mark.parametrize("layer", ["flag", "env", "config"])
+    def test_value_that_does_not_convert_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                        layer):
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps(RECORD) + "\n")
+        argv = ["stats", str(records), "--out", str(tmp_path / "stats.json")]
+        if layer == "flag":
+            argv += ["--jobs", "x"]
+        elif layer == "env":
+            monkeypatch.setenv("SVGFORGE_JOBS", "x")
+        else:
+            (tmp_path / "cfg").write_text("jobs = x\n")
+            argv += ["--config", str(tmp_path / "cfg")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("svgforge: ") and "jobs" in err.lower()
+        assert "Traceback" not in err
+        assert not (tmp_path / "stats.json").exists()
+
+
+class TestVerifyTolerance:
+    @pytest.mark.parametrize("tolerance", ["nan", "0", "inf"])
+    def test_not_finite_and_positive_is_usage_error(self, tmp_path, capsys, tolerance):
+        raw, norm = tmp_path / "raw", tmp_path / "norm"
+        raw.mkdir(), norm.mkdir()
+        (raw / "a.svg").write_text(VALID)
+        # the normalized copy is displaced 300 units: no tolerance that means anything passes it
+        (norm / "a.svg").write_text(VALID.replace("M0 0L10 10", "M300 300L310 310"))
+        report = tmp_path / "report.jsonl"
+        argv = ["verify", str(raw), str(norm), "--tolerance", tolerance, "--out", str(report)]
+        assert main(argv) == EXIT_USAGE
+        assert "tolerance" in capsys.readouterr().err
+        assert not report.exists()
+
+
+class TestInputLines:
+    """Schema errors name ``<file>:<line>``, counting blank lines."""
+
+    def test_two_pairs_without_id_are_two_distinct_rows(self, tmp_path):
+        pairs = tmp_path / "pairs.jsonl"
+        pair = json.dumps({"generated": VALID, "reference": VALID})
+        good = json.dumps({"id": "good", "generated": VALID, "reference": VALID})
+        pairs.write_text(f"{pair}\n\n{pair}\n{good}\n")
+        out = tmp_path / "scored.jsonl"
+        assert main(["score", str(pairs), "--out", str(out), "--quiet"]) == EXIT_PARTIAL
+        assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["good"]
+        errors = (tmp_path / "errors.jsonl").read_text().splitlines()
+        assert [json.loads(e)["error"] for e in errors] == [
+            f"SchemaError: {pairs}:{n}: missing field 'id'" for n in (1, 3)
+        ]
+
+    def test_stats_names_the_file_line(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        bad = dict(RECORD)
+        del bad["command_count"]
+        records.write_text("\n" + json.dumps(bad) + "\n")
+        assert main(["stats", str(records), "--quiet"]) == EXIT_USAGE
+        assert f"{records}:2: missing field 'command_count'" in capsys.readouterr().err
+
+
+def test_stats_with_empty_out_prints_the_summary(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(RECORD) + "\n")
+    assert main(["stats", str(records), "--out", "", "--quiet"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["records"] == 1

@@ -60,6 +60,11 @@ class TestFlattenCubic:
         with pytest.raises(ValidationError):
             flatten_cubic(Point(0, 0), Point(1, 1), Point(2, 2), Point(3, 3), 0)
 
+    def test_nan_tolerance_is_rejected(self):
+        # a NaN is never <= 0, and no piece is ever within it: this would split 2**24 times
+        with pytest.raises(ValidationError):
+            flatten_cubic(Point(0, 0), Point(1, 1), Point(2, 2), Point(3, 3), math.nan)
+
 
 class TestSampleOutline:
     def test_unit_circle_points_on_circle(self):
@@ -182,6 +187,14 @@ class TestVerifyNormalization:
             '<svg viewBox="0 0 1024 1024"><circle cx="512" cy="512" r="400" fill="#000"/></svg>'
         )
         assert not verify_normalization(doc, norm, 1e-6).passed
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        doc, norm = self._roundtrip(
+            '<svg viewBox="0 0 1024 1024"><path d="M0 0L100 0" fill="#000"/></svg>'
+        )
+        with pytest.raises(ValidationError, match="finite and positive"):
+            verify_normalization(doc, norm, tolerance)
 
     def test_corrupted_converter_detected(self):
         doc, norm = self._roundtrip(
