@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curriculum", help="build the staged training manifest")
     p.add_argument("records")
     p.add_argument("--out", required=True, help="manifest JSON output path")
-    p.add_argument("--epochs", help="comma-separated epochs per stage (default "
+    p.add_argument("--epochs", help="comma-separated epochs per stage, each at least 1: "
+                   "four, or five with --extra-stage (default "
                    + ",".join(map(str, pipeline.DEFAULT_EPOCHS)) + ")")
     p.add_argument("--extra-stage", help="append an empty named stage after the four levels")
     _add_common(p)

@@ -330,22 +330,17 @@ def _elevate_quadratic(p0: Point, q: Point, p1: Point) -> CubicTo:
     return CubicTo(c1, c2, p1)
 
 
-def simplify_commands(
-    cmds: list[RawCommand] | tuple[RawCommand, ...],
-    report: NormalizeReport | None = None,
-) -> list[PathCommand]:
-    """Reduce a raw command list of either relativity to the M/L/C alphabet.
+def _to_mlc(segments, report: NormalizeReport) -> list[PathCommand]:
+    """Map typed segments (those of :func:`iter_segments`) to M/L/C commands.
 
-    Maps the segments of :func:`iter_segments`: Q is degree-elevated
-    exactly, arcs go through :func:`arc_to_cubics`, and Z materializes as
-    a LineTo back to the subpath start unless the current point is already
-    there. Runs of MoveTo collapse to the last one and a trailing MoveTo is
-    dropped, so empty subpaths leave no residue.
+    Q is degree-elevated exactly, arcs go through :func:`arc_to_cubics`,
+    and Z materializes as a LineTo back to the subpath start unless the
+    current point is already there. Runs of MoveTo collapse to the last
+    one and a trailing MoveTo is dropped, so empty subpaths leave no
+    residue.
     """
-    if report is None:
-        report = NormalizeReport()
     out: list[PathCommand] = []
-    for seg in iter_segments(cmds):
+    for seg in segments:
         kind = seg[0]
         if kind == "L":
             out.append(LineTo(seg[2]))
@@ -371,29 +366,83 @@ def simplify_commands(
     return out
 
 
+def simplify_commands(
+    cmds: list[RawCommand] | tuple[RawCommand, ...],
+    report: NormalizeReport | None = None,
+) -> list[PathCommand]:
+    """Reduce a raw command list of either relativity to the M/L/C alphabet.
+
+    The segments of :func:`iter_segments`, mapped by the one segment to
+    M/L/C rule that :func:`shape_to_path` uses too.
+    """
+    return _to_mlc(iter_segments(cmds), NormalizeReport() if report is None else report)
+
+
 # --- shape conversion -------------------------------------------------------
 
 
-def rect_radii(element: ShapeElement) -> tuple[float, float]:
-    """Effective corner radii of a rect with positive width and height.
+def shape_segments(element: ShapeElement) -> list[tuple]:
+    """A basic shape as the typed segments of :func:`iter_segments`.
 
-    A missing radius takes the value of the other (both missing is a sharp
-    corner), then each is clamped to half its side.
+    SVG defines every basic shape as an equivalent path (SVG 1.1, 9.1), so
+    a shape is ``("M", p)``, ``("L", p0, p1)`` lines and ``("A", p0, rx, ry,
+    0.0, False, True, p1)`` quarter arcs: a rect runs clockwise from its
+    top edge, with an arc per rounded corner and no line where a pill's
+    corners meet; an ellipse is four arcs from its rightmost point; a
+    polygon closes with a line to its first point unless it is already
+    there. A missing rect radius takes the value of the other (both
+    missing is a sharp corner), then each is clamped to half its side.
+
+    Raises :class:`DegenerateShape` for non-positive dimensions or a
+    polyline or polygon of fewer than 2 points: such shapes render
+    nothing and are dropped with a diagnostic upstream.
     """
-    w, h = element.get("width"), element.get("height")
-    rx, ry = element.get("rx", -1.0), element.get("ry", -1.0)
-    if rx < 0 and ry < 0:
-        rx = ry = 0.0
-    elif rx < 0:
-        rx = ry
-    elif ry < 0:
-        ry = rx
-    return min(rx, w / 2.0), min(ry, h / 2.0)
-
-
-def _rounded_corner(start: Point, rx: float, ry: float, end: Point) -> list[CubicTo]:
-    segs = arc_to_cubics(start, rx, ry, 0.0, False, True, end)
-    return [s for s in segs if isinstance(s, CubicTo)]
+    tag, get = element.tag, element.get
+    if tag == "rect":
+        x, y, w, h = get("x"), get("y"), get("width"), get("height")
+        if w <= 0 or h <= 0:
+            raise DegenerateShape(f"rect {w}x{h}")
+        rx, ry = get("rx", -1.0), get("ry", -1.0)
+        if rx < 0 and ry < 0:
+            rx = ry = 0.0
+        elif rx < 0:
+            rx = ry
+        elif ry < 0:
+            ry = rx
+        rx, ry = min(rx, w / 2.0), min(ry, h / 2.0)
+        if rx > 0 and ry > 0:
+            # edge start, edge end (= corner start), corner end, four times
+            ring = (
+                Point(x + rx, y), Point(x + w - rx, y), Point(x + w, y + ry),
+                Point(x + w, y + h - ry), Point(x + w - rx, y + h), Point(x + rx, y + h),
+                Point(x, y + h - ry), Point(x, y + ry), Point(x + rx, y),
+            )
+            segs: list[tuple] = [("M", ring[0])]
+            for a, b, c in zip(ring[0:8:2], ring[1::2], ring[2::2]):
+                if a != b:
+                    segs.append(("L", a, b))
+                segs.append(("A", b, rx, ry, 0.0, False, True, c))
+            return segs
+        points = (Point(x, y), Point(x + w, y), Point(x + w, y + h), Point(x, y + h), Point(x, y))
+    elif tag in ("circle", "ellipse"):
+        rx, ry = (get("r"), get("r")) if tag == "circle" else (get("rx"), get("ry"))
+        if rx <= 0 or ry <= 0:
+            raise DegenerateShape(f"{tag} {rx}x{ry}")
+        cx, cy = get("cx"), get("cy")
+        ring = (Point(cx + rx, cy), Point(cx, cy + ry), Point(cx - rx, cy),
+                Point(cx, cy - ry), Point(cx + rx, cy))
+        return [("M", ring[0])] + [
+            ("A", a, rx, ry, 0.0, False, True, b) for a, b in zip(ring, ring[1:])
+        ]
+    elif tag == "line":
+        points = (Point(get("x1"), get("y1")), Point(get("x2"), get("y2")))
+    else:  # polyline / polygon
+        points = get("points", ())
+        if not isinstance(points, tuple) or len(points) < 2:
+            raise DegenerateShape(f"{tag} with fewer than 2 points")
+        if tag == "polygon" and points[-1] != points[0]:
+            points += (points[0],)
+    return [("M", points[0])] + [("L", a, b) for a, b in zip(points, points[1:])]
 
 
 def _ellipse_commands(cx: float, cy: float, rx: float, ry: float) -> list[PathCommand]:
@@ -410,63 +459,21 @@ def _ellipse_commands(cx: float, cy: float, rx: float, ry: float) -> list[PathCo
 def shape_to_path(element: ShapeElement) -> PathElement:
     """Rewrite a basic shape as an equivalent M/L/C path element.
 
-    Raises :class:`DegenerateShape` for non-positive dimensions (such
-    shapes render nothing and are dropped with a diagnostic upstream).
+    Maps :func:`shape_segments` to M/L/C as :func:`simplify_commands` maps
+    raw path data, so rect corners become 90-degree arc cubics. Circles
+    and ellipses instead take four cubics with the handle ``KAPPA`` times
+    each radius, written directly from the center: for an axis-aligned
+    quarter this is what :func:`arc_to_cubics` computes, without the
+    rounding of a center recovered from the endpoints, so every control
+    point is exact. Raises :class:`DegenerateShape` as
+    :func:`shape_segments` does.
     """
-    tag = element.tag
-    cmds: list[PathCommand]
-    if tag == "rect":
-        x, y = element.get("x"), element.get("y")
-        w, h = element.get("width"), element.get("height")
-        if w <= 0 or h <= 0:
-            raise DegenerateShape(f"rect {w}x{h}")
-        rx, ry = rect_radii(element)
-        if rx > 0 and ry > 0:
-            cmds = [MoveTo(Point(x + rx, y))]
-            edges = [
-                (Point(x + w - rx, y), Point(x + w, y + ry)),
-                (Point(x + w, y + h - ry), Point(x + w - rx, y + h)),
-                (Point(x + rx, y + h), Point(x, y + h - ry)),
-                (Point(x, y + ry), Point(x + rx, y)),
-            ]
-            pos = cmds[0].end
-            for line_end, arc_end in edges:
-                if line_end != pos:
-                    cmds.append(LineTo(line_end))
-                    pos = line_end
-                cmds.extend(_rounded_corner(pos, rx, ry, arc_end))
-                pos = arc_end
-        else:
-            cmds = [
-                MoveTo(Point(x, y)),
-                LineTo(Point(x + w, y)),
-                LineTo(Point(x + w, y + h)),
-                LineTo(Point(x, y + h)),
-                LineTo(Point(x, y)),
-            ]
-    elif tag == "circle":
-        r = element.get("r")
-        if r <= 0:
-            raise DegenerateShape(f"circle r={r}")
-        cmds = _ellipse_commands(element.get("cx"), element.get("cy"), r, r)
-    elif tag == "ellipse":
-        rx, ry = element.get("rx"), element.get("ry")
-        if rx <= 0 or ry <= 0:
-            raise DegenerateShape(f"ellipse {rx}x{ry}")
+    segments = shape_segments(element)
+    if element.tag in ("circle", "ellipse"):
+        _, _, rx, ry, *_ = segments[1]
         cmds = _ellipse_commands(element.get("cx"), element.get("cy"), rx, ry)
-    elif tag == "line":
-        cmds = [
-            MoveTo(Point(element.get("x1"), element.get("y1"))),
-            LineTo(Point(element.get("x2"), element.get("y2"))),
-        ]
-    else:  # polyline / polygon
-        points = element.get("points", ())
-        if not isinstance(points, tuple) or len(points) < 2:
-            raise DegenerateShape(f"{tag} with fewer than 2 points")
-        cmds = [MoveTo(points[0])]
-        cmds.extend(LineTo(p) for p in points[1:])
-        if tag == "polygon" and points[-1] != points[0]:
-            cmds.append(LineTo(points[0]))
+    else:
+        cmds = _to_mlc(segments, NormalizeReport())
     return PathElement(tuple(cmds), element.fill, element.transform)
 
 

@@ -169,8 +169,9 @@ def _read_jsonl(path: Path) -> list[tuple[str, dict]]:
 
 def _write_rows(out_path: Path, ids, results) -> tuple[int, int]:
     """Write the rows of each :func:`_each` pair in ``results`` to ``out_path``,
-    and an ``{id, error}`` row per failed input, if any, to errors.jsonl
-    beside it. Returns the row and error counts."""
+    and an ``{id, error}`` row per failed input to errors.jsonl beside it;
+    a run with no failed input removes an errors.jsonl left there by an
+    earlier run. Returns the row and error counts."""
     rows, errors = [], []
     for rid, (value, error) in zip(ids, results):
         if error is None:
@@ -180,8 +181,11 @@ def _write_rows(out_path: Path, ids, results) -> tuple[int, int]:
             errors.append({"id": rid, "error": error})
     out_path = Path(out_path)
     _write_jsonl(out_path, rows)
+    errors_path = out_path.parent / "errors.jsonl"
     if errors:
-        _write_jsonl(out_path.parent / "errors.jsonl", errors)
+        _write_jsonl(errors_path, errors)
+    else:
+        errors_path.unlink(missing_ok=True)
     return len(rows), len(errors)
 
 
@@ -335,10 +339,16 @@ def build_curriculum(
 
     Out-of-range records are excluded and listed. ``extra_stage`` appends
     an empty named stage (an extension point for data this tool does not
-    produce); ``epochs`` may carry a fifth value for it.
+    produce); ``epochs`` may carry a fifth value for it. Raises
+    :class:`SchemaError` unless there are 4 epoch values (or 5 with
+    ``extra_stage``), each at least 1.
     """
     if len(epochs) not in (4, 5):
         raise SchemaError(f"expected 4 or 5 epoch values, got {len(epochs)}")
+    if len(epochs) == 5 and extra_stage is None:
+        raise SchemaError("a fifth epoch value needs extra_stage")
+    if min(epochs) < 1:
+        raise SchemaError(f"epochs must be at least 1, got {','.join(map(str, epochs))}")
     by_level: dict[str, list[str]] = {level.value: [] for level in STAGE_ORDER}
     out_of_range: list[str] = []
     for i, row in enumerate(rows, 1):

@@ -8,18 +8,21 @@ The original side shares three rules with the normalizer rather than
 restating them: the raw-command walk (``iter_segments``, which reads raw
 commands of either relativity and applies relative offsets, implicit
 linetos, Z's return, the S/T reflection and the H/V projection), the
-arc endpoint-to-center conversion (``arc_center``) and the rect corner
-radii (``rect_radii``). A bug there would show on both sides alike, so
-those rules are pinned by explicit-value tests instead (the
-``TestToAbsolute`` cases, ``test_smooth_cubic_reflection``,
-``test_smooth_quad_reflection_chain``, ``test_h_projection``,
-``test_rx_clamped_to_half`` and the ``arc_center`` property test
-``TestArcCenter``). Everything the normalizer then does with them stays
-independent and is checked here: quadratics are sampled directly rather
-than degree-elevated, arcs by angle rather than split into 90-degree
-cubics, shapes by their own parameterization rather than
-``shape_to_path``, and transforms and the canvas map are applied to the
-samples rather than flattened into coordinates.
+shape outline (``shape_segments``: SVG defines each basic shape as a
+path, so a shape is the lines and quarter arcs that walk would yield,
+with the rect corner-radius rule and the degenerate-shape checks), and
+the arc endpoint-to-center conversion (``arc_center``). A bug there would
+show on both sides alike, so those rules are pinned by explicit-value
+tests instead (the ``TestToAbsolute`` cases,
+``test_smooth_cubic_reflection``, ``test_smooth_quad_reflection_chain``,
+``test_h_projection``, ``TestShapeSegments``, ``TestShapeToPath`` and the
+``arc_center`` property test ``TestArcCenter``). Everything the
+normalizer then does with them stays independent and is checked here:
+quadratics are sampled directly rather than degree-elevated; arcs,
+ellipses and rect corners included, are sampled by angle rather than
+split into 90-degree cubics or written as ``KAPPA`` quarters; and
+transforms and the canvas map are applied to the samples rather than
+flattened into coordinates.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateShape, PathCountMismatch, ValidationError
+from .errors import PathCountMismatch, ValidationError
 from .model import (
     AffineTransform,
     Document,
@@ -44,7 +47,7 @@ from .normalizer import (
     canvas_transform,
     convert_element,
     iter_segments,
-    rect_radii,
+    shape_segments,
 )
 
 DEFAULT_TOLERANCE = 0.5
@@ -178,20 +181,6 @@ def _sample_line(p0: Point, p1: Point, n: int) -> list[Point]:
             for i in range(1, n + 1)]
 
 
-def _arc_samples(
-    cx: float, cy: float, rx: float, ry: float, phi: float,
-    theta1: float, delta: float, n: int,
-) -> list[Point]:
-    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
-    out = []
-    for i in range(1, n + 1):
-        t = theta1 + delta * i / n
-        ct, st = math.cos(t), math.sin(t)
-        out.append(Point(cx + rx * ct * cos_phi - ry * st * sin_phi,
-                         cy + rx * ct * sin_phi + ry * st * cos_phi))
-    return out
-
-
 def _mlc_segments(commands):
     # M/L/C commands as the segment tuples of normalizer.iter_segments
     cur = Point(0.0, 0.0)
@@ -233,7 +222,14 @@ def _sample_segment(seg: tuple, n: int) -> list[Point]:
     if center is None:
         return _sample_line(p0, end, n) if p0 != end else []
     cx, cy, rx, ry, phi, theta1, delta = center
-    pts = _arc_samples(cx, cy, rx, ry, phi, theta1, delta, n * arc_spans(delta))
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+    m = n * arc_spans(delta)
+    pts = []
+    for i in range(1, m + 1):
+        t = theta1 + delta * i / m
+        ct, st = math.cos(t), math.sin(t)
+        pts.append(Point(cx + rx * ct * cos_phi - ry * st * sin_phi,
+                         cy + rx * ct * sin_phi + ry * st * cos_phi))
     pts[-1] = end  # endpoint is exact by construction
     return pts
 
@@ -241,80 +237,23 @@ def _sample_segment(seg: tuple, n: int) -> list[Point]:
 def sample_outline(source: Drawable, n_per_segment: int = 16) -> list[Polyline]:
     """Sample the outline of a drawable, one polyline per subpath.
 
-    Shape elements and raw paths are sampled by their own analytic
-    parameterization (independent of any conversion); normalized M/L/C
-    paths by uniform t per segment.
+    Raw paths are walked by ``iter_segments`` and shape elements taken as
+    the segments of ``shape_segments``; both are then sampled
+    analytically, arcs by angle around the ``arc_center`` center, and
+    never through the cubics the normalizer writes for them. Normalized
+    M/L/C paths are sampled by uniform t per segment.
     """
     if n_per_segment < 2:
         raise ValidationError("n_per_segment must be >= 2")
     n = n_per_segment
 
     if isinstance(source, ShapeElement):
-        pl = polyline(_shape_points(source, n))
-        return [pl] if pl else []
-    if source.is_raw:
+        segments = shape_segments(source)
+    elif source.is_raw:
         segments = iter_segments(source.commands)
     else:
         segments = _mlc_segments(source.commands)
     return _chains(segments, lambda seg: _sample_segment(seg, n))
-
-
-def _shape_points(el: ShapeElement, n: int) -> list[Point]:
-    """Analytic samples along a shape's outline, as one chain."""
-    tag = el.tag
-    if tag in ("circle", "ellipse"):
-        if tag == "circle":
-            rx = ry = el.get("r")
-        else:
-            rx, ry = el.get("rx"), el.get("ry")
-        if rx <= 0 or ry <= 0:
-            raise DegenerateShape(tag)
-        cx, cy = el.get("cx"), el.get("cy")
-        pts = [Point(cx + rx, cy)]
-        pts.extend(_arc_samples(cx, cy, rx, ry, 0.0, 0.0, 2.0 * math.pi, 4 * n))
-        pts[-1] = pts[0]  # close the loop exactly
-        return pts
-    if tag == "rect":
-        x, y, w, h = el.get("x"), el.get("y"), el.get("width"), el.get("height")
-        if w <= 0 or h <= 0:
-            raise DegenerateShape(tag)
-        rx, ry = rect_radii(el)
-        if rx > 0 and ry > 0:
-            # edge endpoint, then corner-ellipse center and start angle
-            edges = [
-                (Point(x + w - rx, y), (x + w - rx, y + ry), -math.pi / 2),
-                (Point(x + w, y + h - ry), (x + w - rx, y + h - ry), 0.0),
-                (Point(x + rx, y + h), (x + rx, y + h - ry), math.pi / 2),
-                (Point(x, y + ry), (x + rx, y + ry), math.pi),
-            ]
-            start = Point(x + rx, y)
-            pts = [start]
-            cur = start
-            for line_end, (ccx, ccy), t1 in edges:
-                if line_end != cur:
-                    pts.extend(_sample_line(cur, line_end, n))
-                pts.extend(_arc_samples(ccx, ccy, rx, ry, 0.0, t1, math.pi / 2, n))
-                cur = pts[-1]
-            return pts
-        ring = [Point(x, y), Point(x + w, y), Point(x + w, y + h), Point(x, y + h)]
-        pts = [ring[0]]
-        for a, b in zip(ring, ring[1:] + ring[:1]):
-            pts.extend(_sample_line(a, b, n))
-        return pts
-    if tag == "line":
-        p0 = Point(el.get("x1"), el.get("y1"))
-        p1 = Point(el.get("x2"), el.get("y2"))
-        return [p0, *_sample_line(p0, p1, n)]
-    # polyline / polygon
-    points = el.get("points", ())
-    if not isinstance(points, tuple) or len(points) < 2:
-        raise DegenerateShape(tag)
-    pts = [points[0]]
-    for a, b in zip(points, points[1:]):
-        pts.extend(_sample_line(a, b, n))
-    if tag == "polygon" and points[-1] != points[0]:
-        pts.extend(_sample_line(points[-1], points[0], n))
-    return pts
 
 
 # --- deviation measurement -----------------------------------------------------

@@ -151,6 +151,17 @@ class TestVerifyTolerance:
         assert not report.exists()
 
 
+@pytest.mark.parametrize("epochs", ["0,-2,3,3", "1,1,3,3,9"])
+def test_bad_curriculum_epochs_are_usage_errors(tmp_path, capsys, epochs):
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(RECORD) + "\n")
+    manifest = tmp_path / "manifest.json"
+    argv = ["curriculum", str(records), "--out", str(manifest), "--epochs", epochs]
+    assert main(argv) == EXIT_USAGE
+    assert "epoch" in capsys.readouterr().err
+    assert not manifest.exists()
+
+
 class TestInputLines:
     """Schema errors name ``<file>:<line>``, counting blank lines."""
 

@@ -37,6 +37,7 @@ from svgforge.normalizer import (
     iter_segments,
     normalize_canvas,
     normalize_document,
+    shape_segments,
     shape_to_path,
     simplify_commands,
     to_absolute,
@@ -464,6 +465,65 @@ class TestShapeToPath:
     def test_degenerate_shapes(self, tag, params):
         with pytest.raises(DegenerateShape):
             shape_to_path(ShapeElement(tag, params))
+
+
+class TestShapeSegments:
+    """Explicit values of the one shape outline shared by normalizer and verifier."""
+
+    QUARTER = (0.0, False, True)  # rotation, large-arc flag, sweep flag
+
+    def test_rounded_rect(self):
+        el = ShapeElement(
+            "rect",
+            (("x", 0.0), ("y", 0.0), ("width", 40.0), ("height", 20.0), ("rx", 5.0), ("ry", 8.0)),
+        )
+        arc = (5.0, 8.0, *self.QUARTER)
+        assert shape_segments(el) == [
+            ("M", Point(5, 0)),
+            ("L", Point(5, 0), Point(35, 0)), ("A", Point(35, 0), *arc, Point(40, 8)),
+            ("L", Point(40, 8), Point(40, 12)), ("A", Point(40, 12), *arc, Point(35, 20)),
+            ("L", Point(35, 20), Point(5, 20)), ("A", Point(5, 20), *arc, Point(0, 12)),
+            ("L", Point(0, 12), Point(0, 8)), ("A", Point(0, 8), *arc, Point(5, 0)),
+        ]
+
+    def test_pill_rect_has_no_straight_edges(self):
+        # rx is clamped to w/2; the missing ry takes rx's 30, clamped to h/2
+        el = ShapeElement(
+            "rect", (("x", 0.0), ("y", 0.0), ("width", 20.0), ("height", 10.0), ("rx", 30.0))
+        )
+        arc = (10.0, 5.0, *self.QUARTER)
+        assert shape_segments(el) == [
+            ("M", Point(10, 0)),
+            ("A", Point(10, 0), *arc, Point(20, 5)),
+            ("A", Point(20, 5), *arc, Point(10, 10)),
+            ("A", Point(10, 10), *arc, Point(0, 5)),
+            ("A", Point(0, 5), *arc, Point(10, 0)),
+        ]
+
+    def test_sharp_rect_and_ellipse(self):
+        rect = ShapeElement("rect", (("x", 1.0), ("y", 2.0), ("width", 3.0), ("height", 4.0)))
+        assert shape_segments(rect) == [
+            ("M", Point(1, 2)), ("L", Point(1, 2), Point(4, 2)), ("L", Point(4, 2), Point(4, 6)),
+            ("L", Point(4, 6), Point(1, 6)), ("L", Point(1, 6), Point(1, 2)),
+        ]
+        ellipse = ShapeElement("ellipse", (("cx", 1.0), ("cy", 2.0), ("rx", 3.0), ("ry", 4.0)))
+        arc = (3.0, 4.0, *self.QUARTER)
+        assert shape_segments(ellipse) == [
+            ("M", Point(4, 2)),
+            ("A", Point(4, 2), *arc, Point(1, 6)),
+            ("A", Point(1, 6), *arc, Point(-2, 2)),
+            ("A", Point(-2, 2), *arc, Point(1, -2)),
+            ("A", Point(1, -2), *arc, Point(4, 2)),
+        ]
+
+    def test_closed_polygon_gets_no_duplicate_closing_segment(self):
+        pts = (Point(0, 0), Point(10, 0), Point(5, 10), Point(0, 0))
+        assert shape_segments(ShapeElement("polygon", (("points", pts),))) == [
+            ("M", Point(0, 0)),
+            ("L", Point(0, 0), Point(10, 0)),
+            ("L", Point(10, 0), Point(5, 10)),
+            ("L", Point(5, 10), Point(0, 0)),
+        ]
 
 
 class TestApplyTransform:

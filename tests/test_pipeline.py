@@ -205,6 +205,18 @@ class TestClassify:
         assert len(rows) + len(errors) == 2
         assert errors[0]["id"] == "bad"
 
+    def test_clean_rerun_removes_stale_errors_sidecar(self, tmp_path):
+        src = tmp_path / "in"
+        src.mkdir()
+        (src / "ok.svg").write_text(VALID)
+        (src / "bad.svg").write_text("<svg")
+        out = tmp_path / "d" / "records.jsonl"
+        assert run_classify(src, out) == EXIT_PARTIAL
+        assert (out.parent / "errors.jsonl").exists()
+        (src / "bad.svg").unlink()
+        assert run_classify(src, out) == EXIT_OK
+        assert not (out.parent / "errors.jsonl").exists()
+
     def test_records_self_validate(self, tmp_path, corpus_dir):
         from svgforge.classifier import classify
         from svgforge.normalizer import normalize_document
@@ -306,6 +318,19 @@ class TestCurriculum:
         extra = manifest["stages"][4]
         assert extra["stage_name"] == "reasoning"
         assert extra["record_ids"] == [] and extra["epochs"] == 3
+
+    @pytest.mark.parametrize(
+        "epochs, extra_stage, message",
+        [
+            ((0, -2, 3, 3), None, "epochs must be at least 1, got 0,-2,3,3"),
+            ((1, 1, 3, 3, 0), "reasoning", "epochs must be at least 1, got 1,1,3,3,0"),
+            ((1, 1, 3, 3, 9), None, "a fifth epoch value needs extra_stage"),
+            ((1, 1, 3), None, "expected 4 or 5 epoch values, got 3"),
+        ],
+    )
+    def test_bad_epochs_are_schema_errors(self, epochs, extra_stage, message):
+        with pytest.raises(SchemaError, match=message):
+            build_curriculum([record("a", "Monocolor_easy")], epochs, extra_stage)
 
     def test_run_curriculum_writes_json(self, tmp_path):
         path = tmp_path / "records.jsonl"

@@ -66,6 +66,19 @@ class TestFlattenCubic:
             flatten_cubic(Point(0, 0), Point(1, 1), Point(2, 2), Point(3, 3), math.nan)
 
 
+def _segment_distance(p, a, b):
+    dx, dy = b.x - a.x, b.y - a.y
+    t = max(0.0, min(1.0, ((p.x - a.x) * dx + (p.y - a.y) * dy) / (dx * dx + dy * dy)))
+    return math.hypot(p.x - a.x - t * dx, p.y - a.y - t * dy)
+
+
+def _ellipse_gap(p, cx, cy, rx, ry):
+    """A bound on the distance from ``p`` to the axis-aligned ellipse: the
+    ellipse point at the same parameter is ``|g - 1|`` radii away."""
+    g = math.hypot((p.x - cx) / rx, (p.y - cy) / ry)
+    return abs(g - 1.0) * max(rx, ry)
+
+
 class TestSampleOutline:
     def test_unit_circle_points_on_circle(self):
         el = ShapeElement("circle", (("cx", 0.0), ("cy", 0.0), ("r", 1.0)))
@@ -106,6 +119,37 @@ class TestSampleOutline:
         center, r = Point(30, 50), 20.0
         for p in polys[0].points:
             assert abs(math.hypot(p.x - center.x, p.y - center.y) - r) < 1e-9
+
+    def test_rounded_rect_on_analytic_outline(self):
+        x, y, w, h, rx, ry = 3.7, -1.3, 40.0, 20.0, 5.0, 8.0
+        el = ShapeElement(
+            "rect", (("x", x), ("y", y), ("width", w), ("height", h), ("rx", rx), ("ry", ry))
+        )
+        (pl,) = sample_outline(el, 16)
+        assert len(pl) == 8 * 16 + 1 and pl.points[0] == pl.points[-1]
+        edges = [
+            (Point(x + rx, y), Point(x + w - rx, y)), (Point(x + w, y + ry), Point(x + w, y + h - ry)),
+            (Point(x + rx, y + h), Point(x + w - rx, y + h)), (Point(x, y + ry), Point(x, y + h - ry)),
+        ]
+        # corner-ellipse centers, with the signs of the quadrant each corner covers
+        corners = [
+            (x + w - rx, y + ry, 1, -1), (x + w - rx, y + h - ry, 1, 1),
+            (x + rx, y + h - ry, -1, 1), (x + rx, y + ry, -1, -1),
+        ]
+        for p in pl.points:
+            dists = [_segment_distance(p, *e) for e in edges]
+            for cx, cy, sx, sy in corners:
+                if (p.x - cx) * sx >= -1e-12 and (p.y - cy) * sy >= -1e-12:
+                    dists.append(_ellipse_gap(p, cx, cy, rx, ry))
+            assert min(dists) <= 1e-9
+
+    def test_ellipse_on_analytic_outline(self):
+        cx, cy, rx, ry = 3.7, -1.3, 7.0, 2.5
+        el = ShapeElement("ellipse", (("cx", cx), ("cy", cy), ("rx", rx), ("ry", ry)))
+        (pl,) = sample_outline(el, 16)
+        assert len(pl) == 4 * 16 + 1 and pl.points[0] == pl.points[-1]
+        for p in pl.points:
+            assert _ellipse_gap(p, cx, cy, rx, ry) <= 1e-9
 
     def test_n_must_be_at_least_two(self):
         el = ShapeElement("line", (("x1", 0.0), ("y1", 0.0), ("x2", 1.0), ("y2", 1.0)))
