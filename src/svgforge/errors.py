@@ -47,7 +47,12 @@ class UnexpectedEnd(PathSyntax):
 
 
 class NotNormalized(SvgForgeError):
-    """Serialization requires a normalized document."""
+    """A document is not in normalized form where one is required.
+
+    Raised when :func:`~svgforge.parser.serialize_document` gets a document
+    not flagged normalized, and by ``verify`` for a NORM file whose text is
+    not the canonical serialization of its own normalization.
+    """
 
 
 # --- normalization -----------------------------------------------------------

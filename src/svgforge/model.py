@@ -106,7 +106,19 @@ class RawCommand:
 
 
 @dataclass(frozen=True, slots=True)
-class _EndOnly:
+class _Absolute:
+    """What MoveTo, LineTo and CubicTo share with an absolute :class:`RawCommand`
+    of their opcode: no relativity and one argument group, so the one raw
+    command walk reads either kind."""
+
+    is_relative: ClassVar[bool] = False
+
+    def groups(self) -> list[tuple[float, ...]]:
+        return [tuple(v for p in self.points for v in p)]
+
+
+@dataclass(frozen=True, slots=True)
+class _EndOnly(_Absolute):
     """The shared layout of MoveTo and LineTo: an endpoint and nothing else."""
 
     end: Point
@@ -130,7 +142,7 @@ class LineTo(_EndOnly):
 
 
 @dataclass(frozen=True, slots=True)
-class CubicTo:
+class CubicTo(_Absolute):
     opcode: ClassVar[str] = "C"
     c1: Point
     c2: Point
@@ -380,14 +392,8 @@ class DifficultyLevel(Enum):
 
 
 def _command_keys(commands) -> list[tuple]:
-    keys: list[tuple] = []
-    for cmd in commands:
-        if isinstance(cmd, RawCommand):
-            for group in cmd.groups():
-                keys.append((cmd.opcode, tuple(format_number(a) for a in group)))
-        else:
-            keys.append((cmd.opcode, tuple(format_number(v) for p in cmd.points for v in p)))
-    return keys
+    return [(cmd.opcode, tuple(map(format_number, group)))
+            for cmd in commands for group in cmd.groups()]
 
 
 def _element_key(el: Drawable) -> tuple:

@@ -13,6 +13,7 @@ bound (arcs are split at 90 degrees, worst-case radial error about
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import (
@@ -87,16 +88,17 @@ class NormalizeReport:
 # --- raw command walk -------------------------------------------------------
 
 
-def _walk(cmds: list[RawCommand] | tuple[RawCommand, ...]):
-    """Resolve raw commands of either relativity, one argument group at a time.
+def _walk(cmds: Iterable[RawCommand | PathCommand]):
+    """Resolve raw or typed M/L/C commands, one argument group at a time.
 
     Yields ``(opcode, args, p0, p1)``: the uppercase opcode, its absolute
     argument group, and the current point before and after it (``p0`` is
-    ``None`` for the leading moveto). This is the one place that applies
-    the SVG current-point rules: relative offsets, a leading ``m`` read as
-    absolute, repeated moveto groups as linetos, and Z's return to the
-    subpath start. Raises :class:`NoCurrentPoint` for a command before any
-    moveto and :class:`ValidationError` when an offset overflows.
+    ``None`` for the leading moveto). A typed command reads as the absolute
+    raw command of its opcode. This is the one place that tracks a current
+    point: relative offsets, a leading ``m`` read as absolute, repeated
+    moveto groups as linetos, and Z's return to the subpath start. Raises
+    :class:`NoCurrentPoint` for a command before any moveto and
+    :class:`ValidationError` when an offset overflows.
     """
     cur = start = None
     for cmd in cmds:
@@ -132,8 +134,8 @@ def _walk(cmds: list[RawCommand] | tuple[RawCommand, ...]):
                 op = "L"  # repeated moveto groups are implicit linetos
 
 
-def to_absolute(cmds: list[RawCommand] | tuple[RawCommand, ...]) -> list[RawCommand]:
-    """Rewrite relative opcodes as absolute, one argument group per command.
+def to_absolute(cmds: Iterable[RawCommand | PathCommand]) -> list[RawCommand]:
+    """Rewrite raw or typed M/L/C commands as absolute raw ones, one group each.
 
     Current-point bookkeeping follows SVG semantics: Z returns the current
     point to the subpath start, and a leading ``m`` is absolute. H/V/S/T
@@ -153,8 +155,8 @@ def _reflect(ctrl: Point | None, cur: Point) -> Point:
     return Point(2.0 * cur.x - ctrl.x, 2.0 * cur.y - ctrl.y)
 
 
-def iter_segments(cmds: list[RawCommand] | tuple[RawCommand, ...]):
-    """Walk raw commands of either relativity as typed segments.
+def iter_segments(cmds: Iterable[RawCommand | PathCommand]):
+    """Walk raw commands of either relativity, or typed M/L/C, as segments.
 
     Yields ``("M", p)``, ``("L", p0, p1)``, ``("C", p0, c1, c2, p1)``,
     ``("Q", p0, q, p1)``, ``("A", p0, rx, ry, rot, large_arc, sweep, p1)``
@@ -367,10 +369,10 @@ def _to_mlc(segments, report: NormalizeReport) -> list[PathCommand]:
 
 
 def simplify_commands(
-    cmds: list[RawCommand] | tuple[RawCommand, ...],
+    cmds: Iterable[RawCommand | PathCommand],
     report: NormalizeReport | None = None,
 ) -> list[PathCommand]:
-    """Reduce a raw command list of either relativity to the M/L/C alphabet.
+    """Reduce raw commands of either relativity, or typed M/L/C, to M/L/C.
 
     The segments of :func:`iter_segments`, mapped by the one segment to
     M/L/C rule that :func:`shape_to_path` uses too.
@@ -556,13 +558,9 @@ def convert_element(
             return None
         report.count_shape(el.tag)
         cmds = list(path.commands)
-    elif el.is_raw:
-        report.relative_resolved += sum(
-            1 for c in el.commands for _ in c.groups() if c.is_relative
-        )
-        cmds = simplify_commands(el.commands, report)
     else:
-        cmds = list(el.commands)
+        report.relative_resolved += sum(len(c.groups()) for c in el.commands if c.is_relative)
+        cmds = simplify_commands(el.commands, report)
 
     if all(isinstance(c, MoveTo) for c in cmds):
         report.count_drop("no_geometry")

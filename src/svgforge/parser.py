@@ -47,6 +47,8 @@ _TRANSFORM_RE = re.compile(
     r"(matrix|translate|scale|rotate|skewX|skewY)\s*\(([^)]*)\)"
 )
 _URL_RE = re.compile(r"url\(\s*#([^)\s]+)\s*\)")
+# what a reference id must escape inside a double-quoted attribute
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 # SVG 1.1 color keywords.
 NAMED_COLORS = {
@@ -455,7 +457,7 @@ def _format_fill(fill: Paint) -> str:
     if isinstance(fill, Hex):
         return fill.css
     if isinstance(fill, Reference):
-        return f"url(#{fill.ref_id})"
+        return f"url(#{fill.ref_id.translate(_ATTR_ESCAPES)})"
     return "none"
 
 
@@ -464,7 +466,8 @@ def serialize_document(doc: Document) -> str:
 
     Output is bit-exact and parses back into an equal document:
     one ``<path>`` per element, absolute M/L/C data, single-space
-    separators, canonical number formatting.
+    separators, canonical number formatting, and reference ids with
+    ``&``, ``<``, ``>`` and ``"`` escaped as XML.
     """
     if not doc.normalized:
         raise NotNormalized("serialize_document requires a normalized document")

@@ -22,7 +22,7 @@ from typing import get_type_hints
 
 from .augment import AugmentSpec, replace_colors, swap_paths
 from .classifier import classify
-from .errors import SchemaError, SvgForgeError, ValidationError
+from .errors import NotNormalized, SchemaError, SvgForgeError, ValidationError
 from .model import DifficultyLevel, Document
 from .normalizer import NormalizeReport, normalize_document
 from .parser import parse_document, serialize_document
@@ -171,7 +171,13 @@ def _write_rows(out_path: Path, ids, results) -> tuple[int, int]:
     """Write the rows of each :func:`_each` pair in ``results`` to ``out_path``,
     and an ``{id, error}`` row per failed input to errors.jsonl beside it;
     a run with no failed input removes an errors.jsonl left there by an
-    earlier run. Returns the row and error counts."""
+    earlier run. Returns the row and error counts. Raises
+    :class:`ValidationError` before any step of ``results`` runs when
+    ``out_path`` is itself named errors.jsonl, which the sidecar would
+    overwrite or remove."""
+    out_path = Path(out_path)
+    if out_path.name == "errors.jsonl":
+        raise ValidationError(f"output {out_path} has the name of the errors.jsonl sidecar")
     rows, errors = [], []
     for rid, (value, error) in zip(ids, results):
         if error is None:
@@ -179,7 +185,6 @@ def _write_rows(out_path: Path, ids, results) -> tuple[int, int]:
         else:
             log.warning("failed %s: %s", rid, error)
             errors.append({"id": rid, "error": error})
-    out_path = Path(out_path)
     _write_jsonl(out_path, rows)
     errors_path = out_path.parent / "errors.jsonl"
     if errors:
@@ -502,7 +507,10 @@ def run_verify(
 ) -> int:
     """Geometry-check normalized outputs against their raw sources, on ``jobs`` threads.
 
-    A ``tolerance`` that is not finite and positive raises
+    A NORM file must be in normalized form: one whose text is not the
+    serialization of its own normalization (the test behind classify's
+    ``auto_normalized``) fails as a :class:`NotNormalized` error row. A
+    ``tolerance`` that is not finite and positive raises
     :class:`ValidationError` before any file is read.
     """
     check_tolerance(tolerance)
@@ -515,7 +523,10 @@ def run_verify(
     def work(rel: Path):
         claim(rel)
         raw_doc, _ = parse_document((raw_dir / rel).read_text(encoding="utf-8"))
-        norm_doc, _ = _load((normalized_dir / rel).read_text(encoding="utf-8"))
+        norm_text = (normalized_dir / rel).read_text(encoding="utf-8")
+        norm_doc, _ = _load(norm_text)
+        if serialize_document(norm_doc) != norm_text.strip():
+            raise NotNormalized(f"{rel.as_posix()} differs from its normalized form")
         return verify_normalization(raw_doc, norm_doc, tolerance)
 
     rows = []

@@ -4,25 +4,28 @@ Original drawables are sampled analytically and converted paths are
 flattened; the two point sets are compared with a symmetric
 point-to-segment Hausdorff measure.
 
-The original side shares three rules with the normalizer rather than
-restating them: the raw-command walk (``iter_segments``, which reads raw
-commands of either relativity and applies relative offsets, implicit
-linetos, Z's return, the S/T reflection and the H/V projection), the
-shape outline (``shape_segments``: SVG defines each basic shape as a
-path, so a shape is the lines and quarter arcs that walk would yield,
-with the rect corner-radius rule and the degenerate-shape checks), and
-the arc endpoint-to-center conversion (``arc_center``). A bug there would
-show on both sides alike, so those rules are pinned by explicit-value
-tests instead (the ``TestToAbsolute`` cases,
-``test_smooth_cubic_reflection``, ``test_smooth_quad_reflection_chain``,
-``test_h_projection``, ``TestShapeSegments``, ``TestShapeToPath`` and the
-``arc_center`` property test ``TestArcCenter``). Everything the
-normalizer then does with them stays independent and is checked here:
-quadratics are sampled directly rather than degree-elevated; arcs,
-ellipses and rect corners included, are sampled by angle rather than
-split into 90-degree cubics or written as ``KAPPA`` quarters; and
-transforms and the canvas map are applied to the samples rather than
-flattened into coordinates.
+The verifier shares three rules with the normalizer rather than restating
+them, and reads no path command itself: the command walk (``iter_segments``,
+which both sides go through: it reads raw commands of either relativity
+and normalized M/L/C alike, and applies relative offsets, implicit linetos,
+Z's return, the S/T reflection and the H/V projection), the shape outline
+(``shape_segments``: SVG defines each basic shape as a path, so a shape is
+the lines and quarter arcs that walk would yield, with the rect
+corner-radius rule and the degenerate-shape checks), and the arc
+endpoint-to-center conversion (``arc_center``). A bug there would show on
+both sides alike, so those rules are pinned by explicit-value tests
+instead (the ``TestToAbsolute`` cases, ``test_smooth_cubic_reflection``,
+``test_smooth_quad_reflection_chain``, ``test_h_projection``,
+``TestShapeSegments``, ``TestShapeToPath`` and the ``arc_center``
+property test ``TestArcCenter``). Everything the normalizer then does
+with them stays independent and is checked here: the original side is
+sampled, ``SAMPLES_PER_SPAN`` points per segment and per 90-degree arc
+span, with quadratics sampled directly rather than degree-elevated and
+arcs, ellipses and rect corners by angle rather than as 90-degree cubics
+or ``KAPPA`` quarters; the converted side is flattened by adaptive
+subdivision; transforms and the canvas map are applied to the samples
+rather than flattened into coordinates; and the distance kernel is this
+module's own.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ from .normalizer import (
 )
 
 DEFAULT_TOLERANCE = 0.5
+#: Analytic samples per segment, and per 90-degree span of an arc, on the original side.
+SAMPLES_PER_SPAN = 64
 
 
 def check_tolerance(tolerance: float) -> None:
@@ -181,14 +186,6 @@ def _sample_line(p0: Point, p1: Point, n: int) -> list[Point]:
             for i in range(1, n + 1)]
 
 
-def _mlc_segments(commands):
-    # M/L/C commands as the segment tuples of normalizer.iter_segments
-    cur = Point(0.0, 0.0)
-    for cmd in commands:
-        yield ("M", cmd.end) if cmd.opcode == "M" else (cmd.opcode, cur, *cmd.points)
-        cur = cmd.end
-
-
 def _chains(segments, expand) -> list[Polyline]:
     """One polyline per subpath: each MoveTo starts a chain that ``expand``
     extends with the points of every following segment after its start."""
@@ -237,22 +234,19 @@ def _sample_segment(seg: tuple, n: int) -> list[Point]:
 def sample_outline(source: Drawable, n_per_segment: int = 16) -> list[Polyline]:
     """Sample the outline of a drawable, one polyline per subpath.
 
-    Raw paths are walked by ``iter_segments`` and shape elements taken as
-    the segments of ``shape_segments``; both are then sampled
-    analytically, arcs by angle around the ``arc_center`` center, and
-    never through the cubics the normalizer writes for them. Normalized
-    M/L/C paths are sampled by uniform t per segment.
+    Paths, raw or normalized, are walked by ``iter_segments`` and shape
+    elements taken as the segments of ``shape_segments``; both are then
+    sampled analytically, lines and curves by uniform t and arcs by angle
+    around the ``arc_center`` center, never through the cubics the
+    normalizer writes for them.
     """
     if n_per_segment < 2:
         raise ValidationError("n_per_segment must be >= 2")
     n = n_per_segment
-
     if isinstance(source, ShapeElement):
         segments = shape_segments(source)
-    elif source.is_raw:
-        segments = iter_segments(source.commands)
     else:
-        segments = _mlc_segments(source.commands)
+        segments = iter_segments(source.commands)
     return _chains(segments, lambda seg: _sample_segment(seg, n))
 
 
@@ -327,14 +321,13 @@ def _flatten_path(path: PathElement, tolerance: float) -> list[Polyline]:
             return (seg[2],)
         return flatten_cubic(*seg[1:], tolerance).points[1:]
 
-    return _chains(_mlc_segments(path.commands), expand)
+    return _chains(iter_segments(path.commands), expand)
 
 
 def verify_normalization(
     raw_doc: Document,
     normalized_doc: Document,
     tolerance: float = DEFAULT_TOLERANCE,
-    n_per_segment: int = 64,
 ) -> VerificationResult:
     """Check that normalization preserved every drawable's geometry.
 
@@ -359,7 +352,7 @@ def verify_normalization(
     passed = True
     for el, converted in zip(kept, normalized_doc.paths):
         full = canvas @ el.transform
-        original = _transform_polys(sample_outline(el, n_per_segment), full)
+        original = _transform_polys(sample_outline(el, SAMPLES_PER_SPAN), full)
         flattened = _flatten_path(converted, flatten_tol)
         if not original and not flattened:
             continue

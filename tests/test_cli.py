@@ -192,3 +192,23 @@ def test_stats_with_empty_out_prints_the_summary(tmp_path, capsys):
     records.write_text(json.dumps(RECORD) + "\n")
     assert main(["stats", str(records), "--out", "", "--quiet"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["records"] == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "score", "augment"])
+def test_out_named_like_the_errors_sidecar_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "a.svg").write_text(VALID)
+    pairs, records = tmp_path / "pairs.jsonl", tmp_path / "records.jsonl"
+    pairs.write_text(json.dumps({"id": "p", "generated": VALID, "reference": VALID}) + "\n")
+    records.write_text(json.dumps(RECORD) + "\n")
+    ran = []
+    each = pipeline._each
+    monkeypatch.setattr(pipeline, "_each", lambda fn, items, jobs=1: each(
+        lambda item: ran.append(item) or fn(item), items, jobs))
+    out = tmp_path / "d" / "errors.jsonl"
+    source = {"classify": raw, "score": pairs, "augment": records}[command]
+    assert main([command, str(source), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"svgforge: output {out} has the name of the errors.jsonl sidecar" in err
+    assert ran == [] and not out.parent.exists()

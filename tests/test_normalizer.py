@@ -146,6 +146,19 @@ class TestOneWalk:
         assert list(iter_segments(cmds)) == list(iter_segments(absolute))
         assert simplify_commands(cmds) == simplify_commands(absolute)
 
+    def test_typed_path_walks_like_its_raw_text(self):
+        doc, _ = parse_document(
+            '<svg viewBox="0 0 10 10"><path d="M1 2L3 4C5 6 7 8 9 1M2 3L4.5 6"/></svg>'
+        )
+        p = Point
+        typed = [MoveTo(p(1, 2)), LineTo(p(3, 4)), CubicTo(p(5, 6), p(7, 8), p(9, 1)),
+                 MoveTo(p(2, 3)), LineTo(p(4.5, 6))]
+        expected = [("M", p(1, 2)), ("L", p(1, 2), p(3, 4)),
+                    ("C", p(3, 4), p(5, 6), p(7, 8), p(9, 1)),
+                    ("M", p(2, 3)), ("L", p(2, 3), p(4.5, 6))]
+        assert list(iter_segments(typed)) == expected
+        assert list(iter_segments(doc.paths[0].commands)) == expected
+
     @pytest.mark.parametrize("relative", [False, True])
     @pytest.mark.parametrize("opcode", list("LHVCSQTAZ"))
     def test_no_current_point_before_moveto(self, opcode, relative):
@@ -600,6 +613,16 @@ class TestNormalizeDocument:
             once, _ = normalize_document(doc)
             twice, _ = normalize_document(once)
             assert document_equal(once, twice), name
+
+    def test_typed_trailing_moveto_dropped_like_raw(self):
+        raw, _ = parse_document(
+            '<svg viewBox="0 0 1024 1024"><path d="M0 0L8 8M5 5" fill="#f00"/></svg>'
+        )
+        cmds = (MoveTo(Point(0, 0)), LineTo(Point(8, 8)), MoveTo(Point(5, 5)))
+        typed = Document(raw.view_box, (PathElement(cmds, Hex("ff0000")),))
+        for doc in (raw, typed):
+            norm, _ = normalize_document(doc)
+            assert norm.paths[0].commands == cmds[:2]
 
     def test_fill_none_dropped_and_default_black(self):
         doc, _ = parse_document(

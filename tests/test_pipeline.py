@@ -29,6 +29,7 @@ from svgforge.pipeline import (
     run_stats,
     run_verify,
 )
+from svgforge.parser import parse_document
 from svgforge.rewards import RewardParams
 
 VALID = '<svg viewBox="0 0 1024 1024"><path d="M0 0L10 10" fill="#ff0000"/></svg>'
@@ -204,6 +205,25 @@ class TestClassify:
         errors = read_jsonl(tmp_path / "errors.jsonl")
         assert len(rows) + len(errors) == 2
         assert errors[0]["id"] == "bad"
+
+    @pytest.mark.parametrize("escaped,char", [
+        ("&amp;", "&"), ("&lt;", "<"), ("&gt;", ">"), ("&quot;", '"'),
+    ])
+    def test_reference_id_is_escaped_and_classifies(self, tmp_path, escaped, char):
+        raw, norm = tmp_path / "raw", tmp_path / "norm"
+        raw.mkdir()
+        (raw / "g.svg").write_text(
+            f'<svg viewBox="0 0 24 24"><path d="M0 0L9 9L0 9Z" fill="url(#a{escaped}b)"/></svg>'
+        )
+        assert main(["normalize", str(raw), str(norm), "--quiet"]) == EXIT_OK
+        text = (norm / "g.svg").read_text()
+        assert f'fill="url(#a{escaped}b)"' in text
+        out = tmp_path / "records.jsonl"
+        assert main(["classify", str(norm), "--out", str(out), "--quiet"]) == EXIT_OK
+        (row,) = read_strict_jsonl(out)
+        assert row["svg"] == text and "auto_normalized" not in row
+        doc, _ = parse_document(row["svg"])
+        assert doc.paths[0].fill.ref_id == f"a{char}b"
 
     def test_clean_rerun_removes_stale_errors_sidecar(self, tmp_path):
         src = tmp_path / "in"
@@ -477,6 +497,26 @@ class TestVerifyRuns:
         assert [r["id"] for r in rows] == ["bad", "good"]
         assert rows[0]["error"].startswith("UnicodeDecodeError")
         assert rows[1]["pass"] and "error" not in rows[1]
+
+
+    def test_unnormalized_norm_file_is_an_error_row(self, tmp_path):
+        raw, normalized = tmp_path / "raw", tmp_path / "norm"
+        raw.mkdir()
+        (raw / "icon.svg").write_text(
+            '<svg viewBox="0 0 24 24"><g transform="rotate(30 12 12)">'
+            '<circle cx="12" cy="12" r="5" fill="#f00"/>'
+            '<path d="m3 3q4 0 4 4t4 4z" fill="#00f"/></g></svg>'
+        )
+        report = tmp_path / "verify.jsonl"
+        code = main(["verify", str(raw), str(raw), "--out", str(report), "--quiet"])
+        assert code == EXIT_VERIFY_FAILED
+        (row,) = read_strict_jsonl(report)
+        assert row["pass"] is False and row["worst_path_deviation"] is None
+        assert row["error"] == "NotNormalized: icon.svg differs from its normalized form"
+        assert run_normalize(raw, normalized) == EXIT_OK
+        (normalized / "icon.svg").write_text((normalized / "icon.svg").read_text() + "\n")
+        assert main(["verify", str(raw), str(normalized), "--out", str(report)]) == EXIT_OK
+        assert read_strict_jsonl(report)[0]["pass"] is True
 
 
 class TestCli:
@@ -797,6 +837,51 @@ class TestCliFailureContract:
                 assert _ids(out / "s" / "scored.jsonl", out / "s" / "errors.jsonl") == sorted(
                     f"p{i}" for i in range(len(pairs))
                 )
+                trees.append(tree(out))
+            assert trees[0] == trees[1]
+
+
+_AUGMENT_ROWS = {
+    "valid0": (True, lambda rid: dict(record(rid, "Monocolor_easy"), svg=_ICONS[0])),
+    "valid1": (True, lambda rid: dict(record(rid, "Multicolor_easy"), svg=_ICONS[1])),
+    "valid2": (True, lambda rid: dict(record(rid, "Monocolor_easy"), svg=_ICONS[2])),
+    "missing": (False, lambda rid: {k: v for k, v in record(rid, "Monocolor_easy").items()
+                                    if k != "color_category"}),
+    "mistyped": (False, lambda rid: dict(record(rid, "Monocolor_easy"), command_count="10")),
+    "no_id": (False, lambda rid: {k: v for k, v in record(rid, "Monocolor_easy").items()
+                                  if k != "id"}),
+    "bad_svg": (False, lambda rid: dict(record(rid, "Monocolor_easy"), svg=VALID[:40])),
+}
+
+
+class TestAugmentFailureContract:
+    """``augment`` through ``cli.main``: each failing record is exactly one error
+    row, no exception escapes, exit 0 or 1, and the same bytes at ``--jobs 1`` and 2."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(sorted(_AUGMENT_ROWS)), min_size=1, max_size=6))
+    def test_one_error_row_per_failing_record(self, kinds):
+        rows = [_AUGMENT_ROWS[kind][1](f"r{i}") for i, kind in enumerate(kinds)]
+        ok = [_AUGMENT_ROWS[kind][0] for kind in kinds]
+        failing = [row.get("id") for good, row in zip(ok, rows) if not good]
+        valid = {row["id"] for good, row in zip(ok, rows) if good}
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            records = root / "records.jsonl"
+            records.write_text("".join(json.dumps(row) + "\n" for row in rows))
+            trees = []
+            for jobs in ("1", "2"):
+                out = root / f"j{jobs}"
+                code = main(["augment", str(records), "--out", str(out / "aug.jsonl"),
+                             "--variants", "2", "--seed", "4", "--jobs", jobs, "--quiet"])
+                assert code == (EXIT_PARTIAL if failing else EXIT_OK)
+                errors = out / "errors.jsonl"
+                if failing:
+                    assert [e["id"] for e in read_strict_jsonl(errors)] == failing
+                else:
+                    assert not errors.exists()
+                sources = {row["augmented_from"] for row in read_strict_jsonl(out / "aug.jsonl")}
+                assert sources <= valid
                 trees.append(tree(out))
             assert trees[0] == trees[1]
 
