@@ -531,25 +531,26 @@ def run_verify(
 
     rows = []
     worst_id, worst_dev = None, -1.0
-    failures = 0
+    failures = errors = 0
     for rel, (result, error) in zip(files, _each(work, files, jobs)):
         rid = file_id(rel)
-        passed, worst = (False, math.inf) if error else (result.passed, result.worst)
-        row = {"id": rid, "pass": passed, "worst_path_deviation": None if error else worst}
         if error:
-            row["error"] = error
-        rows.append(row)
-        if not passed:
+            errors += 1
+            rows.append({"id": rid, "pass": False, "worst_path_deviation": None, "error": error})
+            continue
+        rows.append({"id": rid, "pass": result.passed, "worst_path_deviation": result.worst})
+        if not result.passed:
             failures += 1
-            if worst > worst_dev:
-                worst_id, worst_dev = rid, worst
+            if result.worst > worst_dev:
+                worst_id, worst_dev = rid, result.worst
     if out_path is not None:
         _write_jsonl(Path(out_path), rows)
-    if failures:
-        log.error(
-            "verification failed for %d/%d files; worst offender %s at %.6g",
-            failures, len(rows), worst_id, worst_dev,
-        )
+    if failures or errors:
+        why = [f"worst offender {worst_id} at {worst_dev:.6g}"] if failures else []
+        if errors:
+            why.append(f"{errors} could not be checked")
+        log.error("verification failed for %d/%d files; %s",
+                  failures + errors, len(rows), "; ".join(why))
         return EXIT_VERIFY_FAILED
     log.info("verified %d files within tolerance %g", len(rows), tolerance)
     return EXIT_OK

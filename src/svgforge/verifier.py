@@ -26,6 +26,23 @@ or ``KAPPA`` quarters; the converted side is flattened by adaptive
 subdivision; transforms and the canvas map are applied to the samples
 rather than flattened into coordinates; and the distance kernel is this
 module's own.
+
+The kernel holds at most ``PAIR_BUDGET`` point-segment pairs at a time,
+so memory stays bounded whatever a drawable's segment count. When every
+pair fits, it measures all of them at once. Otherwise it splits the points
+into even contiguous chunks of at most ``PAIR_BUDGET // segments`` points
+and measures each chunk against the segments that can hold a nearest one.
+That culling is exact. Every chunk point lies in the chunk's bounding box.
+So no chunk point is farther from segment ``j`` than ``U_j``, the distance
+from the box corner farthest from either endpoint of ``j`` to that
+endpoint. No chunk point is nearer to ``j`` than the gap between the
+chunk's box and ``j``'s box. Each point's nearest segment is therefore
+within ``U = min_j U_j``, and a segment whose gap exceeds ``U`` is nearest
+to no point of the chunk. The test allows a slack of ``_CULL_ULPS`` ulps
+of the coordinate scale, above the rounding of the compared distances, so
+rounding can only keep more segments. Each kept pair is computed with
+the same operations in the same order as the all-at-once call, so the
+distances, the worst one and its point are the same to the bit.
 """
 
 from __future__ import annotations
@@ -56,6 +73,14 @@ from .normalizer import (
 DEFAULT_TOLERANCE = 0.5
 #: Analytic samples per segment, and per 90-degree span of an arc, on the original side.
 SAMPLES_PER_SPAN = 64
+#: Most point-segment pairs the distance kernel holds at once (about 1 MB per array).
+PAIR_BUDGET = 1 << 17
+# Culling slack in ulps of the coordinate scale; rounding moves the compared
+# distances by at most about 22.
+_CULL_ULPS = 64
+# Coordinate scales whose squared differences neither overflow nor lose the
+# slack's digits to underflow; outside it every segment is kept.
+_CULL_SCALE = (1e-100, 1e100)
 
 
 def check_tolerance(tolerance: float) -> None:
@@ -262,16 +287,69 @@ def _arrays(polys: list[Polyline]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return points, points[i], points[i + 1]
 
 
+def _min_dist2(x, y, ax, ay, dx, dy, len2) -> np.ndarray:
+    """Min squared distance from each point (x_i, y_i) to any segment a_j + t d_j.
+
+    Each pair is computed on separate x and y planes, with the same
+    operations in the same order as a dot product over (x, y) followed by a
+    two-term norm, so squared distances round the same either way.
+    """
+    px, py = x[:, None], y[:, None]
+    t = (px - ax) * dx
+    t += (py - ay) * dy
+    t /= len2
+    np.clip(t, 0.0, 1.0, out=t)
+    ex = px - (ax + t * dx)
+    ey = py - (ay + t * dy)
+    ex *= ex
+    ey *= ey
+    ex += ey
+    return ex.min(axis=1)
+
+
 def _dist_points_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min distance from each point to any segment [a_j, b_j]."""
-    d = b - a                                    # (m, 2)
-    len2 = np.einsum("ij,ij->i", d, d)           # (m,)
-    len2 = np.where(len2 < 1e-30, 1.0, len2)
-    diff = points[:, None, :] - a[None, :, :]    # (n, m, 2)
-    t = np.clip(np.einsum("nmj,mj->nm", diff, d) / len2, 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-    dist = np.linalg.norm(points[:, None, :] - proj, axis=2)
-    return dist.min(axis=1)
+    """Min distance from each point to any segment [a_j, b_j].
+
+    At most ``PAIR_BUDGET`` point-segment pairs are held at a time: the
+    points are split into even contiguous chunks, and each chunk is measured
+    only against the segments that may hold one of its points' nearest (see
+    the module docstring for why that loses nothing).
+    """
+    n, m = len(points), len(a)
+    x, y = points[:, 0], points[:, 1]
+    ax, ay = a[:, 0], a[:, 1]
+    bx, by = b[:, 0], b[:, 1]
+    dx, dy = bx - ax, by - ay
+    len2 = dx * dx + dy * dy
+    len2[len2 < 1e-30] = 1.0
+    rows = max(1, PAIR_BUDGET // m)
+    if n <= rows:
+        return np.sqrt(_min_dist2(x, y, ax, ay, dx, dy, len2))
+
+    scale = np.abs(np.concatenate([points, a, b])).max()
+    cull = _CULL_SCALE[0] <= scale <= _CULL_SCALE[1]  # also False for inf and NaN
+    slack = _CULL_ULPS * np.finfo(np.float64).eps * scale
+    lo_x, hi_x = np.minimum(ax, bx), np.maximum(ax, bx)
+    lo_y, hi_y = np.minimum(ay, by), np.maximum(ay, by)
+    out = np.empty(n)
+    chunks = -(-n // rows)
+    bounds = [i * n // chunks for i in range(chunks + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        cx, cy = x[lo:hi], y[lo:hi]
+        keep = slice(None)
+        if cull:
+            x0, x1, y0, y1 = cx.min(), cx.max(), cy.min(), cy.max()
+            # no chunk point is farther from segment j than the box corner
+            # farthest from either endpoint is from that endpoint
+            far_a = np.maximum(ax - x0, x1 - ax) ** 2 + np.maximum(ay - y0, y1 - ay) ** 2
+            far_b = np.maximum(bx - x0, x1 - bx) ** 2 + np.maximum(by - y0, y1 - by) ** 2
+            upper = np.sqrt(np.maximum(far_a, far_b).min())
+            # nor nearer to it than the gap between the chunk's box and its box
+            gap_x = np.maximum(np.maximum(lo_x - x1, x0 - hi_x), 0.0)
+            gap_y = np.maximum(np.maximum(lo_y - y1, y0 - hi_y), 0.0)
+            keep = np.flatnonzero(np.sqrt(gap_x * gap_x + gap_y * gap_y) <= upper + slack)
+        out[lo:hi] = _min_dist2(cx, cy, ax[keep], ay[keep], dx[keep], dy[keep], len2[keep])
+    return np.sqrt(out)
 
 
 def _one_sided(pts: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[float, Point]:

@@ -9,6 +9,7 @@ random, independent of the code under test.
 
 from __future__ import annotations
 
+import math
 import random
 from pathlib import Path
 
@@ -199,6 +200,24 @@ def full_corpus() -> dict[str, str]:
     corpus = dict(HANDCRAFTED)
     corpus.update(generated_icons())
     return corpus
+
+
+def curved_icon(segments: int = 150) -> str:
+    """One closed single-path scalloped ring of ``segments`` quadratic curves.
+
+    Each curve runs between points 38 units from the center of a 96-unit
+    box, with its control point 43 units out, and the last ends exactly where
+    the first starts.
+    """
+    step = 2 * math.pi / segments
+
+    def at(r: float, a: float) -> str:
+        return f"{48 + r * math.cos(a):.2f} {48 + r * math.sin(a):.2f}"
+
+    d = [f"M{at(38, 0)}"]
+    d += [f"Q{at(43, (i - 0.5) * step)} {at(38, i * step)}"
+          for i in range(1, segments + 1)]
+    return f'<svg viewBox="0 0 96 96"><path d="{"".join(d)}" fill="#264653"/></svg>'
 
 
 def write_corpus(directory: Path, corpus: dict[str, str]) -> None:

@@ -498,6 +498,32 @@ class TestVerifyRuns:
         assert rows[0]["error"].startswith("UnicodeDecodeError")
         assert rows[1]["pass"] and "error" not in rows[1]
 
+    def test_summary_keeps_error_rows_apart_from_worst_deviation(self, tmp_path, caplog):
+        raw, normalized = tmp_path / "raw", tmp_path / "norm"
+        raw.mkdir()
+        square = '<svg viewBox="0 0 1024 1024"><path d="M{x} 0L{w} 0L{w} 100L{x} 100Z"/></svg>'
+        (raw / "a.svg").write_text(square.format(x=0, w=100))
+        run_normalize(raw, normalized)
+        (raw / "a.svg").write_text(square.format(x=3, w=103))  # 3 units from its NORM file
+        (raw / "b.svg").write_bytes(b"\xff\xfe")
+        report = tmp_path / "verify.jsonl"
+        with caplog.at_level("ERROR", logger="svgforge"):
+            assert run_verify(raw, normalized, 0.5, report) == EXIT_VERIFY_FAILED
+        assert [r.getMessage() for r in caplog.records] == [
+            "verification failed for 2/2 files; worst offender a at 3; 1 could not be checked"
+        ]
+        a, b = read_strict_jsonl(report)
+        assert a == {"id": "a", "pass": False, "worst_path_deviation": 3.0}
+        assert b["pass"] is False and b["worst_path_deviation"] is None
+        assert b["error"].startswith("UnicodeDecodeError")
+        caplog.clear()
+        (raw / "a.svg").unlink()
+        with caplog.at_level("ERROR", logger="svgforge"):
+            assert run_verify(raw, normalized, 0.5) == EXIT_VERIFY_FAILED
+        assert [r.getMessage() for r in caplog.records] == [
+            "verification failed for 1/1 files; 1 could not be checked"
+        ]
+
 
     def test_unnormalized_norm_file_is_an_error_row(self, tmp_path):
         raw, normalized = tmp_path / "raw", tmp_path / "norm"

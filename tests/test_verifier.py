@@ -1,7 +1,17 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpus import curved_icon
+from svgforge import verifier
 from svgforge.errors import PathCountMismatch, ValidationError
 from svgforge.model import (
     CubicTo,
@@ -322,3 +332,108 @@ class TestVerifyNormalization:
             devs.append(set_deviation([flat], true_curve).max_deviation)
         assert devs[0] >= devs[1] >= devs[2]
         assert devs[2] < 1e-2
+
+
+def _dense_reference(points, a, b):
+    """The whole (points x segments x 2) distance kernel the chunked one must match."""
+    d = b - a
+    len2 = np.einsum("ij,ij->i", d, d)
+    len2 = np.where(len2 < 1e-30, 1.0, len2)
+    diff = points[:, None, :] - a[None, :, :]
+    t = np.clip(np.einsum("nmj,mj->nm", diff, d) / len2, 0.0, 1.0)
+    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
+    dist = np.linalg.norm(points[:, None, :] - proj, axis=2)
+    return dist.min(axis=1)
+
+
+# small integers give duplicate points, zero-length segments and tied maxima
+_coord = st.one_of(st.integers(-3, 3).map(float), st.floats(-40, 40, allow_subnormal=False))
+_chain = st.tuples(
+    st.lists(st.tuples(_coord, _coord), min_size=2, max_size=10),
+    st.sampled_from([(0.0, 0.0), (1e3, 0.0), (-2e5, 7e5)]),  # far-apart chains
+)
+
+
+def _chain_arrays(chains):
+    points, starts, ends = [], [], []
+    for pts, (ox, oy) in chains:
+        moved = [(x + ox, y + oy) for x, y in pts]
+        points += moved
+        starts += moved[:-1]
+        ends += moved[1:]
+    return np.array(points), np.array(starts), np.array(ends)
+
+
+class TestDistanceKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_chain, min_size=1, max_size=4), st.lists(_chain, min_size=1, max_size=4),
+           st.integers(1, 40))
+    def test_chunked_kernel_matches_dense(self, chains_p, chains_s, budget):
+        points, _, _ = _chain_arrays(chains_p)
+        _, a, b = _chain_arrays(chains_s)
+        want = _dense_reference(points, a, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verifier, "PAIR_BUDGET", budget)
+            got = verifier._dist_points_to_segments(points, a, b)
+            worst, where = verifier._one_sided(points, a, b)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+        i = int(np.argmax(want))
+        assert int(np.argmax(got)) == i
+        assert worst.hex() == float(want[i]).hex()
+        assert where == Point(float(points[i, 0]), float(points[i, 1]))
+
+    def test_budget_splits_points_evenly(self, monkeypatch):
+        # 257 points against 256 segments, the shape of a grid icon, with a budget
+        # of 256 rows per chunk: two chunks of 128 and 129, never 256 and 1
+        seen = []
+        real = verifier._min_dist2
+
+        def spy(x, *rest):
+            seen.append(len(x))
+            return real(x, *rest)
+
+        monkeypatch.setattr(verifier, "_min_dist2", spy)
+        monkeypatch.setattr(verifier, "PAIR_BUDGET", 256 * 256)
+        t = np.linspace(0.0, 1.0, 257)
+        verifier._dist_points_to_segments(np.c_[t, t], np.c_[t[:-1], 0 * t[:-1]], np.c_[t[1:], 0 * t[1:]])
+        assert seen == [128, 129]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 1e300])
+    def test_out_of_scale_coordinates_match_dense(self, monkeypatch, bad):
+        monkeypatch.setattr(verifier, "PAIR_BUDGET", 8)
+        points = np.array([[0.0, 0.0], [1.0, 2.0], [5.0, 5.0], [9.0, 1.0], [3.0, 3.0]])
+        chain = np.array([[0.0, 1.0], [4.0, 4.0], [bad, 2.0], [8.0, 8.0], [2.0, 0.0]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _dense_reference(points, chain[:-1], chain[1:])
+            got = verifier._dist_points_to_segments(points, chain[:-1], chain[1:])
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+    def test_one_chunk_is_not_culled(self, monkeypatch):
+        seen = []
+        real = verifier._min_dist2
+        monkeypatch.setattr(verifier, "_min_dist2", lambda *a: seen.append(len(a[2])) or real(*a))
+        a = np.array([[0.0, 0.0], [100.0, 0.0]])
+        verifier._dist_points_to_segments(np.array([[0.0, 1.0], [1.0, 1.0]]), a, a + 1.0)
+        assert seen == [2]
+
+
+def test_long_curve_verifies_in_bounded_memory():
+    """A closed 150-segment curve: the whole pair matrix would need about 5 GB."""
+    script = (
+        "import json, resource, sys\n"
+        "from svgforge import normalize_document, parse_document, verify_normalization\n"
+        "raw, _ = parse_document(sys.stdin.read())\n"
+        "norm, _ = normalize_document(raw)\n"
+        "result = verify_normalization(raw, norm)\n"
+        "print(json.dumps({'passed': result.passed, 'worst': result.worst,\n"
+        "                  'maxrss_kb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], input=curved_icon(150), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["passed"], out
+    assert out["maxrss_kb"] < 150 * 1024, out
