@@ -7,6 +7,8 @@ Outputs are deterministic for fixed inputs, flags and seeds, and
 byte-identical at any ``jobs`` level. Only ``verify`` uses ``jobs``
 threads, because its numpy kernel releases the interpreter lock; the rest
 is pure Python, where a second thread measured slower (README, "CLI").
+The verifier, and numpy with it, is imported only when ``run_verify``
+runs or ``verify_normalization`` is read from this module.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import hashlib
 import json
 import logging
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
@@ -23,11 +26,10 @@ from typing import get_type_hints
 from .augment import AugmentSpec, replace_colors, swap_paths
 from .classifier import classify
 from .errors import NotNormalized, SchemaError, SvgForgeError, ValidationError
-from .model import DifficultyLevel, Document
+from .model import DEFAULT_TOLERANCE, DifficultyLevel, Document, check_tolerance
 from .normalizer import NormalizeReport, normalize_document
 from .parser import parse_document, serialize_document
 from .rewards import RewardParams, total_reward
-from .verifier import DEFAULT_TOLERANCE, check_tolerance, verify_normalization
 
 log = logging.getLogger("svgforge")
 
@@ -35,6 +37,16 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_USAGE = 2
 EXIT_VERIFY_FAILED = 3
+
+
+def __getattr__(name: str):
+    # PEP 562: ``verify_normalization`` loads the verifier on first read
+    if name == "verify_normalization":
+        from .verifier import verify_normalization
+
+        return verify_normalization
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: The ops ``run_augment`` knows, in the order it applies them.
 AUGMENT_OPS = ("recolor", "swap")
@@ -413,13 +425,16 @@ def run_score(
 
     A pair that lacks a field, whose reference fails integrity or whose
     reward is not finite becomes a row in the sidecar errors.jsonl (exit 1).
+    Each distinct text, reference or rollout, is parsed and normalized once
+    per call: ``counts`` keeps its path count for the rows after it.
     """
     rows = _read_jsonl(Path(pairs_path))
+    counts: dict[str, int | str] = {}
 
     def work(line: tuple[str, dict]) -> list[dict]:
         where, row = line
         _check_record(row, where, _PAIR_FIELDS)
-        r = total_reward(row["generated"], row["reference"], params)
+        r = total_reward(row["generated"], row["reference"], params, counts=counts)
         if not math.isfinite(r.total):
             raise ValidationError(f"reward total {r.total} is not finite")
         return [dict(
@@ -514,6 +529,9 @@ def run_verify(
     :class:`ValidationError` before any file is read.
     """
     check_tolerance(tolerance)
+    # read from the module at call time, so a patched or traced
+    # pipeline.verify_normalization is the one that runs
+    verify = sys.modules[__name__].verify_normalization
     raw_dir, normalized_dir = Path(raw_dir), Path(normalized_dir)
     if not raw_dir.is_dir() or not normalized_dir.is_dir():
         log.error("both directories must exist")
@@ -527,7 +545,7 @@ def run_verify(
         norm_doc, _ = _load(norm_text)
         if serialize_document(norm_doc) != norm_text.strip():
             raise NotNormalized(f"{rel.as_posix()} differs from its normalized form")
-        return verify_normalization(raw_doc, norm_doc, tolerance)
+        return verify(raw_doc, norm_doc, tolerance)
 
     rows = []
     worst_id, worst_dev = None, -1.0

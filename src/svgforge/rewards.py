@@ -12,8 +12,13 @@ semantics implements the described behavior,
 ``beta*exp(-gamma*max(0, N_gt - N))``; ``LITERAL_FORMULA`` evaluates the
 printed expression verbatim for comparison experiments.
 
-All functions are pure and stateless; batches may be scored from any
-number of threads.
+The functions keep no state of their own. A batch that scores many
+rollouts against few references can pass :func:`total_reward` a
+``counts`` dict that it owns, from each text to its path count or its
+integrity failure, so each distinct text is parsed and normalized once;
+the dict holds one entry per distinct text, so it is bounded by the
+caller's batch and freed with it. Without one, batches may be scored from
+any number of threads.
 """
 
 from __future__ import annotations
@@ -107,16 +112,43 @@ def match_reward(
     return total_reward(generated, reference, params).match
 
 
+def _counted(text: str, counts: dict[str, int | str] | None) -> int:
+    """:func:`path_count` of ``text``, looked up in ``counts`` first and
+    stored there after. A failure is stored as its message and raised as a
+    new :class:`Unparseable` each time. Only ``str`` keys are stored: other
+    values fail integrity anyway, and ``1`` and ``True`` would share one."""
+    if counts is None or type(text) is not str:
+        return path_count(text)
+    found = counts.get(text)
+    if found is None:
+        try:
+            found = path_count(text)
+        except Unparseable as exc:
+            found = str(exc)
+        counts[text] = found
+    if type(found) is str:
+        raise Unparseable(found)
+    return found
+
+
 def total_reward(
-    generated: str, reference: str, params: RewardParams = RewardParams()
+    generated: str,
+    reference: str,
+    params: RewardParams = RewardParams(),
+    *,
+    counts: dict[str, int | str] | None = None,
 ) -> RewardBreakdown:
-    """Integrity plus match reward with the full breakdown."""
+    """Integrity plus match reward with the full breakdown.
+
+    ``counts``, when given, is the caller's memo of path counts by text
+    (see the module docstring); the breakdown is the same with or without it.
+    """
     try:
-        n_ref = path_count(reference)
+        n_ref = _counted(reference, counts)
     except Unparseable as exc:
         raise InvalidReference(f"reference failed integrity: {exc}") from None
     try:
-        n_gen = path_count(generated)
+        n_gen = _counted(generated, counts)
         flag = 1
     except Unparseable:
         n_gen = 0

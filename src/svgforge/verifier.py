@@ -53,13 +53,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PathCountMismatch, ValidationError
-from .model import (
+from .model import (  # DEFAULT_TOLERANCE and check_tolerance are re-exported
+    DEFAULT_TOLERANCE,
     AffineTransform,
     Document,
     Drawable,
     PathElement,
     Point,
     ShapeElement,
+    check_tolerance,
 )
 from .normalizer import (
     arc_center,
@@ -70,7 +72,6 @@ from .normalizer import (
     shape_segments,
 )
 
-DEFAULT_TOLERANCE = 0.5
 #: Analytic samples per segment, and per 90-degree span of an arc, on the original side.
 SAMPLES_PER_SPAN = 64
 #: Most point-segment pairs the distance kernel holds at once (about 1 MB per array).
@@ -81,12 +82,6 @@ _CULL_ULPS = 64
 # Coordinate scales whose squared differences neither overflow nor lose the
 # slack's digits to underflow; outside it every segment is kept.
 _CULL_SCALE = (1e-100, 1e100)
-
-
-def check_tolerance(tolerance: float) -> None:
-    """Raise :class:`ValidationError` unless ``tolerance`` is finite and positive."""
-    if not (tolerance > 0 and math.isfinite(tolerance)):
-        raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
 
 
 @dataclass(frozen=True)
@@ -140,16 +135,30 @@ class VerificationResult:
 
 
 def _flatness(p0: Point, c1: Point, c2: Point, p1: Point) -> float:
-    # max control-point distance to the chord p0-p1
-    dx, dy = p1.x - p0.x, p1.y - p0.y
+    # max control-point distance to the chord segment p0-p1: the curve lies in
+    # the hull of its control points, so it is no farther from the chord. The
+    # segment, not its line, so a curve that turns back beyond an endpoint is
+    # not taken for its chord.
+    x0, y0 = p0
+    x1, y1 = p1
+    dx, dy = x1 - x0, y1 - y0
     norm = math.hypot(dx, dy)
     if norm < 1e-30:
-        return max(math.hypot(c1.x - p0.x, c1.y - p0.y),
-                   math.hypot(c2.x - p0.x, c2.y - p0.y))
-    return max(
-        abs(dx * (p0.y - c1.y) - dy * (p0.x - c1.x)),
-        abs(dx * (p0.y - c2.y) - dy * (p0.x - c2.x)),
-    ) / norm
+        return max(math.hypot(c1.x - x0, c1.y - y0), math.hypot(c2.x - x0, c2.y - y0))
+    len2 = dx * dx + dy * dy
+    worst = 0.0
+    for cx, cy in (c1, c2):
+        ex, ey = cx - x0, cy - y0
+        along = dx * ex + dy * ey
+        if along < 0.0:
+            d = math.hypot(ex, ey)
+        elif along > len2:
+            d = math.hypot(cx - x1, cy - y1)
+        else:
+            d = abs(dx * ey - dy * ex) / norm
+        if d > worst:
+            worst = d
+    return worst
 
 
 def _split_cubic(p0, c1, c2, p1):

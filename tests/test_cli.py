@@ -3,10 +3,14 @@
 import inspect
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import svgforge
 from svgforge import pipeline
 from svgforge.cli import main
 from svgforge.pipeline import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE
@@ -212,3 +216,43 @@ def test_out_named_like_the_errors_sidecar_is_usage_error(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert f"svgforge: output {out} has the name of the errors.jsonl sidecar" in err
     assert ran == [] and not out.parent.exists()
+
+
+# Runs in a fresh interpreter: build and score must not load numpy, and the
+# verifier names must still be served, loading it, once something verifies.
+_NUMPY_PROBE = """
+import json, sys
+from pathlib import Path
+import svgforge.cli
+from svgforge.cli import main
+d = Path(sys.argv[1])
+codes = [
+    main(["normalize", str(d / "raw"), str(d / "norm"), "--quiet"]),
+    main(["classify", str(d / "norm"), "--out", str(d / "rec.jsonl"), "--quiet"]),
+    main(["score", str(d / "pairs.jsonl"), "--out", str(d / "scored.jsonl"), "--quiet"]),
+]
+unverified = "numpy" in sys.modules
+import svgforge
+from svgforge import verify_normalization
+served = [name for name in svgforge.__all__ if getattr(svgforge, name) is not None]
+codes.append(main(["verify", str(d / "raw"), str(d / "norm"), "--quiet"]))
+print(json.dumps({"codes": codes, "unverified": unverified, "served": served,
+                  "verified": "numpy" in sys.modules}))
+"""
+
+
+def test_numpy_loads_only_to_verify(tmp_path):
+    (tmp_path / "raw").mkdir()
+    (tmp_path / "raw" / "a.svg").write_text(
+        '<svg viewBox="0 0 24 24"><circle cx="12" cy="12" r="9" fill="#f00"/></svg>')
+    (tmp_path / "pairs.jsonl").write_text(json.dumps(
+        {"id": "p", "generated": "<svg", "reference": VALID}) + "\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, str(tmp_path)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "codes": [EXIT_OK] * 4, "unverified": False, "served": svgforge.__all__, "verified": True,
+    }

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import colored_icons, write_corpus
-from svgforge import pipeline
+from svgforge import pipeline, rewards
 from svgforge.augment import AugmentSpec
 from svgforge.cli import main
-from svgforge.errors import SchemaError, ValidationError
+from svgforge.errors import InvalidReference, SchemaError, ValidationError
 from svgforge.pipeline import (
     DEFAULT_EPOCHS,
     EXIT_OK,
@@ -30,7 +30,7 @@ from svgforge.pipeline import (
     run_verify,
 )
 from svgforge.parser import parse_document
-from svgforge.rewards import RewardParams
+from svgforge.rewards import RewardParams, total_reward
 
 VALID = '<svg viewBox="0 0 1024 1024"><path d="M0 0L10 10" fill="#ff0000"/></svg>'
 
@@ -396,6 +396,78 @@ class TestScore:
         assert len(read_jsonl(out)) == 1
         errors = read_jsonl(tmp_path / "errors.jsonl")
         assert errors[0]["id"] == "bad"
+
+    @staticmethod
+    def _count_calls(monkeypatch) -> list:
+        """The texts ``rewards.path_count`` is called with, from now on."""
+        counted = []
+        real = rewards.path_count
+
+        def counting(text):
+            counted.append(text)
+            return real(text)
+
+        monkeypatch.setattr(rewards, "path_count", counting)
+        return counted
+
+    @staticmethod
+    def _per_row(rows):
+        """The scored rows and error rows of per-row ``total_reward`` with no dict."""
+        scored, errors = [], []
+        for row in rows:
+            try:
+                r = total_reward(row["generated"], row["reference"])
+            except InvalidReference as exc:
+                errors.append({"id": row["id"], "error": f"InvalidReference: {exc}"})
+                continue
+            scored.append(dict(row, integrity=r.integrity, match=r.match, total=r.total,
+                               n_generated=r.n_generated, n_reference=r.n_reference))
+        return scored, errors
+
+    def test_each_distinct_text_is_counted_once(self, tmp_path, monkeypatch):
+        two = ('<svg viewBox="0 0 1024 1024"><path d="M0 0L10 10" fill="#ff0000"/>'
+               '<path d="M5 5L9 1C1 2 3 4 5 6"/></svg>')
+        truncated = VALID[:30]
+        rows = [
+            {"id": "a1", "generated": VALID, "reference": VALID},
+            {"id": "a2", "generated": truncated, "reference": VALID},
+            {"id": "a3", "generated": truncated, "reference": VALID},
+            {"id": "a4", "generated": two, "reference": VALID},
+            {"id": "b1", "generated": VALID, "reference": two},
+            {"id": "c1", "generated": VALID, "reference": "<svg"},
+            {"id": "c2", "generated": two, "reference": "<svg"},
+            {"id": "a5", "generated": "<svg", "reference": VALID},
+        ]
+        expected_rows, expected_errors = self._per_row(rows)
+        assert [e["id"] for e in expected_errors] == ["c1", "c2"]
+        assert expected_errors[0]["error"] == expected_errors[1]["error"]
+        assert expected_errors[0]["error"].startswith(
+            "InvalidReference: reference failed integrity: ")
+
+        counted = self._count_calls(monkeypatch)
+        out = tmp_path / "scored.jsonl"
+        assert run_score(self._pairs(tmp_path, rows), out) == EXIT_PARTIAL
+        assert sorted(counted) == sorted({VALID, truncated, two, "<svg"})
+        assert read_strict_jsonl(out) == expected_rows
+        assert read_strict_jsonl(tmp_path / "errors.jsonl") == expected_errors
+
+    def test_non_string_texts_score_as_per_row(self, tmp_path):
+        # 1, True and 1.0 are equal dict keys, yet their integrity messages differ
+        rows = [{"id": f"p{i}", "generated": value, "reference": ref}
+                for i, (value, ref) in enumerate([(1, VALID), (True, VALID), (VALID, 1),
+                                                  (VALID, True), (VALID, 1.0), (VALID, None)])]
+        expected_rows, expected_errors = self._per_row(rows)
+        assert len({e["error"] for e in expected_errors}) == 4
+        out = tmp_path / "scored.jsonl"
+        assert run_score(self._pairs(tmp_path, rows), out) == EXIT_PARTIAL
+        assert read_strict_jsonl(out) == expected_rows
+        assert read_strict_jsonl(tmp_path / "errors.jsonl") == expected_errors
+
+    def test_total_reward_without_a_dict_counts_the_reference_every_call(self, monkeypatch):
+        counted = self._count_calls(monkeypatch)
+        for _ in range(3):
+            total_reward(VALID, VALID)
+        assert counted == [VALID] * 6
 
 
 class TestAugment:

@@ -70,6 +70,14 @@ class TestFlattenCubic:
         with pytest.raises(ValidationError):
             flatten_cubic(Point(0, 0), Point(1, 1), Point(2, 2), Point(3, 3), 0)
 
+    def test_hairpin_is_not_its_chord(self):
+        # the control points lie on the chord's line but beyond its end, so
+        # the curve x(t) = 12t(1-t) + t^3 runs out past x = 3 and back to 1
+        out = flatten_cubic(Point(0, 0), Point(4, 0), Point(4, 0), Point(1, 0), 1e-3)
+        farthest = max(12 * t * (1 - t) + t ** 3 for t in (i / 10000 for i in range(10001)))
+        assert farthest > 3
+        assert max(p.x for p in out.points) >= farthest - 1e-3
+
     def test_nan_tolerance_is_rejected(self):
         # a NaN is never <= 0, and no piece is ever within it: this would split 2**24 times
         with pytest.raises(ValidationError):
@@ -235,6 +243,15 @@ class TestVerifyNormalization:
             '<svg viewBox="0 0 1024 1024"><circle cx="512" cy="512" r="500" fill="#000"/></svg>'
         )
         assert verify_normalization(doc, norm, 0.5).passed
+
+    def test_hairpin_quadratic_passes(self):
+        # the quadratic turns back along its own chord's line; flattened as
+        # that chord it read 10.35 units off
+        doc, norm = self._roundtrip(
+            '<svg viewBox="0 0 100 100"><path d="M10 10L29.8 44.3q-17.6 -26.4 0.4 0.6Z"/></svg>'
+        )
+        result = verify_normalization(doc, norm, 0.5)
+        assert result.passed and result.worst < 0.05
 
     def test_tiny_tolerance_fails_on_curves(self):
         doc, norm = self._roundtrip(
