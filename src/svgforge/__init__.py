@@ -55,26 +55,17 @@ from .rewards import (
     path_count,
     total_reward,
 )
-
-__version__ = "0.1.0"
-
-# served on first read (PEP 562), so importing svgforge does not load numpy
-_VERIFIER_NAMES = (
-    "DeviationReport", "Polyline", "VerificationResult", "flatten_cubic",
-    "max_deviation", "sample_outline", "verify_normalization",
+from .verifier import (
+    DeviationReport,
+    Polyline,
+    VerificationResult,
+    flatten_cubic,
+    max_deviation,
+    sample_outline,
+    verify_normalization,
 )
 
-
-def __getattr__(name: str):
-    if name in _VERIFIER_NAMES:
-        from . import verifier
-
-        return getattr(verifier, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_VERIFIER_NAMES})
+__version__ = "0.1.0"
 
 __all__ = [
     "AffineTransform", "AugmentSpec", "Classification", "ColorCategory",

@@ -23,8 +23,8 @@ from pathlib import Path
 from . import pipeline
 from .augment import AugmentSpec
 from .errors import SchemaError, SvgForgeError, ValidationError
-from .model import DEFAULT_TOLERANCE
 from .rewards import MatchSemantics, RewardParams
+from .verifier import DEFAULT_TOLERANCE
 
 ENV_PREFIX = "SVGFORGE_"
 

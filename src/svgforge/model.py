@@ -31,15 +31,6 @@ PARAM_COUNTS = {
 #: Indices of the large-arc / sweep flags inside one arc parameter group.
 ARC_FLAG_INDICES = (3, 4)
 
-#: Largest deviation from the source geometry that verification allows, in canvas units.
-DEFAULT_TOLERANCE = 0.5
-
-
-def check_tolerance(tolerance: float) -> None:
-    """Raise :class:`ValidationError` unless ``tolerance`` is finite and positive."""
-    if not (tolerance > 0 and math.isfinite(tolerance)):
-        raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
-
 
 class Point(NamedTuple):
     """A 2D point in canvas units (1024-unit canvas)."""

@@ -7,8 +7,7 @@ Outputs are deterministic for fixed inputs, flags and seeds, and
 byte-identical at any ``jobs`` level. Only ``verify`` uses ``jobs``
 threads, because its numpy kernel releases the interpreter lock; the rest
 is pure Python, where a second thread measured slower (README, "CLI").
-The verifier, and numpy with it, is imported only when ``run_verify``
-runs or ``verify_normalization`` is read from this module.
+Only the verifier's distance kernel imports numpy, on its first use.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import hashlib
 import json
 import logging
 import math
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
@@ -26,10 +24,11 @@ from typing import get_type_hints
 from .augment import AugmentSpec, replace_colors, swap_paths
 from .classifier import classify
 from .errors import NotNormalized, SchemaError, SvgForgeError, ValidationError
-from .model import DEFAULT_TOLERANCE, DifficultyLevel, Document, check_tolerance
+from .model import DifficultyLevel, Document
 from .normalizer import NormalizeReport, normalize_document
 from .parser import parse_document, serialize_document
 from .rewards import RewardParams, total_reward
+from .verifier import DEFAULT_TOLERANCE, check_tolerance, verify_normalization
 
 log = logging.getLogger("svgforge")
 
@@ -37,15 +36,6 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_USAGE = 2
 EXIT_VERIFY_FAILED = 3
-
-
-def __getattr__(name: str):
-    # PEP 562: ``verify_normalization`` loads the verifier on first read
-    if name == "verify_normalization":
-        from .verifier import verify_normalization
-
-        return verify_normalization
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: The ops ``run_augment`` knows, in the order it applies them.
@@ -162,6 +152,11 @@ def _write_jsonl(path: Path, rows: list[dict]) -> None:
             fh.write(json.dumps(row, ensure_ascii=False, allow_nan=False) + "\n")
 
 
+def _no_constant(name: str):
+    # json.loads takes NaN and Infinity, which no strict JSON output can echo
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _read_jsonl(path: Path) -> list[tuple[str, dict]]:
     """Each non-blank row of ``path`` with its ``"<path>:<line>"`` location."""
     rows = []
@@ -170,8 +165,8 @@ def _read_jsonl(path: Path) -> list[tuple[str, dict]]:
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
+                row = json.loads(line, parse_constant=_no_constant)
+            except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from None
             if not isinstance(row, dict):
                 raise SchemaError(f"{path}:{lineno}: row is not an object")
@@ -302,8 +297,12 @@ def _check_record(row: dict, where: str, required: dict = _REQUIRED_RECORD_FIELD
     for name, kind in required.items():
         if name not in row:
             raise SchemaError(f"{where}: missing field {name!r}")
-        if not isinstance(row[name], kind):
+        value = row[name]
+        # bool is an int subclass; the int fields are counts
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
             raise SchemaError(f"{where}: field {name!r} is not {kind.__name__}")
+        if kind is int and value < 0:
+            raise SchemaError(f"{where}: field {name!r} is negative")
 
 
 def _read_records(path: Path) -> list[dict]:
@@ -529,9 +528,6 @@ def run_verify(
     :class:`ValidationError` before any file is read.
     """
     check_tolerance(tolerance)
-    # read from the module at call time, so a patched or traced
-    # pipeline.verify_normalization is the one that runs
-    verify = sys.modules[__name__].verify_normalization
     raw_dir, normalized_dir = Path(raw_dir), Path(normalized_dir)
     if not raw_dir.is_dir() or not normalized_dir.is_dir():
         log.error("both directories must exist")
@@ -545,7 +541,7 @@ def run_verify(
         norm_doc, _ = _load(norm_text)
         if serialize_document(norm_doc) != norm_text.strip():
             raise NotNormalized(f"{rel.as_posix()} differs from its normalized form")
-        return verify(raw_doc, norm_doc, tolerance)
+        return verify_normalization(raw_doc, norm_doc, tolerance)
 
     rows = []
     worst_id, worst_dev = None, -1.0

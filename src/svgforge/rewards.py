@@ -12,6 +12,12 @@ semantics implements the described behavior,
 ``beta*exp(-gamma*max(0, N_gt - N))``; ``LITERAL_FORMULA`` evaluates the
 printed expression verbatim for comparison experiments.
 
+Integrity follows the paper's reward: a text that parses and normalizes
+scores 1 even when the parser warned on the way (an ignored ``transform``,
+a dropped foreign element or a bad shape attribute). The warnings say how
+the text was read, not whether it is well formed; ``TestSilentDecisions``
+in ``tests/test_normalizer.py`` pins that they leave integrity at 1.
+
 The functions keep no state of their own. A batch that scores many
 rollouts against few references can pass :func:`total_reward` a
 ``counts`` dict that it owns, from each text to its path count or its

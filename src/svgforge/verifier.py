@@ -27,12 +27,14 @@ subdivision; transforms and the canvas map are applied to the samples
 rather than flattened into coordinates; and the distance kernel is this
 module's own.
 
-The kernel holds at most ``PAIR_BUDGET`` point-segment pairs at a time,
-so memory stays bounded whatever a drawable's segment count. When every
-pair fits, it measures all of them at once. Otherwise it splits the points
-into even contiguous chunks of at most ``PAIR_BUDGET // segments`` points
-and measures each chunk against the segments that can hold a nearest one.
-That culling is exact. Every chunk point lies in the chunk's bounding box.
+The distance kernel is the only code in the package that uses numpy, and
+it imports numpy on first use, so importing svgforge, this module included,
+does not load it. The kernel holds at most ``PAIR_BUDGET`` point-segment
+pairs at a time, so memory stays bounded whatever a drawable's segment
+count. When every pair fits, it measures all of them at once. Otherwise
+it splits the points into even contiguous chunks of at most
+``PAIR_BUDGET // segments`` points and measures each chunk against the
+segments that can hold a nearest one. That culling is exact. Every chunk point lies in the chunk's bounding box.
 So no chunk point is farther from segment ``j`` than ``U_j``, the distance
 from the box corner farthest from either endpoint of ``j`` to that
 endpoint. No chunk point is nearer to ``j`` than the gap between the
@@ -49,19 +51,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import PathCountMismatch, ValidationError
-from .model import (  # DEFAULT_TOLERANCE and check_tolerance are re-exported
-    DEFAULT_TOLERANCE,
+from .model import (
     AffineTransform,
     Document,
     Drawable,
     PathElement,
     Point,
     ShapeElement,
-    check_tolerance,
 )
 from .normalizer import (
     arc_center,
@@ -72,6 +71,11 @@ from .normalizer import (
     shape_segments,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
+#: Largest deviation from the source geometry that verification allows, in canvas units.
+DEFAULT_TOLERANCE = 0.5
 #: Analytic samples per segment, and per 90-degree span of an arc, on the original side.
 SAMPLES_PER_SPAN = 64
 #: Most point-segment pairs the distance kernel holds at once (about 1 MB per array).
@@ -82,6 +86,12 @@ _CULL_ULPS = 64
 # Coordinate scales whose squared differences neither overflow nor lose the
 # slack's digits to underflow; outside it every segment is kept.
 _CULL_SCALE = (1e-100, 1e100)
+
+
+def check_tolerance(tolerance: float) -> None:
+    """Raise :class:`ValidationError` unless ``tolerance`` is finite and positive."""
+    if not (tolerance > 0 and math.isfinite(tolerance)):
+        raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
 
 
 @dataclass(frozen=True)
@@ -289,6 +299,8 @@ def sample_outline(source: Drawable, n_per_segment: int = 16) -> list[Polyline]:
 
 def _arrays(polys: list[Polyline]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The points of ``polys`` in order, and their segments' starts and ends."""
+    import numpy as np
+
     points = np.array([(p.x, p.y) for pl in polys for p in pl.points], dtype=np.float64)
     starts = np.ones(len(points), dtype=bool)
     starts[np.cumsum([len(pl) for pl in polys]) - 1] = False  # each chain's last point
@@ -307,7 +319,7 @@ def _min_dist2(x, y, ax, ay, dx, dy, len2) -> np.ndarray:
     t = (px - ax) * dx
     t += (py - ay) * dy
     t /= len2
-    np.clip(t, 0.0, 1.0, out=t)
+    t.clip(0.0, 1.0, out=t)
     ex = px - (ax + t * dx)
     ey = py - (ay + t * dy)
     ex *= ex
@@ -324,6 +336,8 @@ def _dist_points_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) -
     only against the segments that may hold one of its points' nearest (see
     the module docstring for why that loses nothing).
     """
+    import numpy as np
+
     n, m = len(points), len(a)
     x, y = points[:, 0], points[:, 1]
     ax, ay = a[:, 0], a[:, 1]
@@ -363,7 +377,7 @@ def _dist_points_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) -
 
 def _one_sided(pts: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[float, Point]:
     dists = _dist_points_to_segments(pts, starts, ends)
-    i = int(np.argmax(dists))
+    i = int(dists.argmax())
     return float(dists[i]), Point(float(pts[i, 0]), float(pts[i, 1]))
 
 

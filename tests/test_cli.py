@@ -190,6 +190,29 @@ class TestInputLines:
         assert main(["stats", str(records), "--quiet"]) == EXIT_USAGE
         assert f"{records}:2: missing field 'command_count'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("command_count", -5, "field 'command_count' is negative"),
+        ("path_count", -1, "field 'path_count' is negative"),
+        ("command_count", True, "field 'command_count' is not int"),
+    ], ids=["negative_command_count", "negative_path_count", "bool_command_count"])
+    def test_stats_rejects_a_bad_count(self, tmp_path, capsys, field, value, message):
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps(RECORD) + "\n" + json.dumps(dict(RECORD, **{field: value})))
+        assert main(["stats", str(records), "--quiet"]) == EXIT_USAGE
+        assert f"svgforge: {records}:2: {message}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_score_rejects_a_json_constant_before_writing(self, tmp_path, capsys, constant):
+        pairs = tmp_path / "pairs.jsonl"
+        rows = [json.dumps({"id": rid, "generated": VALID, "reference": VALID}) for rid in "abc"]
+        rows[1] = rows[1][:-1] + f', "temp": {constant}}}'
+        pairs.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "scored.jsonl"
+        assert main(["score", str(pairs), "--out", str(out), "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"svgforge: {pairs}:2: not valid JSON: {constant}"), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.jsonl"]
+
 
 def test_stats_with_empty_out_prints_the_summary(tmp_path, capsys):
     records = tmp_path / "records.jsonl"

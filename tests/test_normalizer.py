@@ -43,6 +43,7 @@ from svgforge.normalizer import (
     to_absolute,
 )
 from svgforge.parser import parse_document
+from svgforge.rewards import integrity_indicator
 from svgforge.verifier import sample_outline, verify_normalization
 
 
@@ -710,11 +711,14 @@ class TestSilentDecisions:
         ids=["bad_transform", "foreign", "nested_svg", "odd_points", "bad_width", "scale0"],
     )
     def test_warning_and_what_survives(self, body, warnings, paths, dropped):
-        doc, diag = parse_document(f'<svg viewBox="0 0 24 24">{body}</svg>')
+        text = f'<svg viewBox="0 0 24 24">{body}</svg>'
+        doc, diag = parse_document(text)
         assert [message for _, message in diag.warnings] == warnings
         norm, report = normalize_document(doc)
         assert len(norm.paths) == paths
         assert report.paths_dropped == dropped
+        # a parse warning does not cost the reward's integrity
+        assert integrity_indicator(text) == 1
 
     def test_ignored_transform_is_the_identity(self):
         doc, _ = parse_document(

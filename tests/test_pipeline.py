@@ -949,6 +949,8 @@ _AUGMENT_ROWS = {
     "no_id": (False, lambda rid: {k: v for k, v in record(rid, "Monocolor_easy").items()
                                   if k != "id"}),
     "bad_svg": (False, lambda rid: dict(record(rid, "Monocolor_easy"), svg=VALID[:40])),
+    "bool_count": (False, lambda rid: dict(record(rid, "Monocolor_easy"), command_count=True)),
+    "negative_count": (False, lambda rid: dict(record(rid, "Monocolor_easy"), path_count=-1)),
 }
 
 

@@ -454,3 +454,27 @@ def test_long_curve_verifies_in_bounded_memory():
     out = json.loads(proc.stdout)
     assert out["passed"], out
     assert out["maxrss_kb"] < 150 * 1024, out
+
+
+def test_numpy_loads_on_the_first_distance():
+    """Every public name imports, and sampling and flattening run, without numpy."""
+    script = (
+        "import json, sys\n"
+        "from svgforge import *\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "raw, _ = parse_document(sys.stdin.read())\n"
+        "sample_outline(raw.paths[0])\n"
+        "flatten_cubic(Point(0, 0), Point(0, 9), Point(9, 9), Point(9, 0), 0.01)\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "passed = verify_normalization(raw, normalize_document(raw)[0]).passed\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "print(json.dumps({'loaded': loaded, 'passed': passed}))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        input='<svg viewBox="0 0 24 24"><circle cx="12" cy="12" r="9" fill="#f00"/></svg>',
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"loaded": [False, False, True], "passed": True}
