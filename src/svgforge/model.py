@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import ClassVar, NamedTuple, Union
 
 from .errors import ValidationError
@@ -297,15 +298,16 @@ class PathElement:
     def __post_init__(self) -> None:
         if not self.commands:
             return
-        kinds = {isinstance(c, RawCommand) for c in self.commands}
+        # one pass in C per check: every path is built several times per run
+        kinds = {issubclass(t, RawCommand) for t in set(map(type, self.commands))}
         if len(kinds) > 1:
             raise ValidationError("cannot mix raw and normalized commands")
         if not kinds.pop():
-            if not isinstance(self.commands[0], MoveTo):
+            moves = bytes(map(isinstance, self.commands, repeat(MoveTo)))  # 1 per MoveTo
+            if not moves[0]:
                 raise ValidationError("first command must be MoveTo")
-            for prev, cur in zip(self.commands, self.commands[1:]):
-                if isinstance(prev, MoveTo) and isinstance(cur, MoveTo):
-                    raise ValidationError("consecutive MoveTo commands")
+            if b"\x01\x01" in moves:
+                raise ValidationError("consecutive MoveTo commands")
 
     @property
     def is_raw(self) -> bool:

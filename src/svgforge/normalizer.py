@@ -35,6 +35,7 @@ from .model import (
     MoveTo,
     NO_FILL,
     NORMALIZED_VIEW_BOX,
+    PARAM_COUNTS,
     PathCommand,
     PathElement,
     Point,
@@ -574,6 +575,44 @@ def convert_element(
     return flattened
 
 
+_TYPED = {"M": MoveTo, "L": LineTo, "C": CubicTo}
+
+
+def _typed_as_is(doc: Document) -> Document | None:
+    """The normalized form of a parsed document that already is in it, or ``None``.
+
+    That holds for the view box 0 0 1024 1024, at least one path and no
+    shape, every path with an identity transform, a fill that is present
+    and not ``none``, and only absolute M/L/C raw commands of one argument
+    group each that start with M and hold no consecutive or trailing M.
+    The full pipeline then adds no offset, fires no Z, collapse or drop
+    rule, maps the canvas by the identity and counts nothing, so typing
+    the same floats gives an equal document.
+    """
+    if doc.view_box != NORMALIZED_VIEW_BOX or not doc.paths:
+        return None
+    paths = []
+    for el in doc.paths:
+        if (not isinstance(el, PathElement) or el.fill is None or el.fill == NO_FILL
+                or not el.transform.is_identity):
+            return None
+        cmds = []
+        prev = None
+        for cmd in el.commands:
+            kind = _TYPED.get(cmd.opcode) if isinstance(cmd, RawCommand) else None
+            if kind is None or len(cmd.args) != PARAM_COUNTS[cmd.opcode]:
+                return None
+            if (prev is None and kind is not MoveTo) or (prev is MoveTo and kind is MoveTo):
+                return None
+            a = cmd.args
+            cmds.append(kind(*map(Point, a[::2], a[1::2])))
+            prev = kind
+        if prev is None or prev is MoveTo:
+            return None
+        paths.append(PathElement(tuple(cmds), el.fill, IDENTITY))
+    return Document(NORMALIZED_VIEW_BOX, tuple(paths), normalized=True)
+
+
 def normalize_document(doc: Document) -> tuple[Document, NormalizeReport]:
     """Run the full unification pipeline over a parsed document.
 
@@ -581,7 +620,15 @@ def normalize_document(doc: Document) -> tuple[Document, NormalizeReport]:
     normalization and fill resolution, in that order. Idempotent up to
     :func:`~svgforge.model.document_equal`. Raises :class:`EmptyDocument`
     when no drawable path survives.
+
+    A document that already is in normalized form (say, a parsed
+    ``serialize_document`` output) skips the pipeline: its M/L/C commands
+    are typed from the same floats, which is what the pipeline would give,
+    and its report is empty.
     """
+    typed = _typed_as_is(doc)
+    if typed is not None:
+        return typed, NormalizeReport()
     report = NormalizeReport()
     paths: list[PathElement] = []
     for el in doc.paths:

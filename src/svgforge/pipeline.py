@@ -70,10 +70,17 @@ def record_from_document(
     doc_id: str, doc: Document, augmented_from: str | None = None
 ) -> DatasetRecord:
     """Build a self-validating record from a normalized document."""
+    return _record(doc_id, doc, serialize_document(doc), augmented_from)
+
+
+def _record(
+    doc_id: str, doc: Document, svg: str, augmented_from: str | None = None
+) -> DatasetRecord:
+    # ``svg`` is the serialization of ``doc``
     c = classify(doc)
     return DatasetRecord(
         id=doc_id,
-        svg=serialize_document(doc),
+        svg=svg,
         color_category=c.color_category.value,
         difficulty_level=c.level_name,
         command_count=c.command_count,
@@ -114,6 +121,19 @@ def _load(text: str) -> tuple[Document, NormalizeReport]:
     """Parse and normalize one SVG text."""
     doc, _ = parse_document(text)
     return normalize_document(doc)
+
+
+def _load_canonical(text: str) -> tuple[Document, str, bool]:
+    """Parse, normalize and serialize one SVG text.
+
+    Returns the normalized document, its canonical text, and whether
+    ``text`` already is that text up to surrounding whitespace: the one
+    test behind classify's ``auto_normalized`` and verify's
+    :class:`NotNormalized`.
+    """
+    doc = _load(text)[0]
+    svg = serialize_document(doc)
+    return doc, svg, svg == text.strip()
 
 
 def _each(fn, items: list, jobs: int = 1):
@@ -271,10 +291,9 @@ def run_classify(input_dir: Path, out_path: Path, jobs: int = 1) -> int:
 
     def work(rel: Path) -> list[dict]:
         claim(rel)
-        text = (input_dir / rel).read_text(encoding="utf-8")
-        record = record_from_document(file_id(rel), _load(text)[0])
-        row = record.to_dict()
-        if record.svg != text.strip():
+        doc, svg, canonical = _load_canonical((input_dir / rel).read_text(encoding="utf-8"))
+        row = _record(file_id(rel), doc, svg).to_dict()
+        if not canonical:
             row["auto_normalized"] = True
         return [row]
 
@@ -522,8 +541,9 @@ def run_verify(
     """Geometry-check normalized outputs against their raw sources, on ``jobs`` threads.
 
     A NORM file must be in normalized form: one whose text is not the
-    serialization of its own normalization (the test behind classify's
-    ``auto_normalized``) fails as a :class:`NotNormalized` error row. A
+    serialization of its own normalization (:func:`_load_canonical`, the
+    test behind classify's ``auto_normalized``) fails as a
+    :class:`NotNormalized` error row. A
     ``tolerance`` that is not finite and positive raises
     :class:`ValidationError` before any file is read.
     """
@@ -537,9 +557,9 @@ def run_verify(
     def work(rel: Path):
         claim(rel)
         raw_doc, _ = parse_document((raw_dir / rel).read_text(encoding="utf-8"))
-        norm_text = (normalized_dir / rel).read_text(encoding="utf-8")
-        norm_doc, _ = _load(norm_text)
-        if serialize_document(norm_doc) != norm_text.strip():
+        norm_doc, _, canonical = _load_canonical(
+            (normalized_dir / rel).read_text(encoding="utf-8"))
+        if not canonical:
             raise NotNormalized(f"{rel.as_posix()} differs from its normalized form")
         return verify_normalization(raw_doc, norm_doc, tolerance)
 

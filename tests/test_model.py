@@ -118,6 +118,28 @@ class TestPathElement:
         with pytest.raises(ValidationError):
             PathElement((MoveTo(Point(0, 0)), MoveTo(Point(1, 1))))
 
+    @pytest.mark.parametrize("opcodes,error", [
+        ("MLM", None),
+        ("MLMLCML", None),
+        ("MLMM", "consecutive MoveTo commands"),
+        ("MCLMMC", "consecutive MoveTo commands"),
+        ("LM", "first command must be MoveTo"),
+        ("LMM", "first command must be MoveTo"),
+    ])
+    def test_moveto_rules_anywhere_in_the_path(self, opcodes, error):
+        p = Point(1, 2)
+        kinds = {"M": MoveTo, "L": LineTo, "C": lambda p: CubicTo(p, p, p)}
+        cmds = tuple(kinds[op](p) for op in opcodes)
+        if error is None:
+            assert PathElement(cmds).commands == cmds
+        else:
+            with pytest.raises(ValidationError, match=error):
+                PathElement(cmds)
+
+    def test_mixing_is_checked_before_order(self):
+        with pytest.raises(ValidationError, match="cannot mix"):
+            PathElement((LineTo(Point(1, 1)), RawCommand("M", (0, 0))))
+
     def test_no_mixing_raw_and_normalized(self):
         with pytest.raises(ValidationError):
             PathElement((RawCommand("M", (0, 0)), LineTo(Point(1, 1))))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus import full_corpus, random_raw_svg
+from corpus import colored_icons, full_corpus, random_normalized_document, random_raw_svg
+from svgforge import normalizer
 from svgforge.errors import (
     DegenerateShape,
     EmptyDocument,
@@ -22,6 +23,7 @@ from svgforge.model import (
     IDENTITY,
     LineTo,
     MoveTo,
+    NORMALIZED_VIEW_BOX,
     PathElement,
     Point,
     RawCommand,
@@ -30,6 +32,7 @@ from svgforge.model import (
 )
 from svgforge.normalizer import (
     KAPPA,
+    NormalizeReport,
     apply_transform,
     arc_center,
     arc_to_cubics,
@@ -42,7 +45,7 @@ from svgforge.normalizer import (
     simplify_commands,
     to_absolute,
 )
-from svgforge.parser import parse_document
+from svgforge.parser import parse_document, serialize_document
 from svgforge.rewards import integrity_indicator
 from svgforge.verifier import sample_outline, verify_normalization
 
@@ -667,6 +670,81 @@ class TestNormalizeDocument:
             assert norm.normalized
             once, _ = normalize_document(norm)
             assert document_equal(once, norm)
+
+
+def _normalized_outcome(doc):
+    try:
+        norm, report = normalize_document(doc)
+    except EmptyDocument as exc:
+        return "EmptyDocument", str(exc)
+    return norm, report.as_dict()
+
+
+def _both_ways(doc, monkeypatch):
+    """``normalize_document(doc)`` as it is, and with the direct path off."""
+    direct = _normalized_outcome(doc)
+    with monkeypatch.context() as mp:
+        mp.setattr(normalizer, "_typed_as_is", lambda doc: None)
+        full = _normalized_outcome(doc)
+    return direct, full
+
+
+def _icon(body, view_box="0 0 1024 1024"):
+    return parse_document(f'<svg viewBox="{view_box}">{body}</svg>')[0]
+
+
+_TWO = (RawCommand("M", (0.0, 0.0)), RawCommand("L", (8.0, 8.0)))
+
+
+class TestAlreadyNormalized:
+    """Typing an already-normalized document directly equals the full pipeline."""
+
+    def _serialized_outputs(self):
+        rng = random.Random(7)
+        texts = list(full_corpus().values()) + list(colored_icons(40, seed=5).values())
+        texts += [random_raw_svg(rng) for _ in range(60)]
+        for text in texts:
+            yield serialize_document(normalize_document(parse_document(text)[0])[0])
+        for _ in range(40):
+            yield serialize_document(random_normalized_document(rng))
+
+    def test_serialized_outputs_take_the_direct_path(self, monkeypatch):
+        for text in self._serialized_outputs():
+            doc, _ = parse_document(text)
+            assert normalizer._typed_as_is(doc) is not None, text
+            direct, full = _both_ways(doc, monkeypatch)
+            assert direct == full, text
+            assert direct[1] == NormalizeReport().as_dict()
+
+    @pytest.mark.parametrize("doc", [
+        _icon('<path d="M0 0L8 8M5 5" fill="#f00"/>'),
+        _icon('<path d="M1 1M2 2L3 3" fill="#f00"/>'),
+        _icon('<path d="M0 0L8 8"/>'),
+        _icon('<path d="M0 0L8 8" fill="none"/><path d="M1 1L9 9" fill="#0f0"/>'),
+        _icon('<path d="M0 0L8 8" fill="none"/>'),
+        _icon('<path d="M0 0L8 8L0 8Z" fill="#f00"/>'),
+        _icon('<path d="M0 0l8 8" fill="#f00"/>'),
+        _icon('<path d="M0 0L8 8" fill="#f00"/>', view_box="0 0 1024 512"),
+        _icon('<path d="" fill="#f00"/><path d="M0 0L8 8" fill="#f00"/>'),
+        _icon('<path d="M0 0L8 8" fill="#f00" transform="translate(1 2)"/>'),
+        _icon('<path d="M0 0L8 8" fill="#f00"/><rect x="1" y="1" width="4" height="4"/>'),
+        Document(NORMALIZED_VIEW_BOX, (PathElement(
+            (RawCommand("M", (0.0, 0.0)), RawCommand("L", (1.0, 1.0, 2.0, 2.0))), BLACK),)),
+        Document(NORMALIZED_VIEW_BOX, (PathElement(
+            (MoveTo(Point(0, 0)), LineTo(Point(8, 8))), BLACK),)),
+        Document(NORMALIZED_VIEW_BOX, (PathElement(_TWO, BLACK),
+                                       PathElement(_TWO, BLACK, AffineTransform.scale(2)))),
+        Document(NORMALIZED_VIEW_BOX, ()),
+    ], ids=[
+        "trailing_m", "m_after_m", "missing_fill", "fill_none", "only_fill_none", "z",
+        "relative_l", "view_box_1024x512", "empty_d", "transform", "rect",
+        "two_groups_in_one_command", "typed_commands", "second_path_transformed",
+        "no_paths",
+    ])
+    def test_near_misses_take_the_full_path(self, doc, monkeypatch):
+        assert normalizer._typed_as_is(doc) is None
+        direct, full = _both_ways(doc, monkeypatch)
+        assert direct == full
 
 
 class TestUnresolvableChord:

@@ -1,10 +1,13 @@
+import math
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svgforge.errors import PathSyntax, UnexpectedEnd
-from svgforge.model import RawCommand
-from svgforge.pathdata import parse_path_data
+from svgforge.model import ARC_FLAG_INDICES, PARAM_COUNTS, RawCommand
+from svgforge.pathdata import NUMBER, parse_path_data
 
 
 def ops(commands):
@@ -131,3 +134,108 @@ class TestTotality:
             parse_path_data(text)
         except PathSyntax:
             pass
+
+
+# --- the per-token scanner that group patterns replaced, kept as a reference ---
+
+_REF_WSP = re.compile(r"[ \t\r\n\f,]*")
+
+
+def _ref_skip(d, pos):
+    return _REF_WSP.match(d, pos).end()
+
+
+def _ref_number(d, pos, opcode):
+    pos = _ref_skip(d, pos)
+    if pos >= len(d):
+        raise UnexpectedEnd(pos, f"missing arguments for {opcode!r}")
+    m = NUMBER.match(d, pos)
+    if m is None:
+        raise PathSyntax(pos, f"expected number for {opcode!r}, got {d[pos]!r}")
+    value = float(m.group())
+    if not math.isfinite(value):
+        raise PathSyntax(pos, f"number out of range: {m.group()!r}")
+    return value, m.end()
+
+
+def _ref_flag(d, pos, opcode):
+    pos = _ref_skip(d, pos)
+    if pos >= len(d):
+        raise UnexpectedEnd(pos, f"missing arc flag for {opcode!r}")
+    if d[pos] not in "01":
+        raise PathSyntax(pos, f"arc flag must be 0 or 1, got {d[pos]!r}")
+    return float(d[pos]), pos + 1
+
+
+def _ref_group(d, pos, opcode):
+    args = []
+    for i in range(PARAM_COUNTS[opcode.upper()]):
+        scan = _ref_flag if opcode in "Aa" and i in ARC_FLAG_INDICES else _ref_number
+        value, pos = scan(d, pos, opcode)
+        args.append(value)
+    return tuple(args), pos
+
+
+def reference_parse(d):
+    commands = []
+    pos = _ref_skip(d, 0)
+    if pos >= len(d):
+        return commands
+    if d[pos] not in "Mm":
+        raise PathSyntax(pos, f"path must start with a moveto, got {d[pos]!r}")
+    while pos < len(d):
+        opcode = d[pos]
+        if opcode not in "MmLlHhVvCcSsQqTtAaZz":
+            raise PathSyntax(pos, f"expected command letter, got {opcode!r}")
+        pos += 1
+        if opcode in "Zz":
+            commands.append(RawCommand(opcode))
+            pos = _ref_skip(d, pos)
+            continue
+        group, pos = _ref_group(d, pos, opcode)
+        commands.append(RawCommand(opcode, group))
+        repeat = {"M": "L", "m": "l"}.get(opcode, opcode)
+        pos = _ref_skip(d, pos)
+        while pos < len(d) and d[pos] in "+-.0123456789":
+            group, pos = _ref_group(d, pos, repeat)
+            commands.append(RawCommand(repeat, group))
+            pos = _ref_skip(d, pos)
+    return commands
+
+
+def outcome(parse, d):
+    """The commands ``parse`` reads from ``d``, or its error's type, offset and message."""
+    try:
+        return ops(parse(d))
+    except (PathSyntax, UnexpectedEnd) as exc:
+        return type(exc).__name__, exc.offset, str(exc)
+
+
+# whole tokens reach deep into valid paths, which single characters rarely do
+_TOKENS = st.sampled_from([
+    "M", "m", "L", "l", "H", "v", "C", "c", "S", "Q", "t", "A", "a", "Z", "z",
+    " ", ",", "\t", "0", "1", "01", "439", "-2.5", ".5", "5.", "+6", "1e3", "2E-2",
+    "1e999", "e", ".", "-", "x",
+])
+
+
+class TestGroupPatterns:
+    @given(st.text(alphabet="MmLlHhVvCcSsQqTtAaZz0123456789.,- e\t+", max_size=80))
+    @settings(max_examples=500, deadline=None)
+    @example("M\t439L+6Tm")
+    @example("M0 0A1.5.5 0 1020 0a1 1 0 011 1 1 1 0 2")
+    @example("M0 0L1e999 0 2e999")
+    def test_matches_the_per_token_scanner(self, d):
+        assert outcome(parse_path_data, d) == outcome(reference_parse, d)
+
+    @given(st.lists(_TOKENS, max_size=40).map("".join))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_per_token_scanner_on_tokens(self, d):
+        assert outcome(parse_path_data, d) == outcome(reference_parse, d)
+
+    def test_a_number_is_not_split_to_fill_a_group(self):
+        # a pattern whose numbers could backtrack would read "439" as 43 and 9
+        # and fail at offset 8 on the 'T' that follows "+6"
+        assert outcome(parse_path_data, "M\t439L+6Tm") == (
+            "PathSyntax", 5, "at offset 5: expected number for 'M', got 'L'"
+        )

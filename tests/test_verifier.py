@@ -450,10 +450,13 @@ def test_long_curve_verifies_in_bounded_memory():
         [sys.executable, "-c", script], input=curved_icon(150), capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(src)), timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["passed"], out
-    assert out["maxrss_kb"] < 150 * 1024, out
+    out = json.loads(proc.stdout) if proc.returncode == 0 else {}
+    # every message names each check, so a failure says which one tripped
+    why = (f"exit code {proc.returncode}, passed {out.get('passed')}, "
+           f"maxrss_kb {out.get('maxrss_kb')}, stderr tail {proc.stderr[-1500:]!r}")
+    assert proc.returncode == 0, why
+    assert out["passed"], why
+    assert out["maxrss_kb"] < 150 * 1024, why
 
 
 def test_numpy_loads_on_the_first_distance():
