@@ -27,9 +27,18 @@ subdivision; transforms and the canvas map are applied to the samples
 rather than flattened into coordinates; and the distance kernel is this
 module's own.
 
-The distance kernel is the only code in the package that uses numpy, and
-it imports numpy on first use, so importing svgforge, this module included,
-does not load it. The kernel holds at most ``PAIR_BUDGET`` point-segment
+Verification carries coordinates as columns, not ``Point`` objects. Each
+original drawable is sampled one segment at a time on an index array, and
+its samples go through the transform as whole columns; the flattener
+appends plain floats to its chain's columns. Consecutive duplicates are
+dropped once, after the transform. A subpath that collapses to one point
+stays as that point, which is a zero-length segment for the other side.
+The public ``sample_outline`` and ``flatten_cubic`` evaluate the same
+formulas and the same subdivision per scalar, without numpy. Verify's
+sampling and the distance kernel use numpy, and both import it on first
+use, so importing svgforge, this module included, does not load it.
+
+The distance kernel holds at most ``PAIR_BUDGET`` point-segment
 pairs at a time, so memory stays bounded whatever a drawable's segment
 count. When every pair fits, it measures all of them at once. Otherwise
 it splits the points into even contiguous chunks of at most
@@ -50,11 +59,13 @@ distances, the worst one and its point are the same to the bit.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PathCountMismatch, ValidationError
 from .model import (
+    IDENTITY,
     AffineTransform,
     Document,
     Drawable,
@@ -144,26 +155,24 @@ class VerificationResult:
 # --- flattening ------------------------------------------------------------
 
 
-def _flatness(p0: Point, c1: Point, c2: Point, p1: Point) -> float:
-    # max control-point distance to the chord segment p0-p1: the curve lies in
+def _flatness(x0, y0, x1, y1, x2, y2, x3, y3) -> float:
+    # max control-point distance to the chord segment p0-p3: the curve lies in
     # the hull of its control points, so it is no farther from the chord. The
     # segment, not its line, so a curve that turns back beyond an endpoint is
     # not taken for its chord.
-    x0, y0 = p0
-    x1, y1 = p1
-    dx, dy = x1 - x0, y1 - y0
+    dx, dy = x3 - x0, y3 - y0
     norm = math.hypot(dx, dy)
     if norm < 1e-30:
-        return max(math.hypot(c1.x - x0, c1.y - y0), math.hypot(c2.x - x0, c2.y - y0))
+        return max(math.hypot(x1 - x0, y1 - y0), math.hypot(x2 - x0, y2 - y0))
     len2 = dx * dx + dy * dy
     worst = 0.0
-    for cx, cy in (c1, c2):
+    for cx, cy in ((x1, y1), (x2, y2)):
         ex, ey = cx - x0, cy - y0
         along = dx * ex + dy * ey
         if along < 0.0:
             d = math.hypot(ex, ey)
         elif along > len2:
-            d = math.hypot(cx - x1, cy - y1)
+            d = math.hypot(cx - x3, cy - y3)
         else:
             d = abs(dx * ey - dy * ex) / norm
         if d > worst:
@@ -171,15 +180,21 @@ def _flatness(p0: Point, c1: Point, c2: Point, p1: Point) -> float:
     return worst
 
 
-def _split_cubic(p0, c1, c2, p1):
+def _flatten_into(xs, ys, x0, y0, x1, y1, x2, y2, x3, y3, tolerance: float, depth: int) -> None:
+    """Append the points of the cubic after its start to the columns ``xs``, ``ys``."""
+    if depth >= 24 or _flatness(x0, y0, x1, y1, x2, y2, x3, y3) <= tolerance:
+        xs.append(x3)
+        ys.append(y3)
+        return
     # de Casteljau at t = 0.5
-    m01 = Point((p0.x + c1.x) / 2, (p0.y + c1.y) / 2)
-    m12 = Point((c1.x + c2.x) / 2, (c1.y + c2.y) / 2)
-    m23 = Point((c2.x + p1.x) / 2, (c2.y + p1.y) / 2)
-    m012 = Point((m01.x + m12.x) / 2, (m01.y + m12.y) / 2)
-    m123 = Point((m12.x + m23.x) / 2, (m12.y + m23.y) / 2)
-    mid = Point((m012.x + m123.x) / 2, (m012.y + m123.y) / 2)
-    return (p0, m01, m012, mid), (mid, m123, m23, p1)
+    ax, ay = (x0 + x1) / 2, (y0 + y1) / 2
+    bx, by = (x1 + x2) / 2, (y1 + y2) / 2
+    cx, cy = (x2 + x3) / 2, (y2 + y3) / 2
+    abx, aby = (ax + bx) / 2, (ay + by) / 2
+    bcx, bcy = (bx + cx) / 2, (by + cy) / 2
+    mx, my = (abx + bcx) / 2, (aby + bcy) / 2
+    _flatten_into(xs, ys, x0, y0, ax, ay, abx, aby, mx, my, tolerance, depth + 1)
+    _flatten_into(xs, ys, mx, my, bcx, bcy, cx, cy, x3, y3, tolerance, depth + 1)
 
 
 def flatten_cubic(
@@ -192,18 +207,9 @@ def flatten_cubic(
     """
     if not tolerance > 0:
         raise ValidationError("tolerance must be positive")
-    points: list[Point] = [p0]
-
-    def recurse(a, b, c, d, depth: int) -> None:
-        if depth >= 24 or _flatness(a, b, c, d) <= tolerance:
-            points.append(d)
-            return
-        left, right = _split_cubic(a, b, c, d)
-        recurse(*left, depth + 1)
-        recurse(*right, depth + 1)
-
-    recurse(p0, c1, c2, p1, 0)
-    return polyline(points) or Polyline((p0, p1))
+    xs, ys = [p0.x], [p0.y]
+    _flatten_into(xs, ys, *p0, *c1, *c2, *p1, tolerance, 0)
+    return polyline(map(Point, xs, ys)) or Polyline((p0, p1))
 
 
 def _cubic_point(p0, c1, c2, p1, t: float) -> Point:
@@ -225,54 +231,65 @@ def _quad_point(p0, q, p1, t: float) -> Point:
 # --- analytic sampling -------------------------------------------------------
 
 
-def _sample_line(p0: Point, p1: Point, n: int) -> list[Point]:
-    return [Point(p0.x + (p1.x - p0.x) * i / n, p0.y + (p1.y - p0.y) * i / n)
-            for i in range(1, n + 1)]
+def _segment_sampler(seg: tuple, n: int):
+    """How one segment is sampled after its start point: ``(m, at, pinned)``.
 
-
-def _chains(segments, expand) -> list[Polyline]:
-    """One polyline per subpath: each MoveTo starts a chain that ``expand``
-    extends with the points of every following segment after its start."""
-    chains: list[list[Point]] = []
-    current: list[Point] = []
-    for seg in segments:
-        if seg[0] == "M":
-            if len(current) > 1:
-                chains.append(current)
-            current = [seg[1]]
-        else:
-            current.extend(expand(seg))
-    if len(current) > 1:
-        chains.append(current)
-    return [pl for pl in (polyline(c) for c in chains) if pl is not None]
-
-
-def _sample_segment(seg: tuple, n: int) -> list[Point]:
-    """Analytic samples of one segment after its start point."""
-    kind, p0 = seg[0], seg[1]
-    if kind == "L":
-        return _sample_line(p0, seg[2], n)
+    ``at(i, cos, sin)`` gives the coordinates ``(x, y)`` of sample ``i`` of
+    ``1..m``, for an int ``i`` with ``math``'s cosine and sine or for an
+    index array with numpy's; with ``pinned``, the last sample is the
+    segment's end itself. ``m`` is 0 for a segment that draws nothing.
+    """
+    kind, p0, end = seg[0], seg[1], seg[-1]
     if kind == "C":
-        return [_cubic_point(p0, seg[2], seg[3], seg[4], i / n) for i in range(1, n + 1)]
+        return n, lambda i, *_: _cubic_point(p0, seg[2], seg[3], end, i / n), False
     if kind == "Q":
-        return [_quad_point(p0, seg[2], seg[3], i / n) for i in range(1, n + 1)]
-    if kind == "Z":
-        return _sample_line(p0, seg[2], n) if p0 != seg[2] else []
-    end = seg[7]  # A
-    center = arc_center(*seg[1:])
+        return n, lambda i, *_: _quad_point(p0, seg[2], end, i / n), False
+    center = arc_center(*seg[1:]) if kind == "A" else None
     if center is None:
-        return _sample_line(p0, end, n) if p0 != end else []
+        if kind != "L" and p0 == end:  # a Z or an arc back to its start
+            return 0, None, False
+        dx, dy = end.x - p0.x, end.y - p0.y
+        return n, lambda i, *_: (p0.x + dx * i / n, p0.y + dy * i / n), False
     cx, cy, rx, ry, phi, theta1, delta = center
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     m = n * arc_spans(delta)
-    pts = []
-    for i in range(1, m + 1):
+
+    def at(i, cos, sin):
         t = theta1 + delta * i / m
-        ct, st = math.cos(t), math.sin(t)
-        pts.append(Point(cx + rx * ct * cos_phi - ry * st * sin_phi,
-                         cy + rx * ct * sin_phi + ry * st * cos_phi))
-    pts[-1] = end  # endpoint is exact by construction
-    return pts
+        ct, st = cos(t), sin(t)
+        return (cx + rx * ct * cos_phi - ry * st * sin_phi,
+                cy + rx * ct * sin_phi + ry * st * cos_phi)
+
+    return m, at, True
+
+
+def _segments(source: Drawable):
+    if isinstance(source, ShapeElement):
+        return shape_segments(source)
+    return iter_segments(source.commands)
+
+
+def _chain_columns(segments, expand) -> tuple[array, array, list[int]]:
+    """The subpaths of ``segments`` as coordinate columns.
+
+    Each MoveTo starts a chain that ``expand(seg, xs, ys)`` extends with
+    the points of every following segment after its start. Returns the
+    columns and the index of each chain's first point; a chain that got no
+    point past its MoveTo is dropped.
+    """
+    xs, ys, starts = array("d"), array("d"), []
+    for seg in segments:
+        if seg[0] != "M":
+            expand(seg, xs, ys)
+        elif starts and starts[-1] == len(xs) - 1:  # the last chain is its MoveTo alone
+            xs[-1], ys[-1] = seg[1]
+        else:
+            starts.append(len(xs))
+            xs.append(seg[1].x)
+            ys.append(seg[1].y)
+    if starts and starts[-1] == len(xs) - 1:
+        del xs[-1], ys[-1], starts[-1]
+    return xs, ys, starts
 
 
 def sample_outline(source: Drawable, n_per_segment: int = 16) -> list[Polyline]:
@@ -286,26 +303,43 @@ def sample_outline(source: Drawable, n_per_segment: int = 16) -> list[Polyline]:
     """
     if n_per_segment < 2:
         raise ValidationError("n_per_segment must be >= 2")
-    n = n_per_segment
-    if isinstance(source, ShapeElement):
-        segments = shape_segments(source)
-    else:
-        segments = iter_segments(source.commands)
-    return _chains(segments, lambda seg: _sample_segment(seg, n))
+
+    def expand(seg: tuple, xs: array, ys: array) -> None:
+        m, at, pinned = _segment_sampler(seg, n_per_segment)
+        for i in range(1, m + 1):
+            x, y = at(i, math.cos, math.sin)
+            xs.append(x)
+            ys.append(y)
+        if pinned:
+            xs[-1], ys[-1] = seg[-1]
+
+    xs, ys, starts = _chain_columns(_segments(source), expand)
+    bounds = starts + [len(xs)]
+    chains = (polyline(map(Point, xs[a:b], ys[a:b])) for a, b in zip(bounds, bounds[1:]))
+    return [pl for pl in chains if pl is not None]
 
 
 # --- deviation measurement -----------------------------------------------------
 
 
-def _arrays(polys: list[Polyline]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points of ``polys`` in order, and their segments' starts and ends."""
+def _arrays(polys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points of ``polys`` in order, and their segments' starts and ends.
+
+    A chain of one point (verify keeps a subpath that collapses to a point)
+    is one zero-length segment.
+    """
     import numpy as np
 
-    points = np.array([(p.x, p.y) for pl in polys for p in pl.points], dtype=np.float64)
+    chains = [np.asarray(pl.points, dtype=np.float64) for pl in polys]
+    points = np.concatenate(chains)
+    lengths = np.array([len(c) for c in chains])
+    last = np.cumsum(lengths) - 1
     starts = np.ones(len(points), dtype=bool)
-    starts[np.cumsum([len(pl) for pl in polys]) - 1] = False  # each chain's last point
+    starts[last] = lengths == 1
+    follow = np.arange(1, len(points) + 1)
+    follow[last] = last
     i = np.flatnonzero(starts)
-    return points, points[i], points[i + 1]
+    return points, points[i], points[follow[i]]
 
 
 def _min_dist2(x, y, ax, ay, dx, dy, len2) -> np.ndarray:
@@ -409,20 +443,69 @@ def max_deviation(a: Polyline, b: Polyline) -> DeviationReport:
 # --- end-to-end verification ----------------------------------------------------
 
 
-def _transform_polys(polys: list[Polyline], t: AffineTransform) -> list[Polyline]:
-    if t.is_identity:
-        return polys
-    moved = (polyline(t.apply_point(p) for p in pl.points) for pl in polys)
-    return [pl for pl in moved if pl is not None]
+class _Chain(NamedTuple):
+    """One subpath of a side in :func:`verify_normalization`: its points as
+    an ``(n, 2)`` array, where ``n = 1`` is a subpath collapsed to a point."""
+
+    points: np.ndarray
 
 
-def _flatten_path(path: PathElement, tolerance: float) -> list[Polyline]:
-    def expand(seg: tuple) -> tuple[Point, ...]:
+def _chains(xs: array, ys: array, starts: list[int], t: AffineTransform) -> list[_Chain]:
+    """The chains of the columns ``xs``, ``ys`` that start at ``starts``,
+    mapped through ``t``, with consecutive duplicates dropped.
+
+    Points equal before the transform are equal after it, so one pass after
+    it drops every duplicate. A chain that collapses to one point stays as
+    that point: the other side must still come near it.
+    """
+    import numpy as np
+
+    if not starts:
+        return []
+    x, y = np.frombuffer(xs), np.frombuffer(ys)
+    if not t.is_identity:
+        # apply_point's operations in its order, so every sample rounds as there
+        x, y = t.a * x + t.c * y + t.e, t.b * x + t.d * y + t.f
+    keep = np.empty(len(x), dtype=bool)
+    keep[0] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    keep[1:] |= y[1:] != y[:-1]
+    keep[starts] = True
+    points = np.column_stack((x[keep], y[keep]))
+    bounds = (np.cumsum(keep)[starts] - 1).tolist() + [len(points)]
+    return [_Chain(points[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _transform_polys(source: Drawable, t: AffineTransform, n: int) -> list[_Chain]:
+    """The outline of ``source`` sampled as :func:`sample_outline` samples
+    it, ``n`` points per span, and mapped through ``t``: one chain per
+    subpath, each segment's samples computed as arrays.
+
+    ``bench/spans.py`` times this function by its name as verify's sampling.
+    """
+    import numpy as np
+
+    def expand(seg: tuple, xs: array, ys: array) -> None:
+        m, at, pinned = _segment_sampler(seg, n)
+        if m:
+            x, y = at(np.arange(1, m + 1), np.cos, np.sin)
+            if pinned:
+                x[-1], y[-1] = seg[-1]
+            xs.frombytes(x.tobytes())
+            ys.frombytes(y.tobytes())
+
+    return _chains(*_chain_columns(_segments(source), expand), t)
+
+
+def _flatten_path(path: PathElement, tolerance: float) -> list[_Chain]:
+    def expand(seg: tuple, xs: array, ys: array) -> None:
         if seg[0] == "L":
-            return (seg[2],)
-        return flatten_cubic(*seg[1:], tolerance).points[1:]
+            xs.append(seg[2].x)
+            ys.append(seg[2].y)
+        else:  # C: a normalized path holds only M/L/C
+            _flatten_into(xs, ys, *seg[1], *seg[2], *seg[3], *seg[4], tolerance, 0)
 
-    return _chains(iter_segments(path.commands), expand)
+    return _chains(*_chain_columns(iter_segments(path.commands), expand), IDENTITY)
 
 
 def verify_normalization(
@@ -452,8 +535,7 @@ def verify_normalization(
     reports: list[DeviationReport] = []
     passed = True
     for el, converted in zip(kept, normalized_doc.paths):
-        full = canvas @ el.transform
-        original = _transform_polys(sample_outline(el, SAMPLES_PER_SPAN), full)
+        original = _transform_polys(el, canvas @ el.transform, SAMPLES_PER_SPAN)
         flattened = _flatten_path(converted, flatten_tol)
         if not original and not flattened:
             continue

@@ -597,6 +597,24 @@ class TestVerifyRuns:
         ]
 
 
+    def test_subpath_below_the_output_resolution_verifies(self, tmp_path):
+        # each tiny subpath becomes one point in the normalized text, e.g.
+        # M213.33 213.33L213.33 213.33, and must still be checked, not dropped
+        raw, normalized = tmp_path / "raw", tmp_path / "norm"
+        raw.mkdir()
+        for i, body in enumerate([
+            '<path d="M5 5L5 5.000000001M10 10L20 20L10 20Z"/>',
+            '<path d="M5 5L5 5.000000001"/>',
+            '<path d="M10 10L20 20L10 20Z"/><path d="M0 0L1e-17 0"/>',
+        ]):
+            (raw / f"i{i}.svg").write_text(f'<svg viewBox="0 0 24 24">{body}</svg>')
+        assert main(["normalize", str(raw), str(normalized), "--quiet"]) == EXIT_OK
+        report = tmp_path / "verify.jsonl"
+        assert main(["verify", str(raw), str(normalized), "--out", str(report), "--quiet"]) == EXIT_OK
+        rows = read_strict_jsonl(report)
+        assert [r["id"] for r in rows] == ["i0", "i1", "i2"]
+        assert all(r["pass"] and r["worst_path_deviation"] < 0.01 for r in rows)
+
     def test_unnormalized_norm_file_is_an_error_row(self, tmp_path):
         raw, normalized = tmp_path / "raw", tmp_path / "norm"
         raw.mkdir()

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import curved_icon
+from corpus import curved_icon, random_raw_svg
 from svgforge import verifier
 from svgforge.errors import PathCountMismatch, ValidationError
 from svgforge.model import (
+    AffineTransform,
     CubicTo,
     Document,
     Hex,
@@ -24,7 +26,16 @@ from svgforge.model import (
     Point,
     ShapeElement,
 )
-from svgforge.normalizer import KAPPA, normalize_document, shape_to_path
+from svgforge.normalizer import (
+    KAPPA,
+    arc_center,
+    arc_spans,
+    convert_element,
+    iter_segments,
+    normalize_document,
+    shape_segments,
+    shape_to_path,
+)
 from svgforge.parser import parse_document
 from svgforge.verifier import (
     DeviationReport,
@@ -432,6 +443,242 @@ class TestDistanceKernel:
         a = np.array([[0.0, 0.0], [100.0, 0.0]])
         verifier._dist_points_to_segments(np.array([[0.0, 1.0], [1.0, 1.0]]), a, a + 1.0)
         assert seen == [2]
+
+
+# --- the scalar reference ----------------------------------------------------
+#
+# The Point-per-sample sampler and flattener that the verifier's column code
+# replaced, copied as they were. The only change: ``_ref_chains`` returns the
+# chains before deduplication, so that the verify side can keep a chain that
+# collapses to one point (``_dedupe``) while the public functions still drop
+# it (``_ref_polyline``).
+
+
+def _dedupe(points):
+    deduped = []
+    for p in points:
+        if not deduped or p != deduped[-1]:
+            deduped.append(p)
+    return deduped
+
+
+def _ref_polyline(points):
+    deduped = _dedupe(points)
+    return Polyline(tuple(deduped)) if len(deduped) >= 2 else None
+
+
+def _ref_flatness(p0, c1, c2, p1):
+    x0, y0 = p0
+    x1, y1 = p1
+    dx, dy = x1 - x0, y1 - y0
+    norm = math.hypot(dx, dy)
+    if norm < 1e-30:
+        return max(math.hypot(c1.x - x0, c1.y - y0), math.hypot(c2.x - x0, c2.y - y0))
+    len2 = dx * dx + dy * dy
+    worst = 0.0
+    for cx, cy in (c1, c2):
+        ex, ey = cx - x0, cy - y0
+        along = dx * ex + dy * ey
+        if along < 0.0:
+            d = math.hypot(ex, ey)
+        elif along > len2:
+            d = math.hypot(cx - x1, cy - y1)
+        else:
+            d = abs(dx * ey - dy * ex) / norm
+        if d > worst:
+            worst = d
+    return worst
+
+
+def _ref_split_cubic(p0, c1, c2, p1):
+    m01 = Point((p0.x + c1.x) / 2, (p0.y + c1.y) / 2)
+    m12 = Point((c1.x + c2.x) / 2, (c1.y + c2.y) / 2)
+    m23 = Point((c2.x + p1.x) / 2, (c2.y + p1.y) / 2)
+    m012 = Point((m01.x + m12.x) / 2, (m01.y + m12.y) / 2)
+    m123 = Point((m12.x + m23.x) / 2, (m12.y + m23.y) / 2)
+    mid = Point((m012.x + m123.x) / 2, (m012.y + m123.y) / 2)
+    return (p0, m01, m012, mid), (mid, m123, m23, p1)
+
+
+def _ref_flatten_cubic(p0, c1, c2, p1, tolerance):
+    points = [p0]
+
+    def recurse(a, b, c, d, depth):
+        if depth >= 24 or _ref_flatness(a, b, c, d) <= tolerance:
+            points.append(d)
+            return
+        left, right = _ref_split_cubic(a, b, c, d)
+        recurse(*left, depth + 1)
+        recurse(*right, depth + 1)
+
+    recurse(p0, c1, c2, p1, 0)
+    return _ref_polyline(points) or Polyline((p0, p1))
+
+
+def _ref_cubic_point(p0, c1, c2, p1, t):
+    s = 1.0 - t
+    return Point(
+        s * s * s * p0.x + 3 * s * s * t * c1.x + 3 * s * t * t * c2.x + t * t * t * p1.x,
+        s * s * s * p0.y + 3 * s * s * t * c1.y + 3 * s * t * t * c2.y + t * t * t * p1.y,
+    )
+
+
+def _ref_quad_point(p0, q, p1, t):
+    s = 1.0 - t
+    return Point(
+        s * s * p0.x + 2 * s * t * q.x + t * t * p1.x,
+        s * s * p0.y + 2 * s * t * q.y + t * t * p1.y,
+    )
+
+
+def _ref_sample_line(p0, p1, n):
+    return [Point(p0.x + (p1.x - p0.x) * i / n, p0.y + (p1.y - p0.y) * i / n)
+            for i in range(1, n + 1)]
+
+
+def _ref_chains(segments, expand):
+    chains = []
+    current = []
+    for seg in segments:
+        if seg[0] == "M":
+            if len(current) > 1:
+                chains.append(current)
+            current = [seg[1]]
+        else:
+            current.extend(expand(seg))
+    if len(current) > 1:
+        chains.append(current)
+    return chains
+
+
+def _ref_sample_segment(seg, n):
+    kind, p0 = seg[0], seg[1]
+    if kind == "L":
+        return _ref_sample_line(p0, seg[2], n)
+    if kind == "C":
+        return [_ref_cubic_point(p0, seg[2], seg[3], seg[4], i / n) for i in range(1, n + 1)]
+    if kind == "Q":
+        return [_ref_quad_point(p0, seg[2], seg[3], i / n) for i in range(1, n + 1)]
+    if kind == "Z":
+        return _ref_sample_line(p0, seg[2], n) if p0 != seg[2] else []
+    end = seg[7]  # A
+    center = arc_center(*seg[1:])
+    if center is None:
+        return _ref_sample_line(p0, end, n) if p0 != end else []
+    cx, cy, rx, ry, phi, theta1, delta = center
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+    m = n * arc_spans(delta)
+    pts = []
+    for i in range(1, m + 1):
+        t = theta1 + delta * i / m
+        ct, st_ = math.cos(t), math.sin(t)
+        pts.append(Point(cx + rx * ct * cos_phi - ry * st_ * sin_phi,
+                         cy + rx * ct * sin_phi + ry * st_ * cos_phi))
+    pts[-1] = end
+    return pts
+
+
+def _ref_segments(el):
+    return shape_segments(el) if isinstance(el, ShapeElement) else iter_segments(el.commands)
+
+
+def _ref_sample_outline(el, n):
+    chains = _ref_chains(_ref_segments(el), lambda seg: _ref_sample_segment(seg, n))
+    return [pl for pl in map(_ref_polyline, chains) if pl is not None]
+
+
+def _ref_transform_polys(el, t, n):
+    chains = [_dedupe(c) for c in _ref_chains(_ref_segments(el), lambda seg: _ref_sample_segment(seg, n))]
+    if t.is_identity:
+        return chains
+    return [_dedupe(t.apply_point(p) for p in c) for c in chains]
+
+
+def _ref_flatten_path(path, tolerance):
+    def expand(seg):
+        if seg[0] == "L":
+            return (seg[2],)
+        return _ref_flatten_cubic(*seg[1:], tolerance).points[1:]
+
+    return [_dedupe(c) for c in _ref_chains(iter_segments(path.commands), expand)]
+
+
+def _hex_points(points):
+    return [(float(x).hex(), float(y).hex()) for x, y in points]
+
+
+def _hex_chains(chains):
+    return [_hex_points(getattr(c, "points", c)) for c in chains]
+
+
+_num = st.floats(-100, 100, allow_subnormal=False)
+_size = st.floats(0.01, 60, allow_subnormal=False)
+_xy = st.builds(Point, _num, _num)
+_shape = st.one_of(
+    st.builds(lambda x, y, w, h, r: ShapeElement(
+        "rect", (("x", x), ("y", y), ("width", w), ("height", h)) + r),
+        _num, _num, _size, _size,
+        st.sampled_from([(), (("rx", 3.0),), (("ry", 2.5),), (("rx", 1e3), ("ry", 4.0))])),
+    st.builds(lambda x, y, r: ShapeElement("circle", (("cx", x), ("cy", y), ("r", r))),
+              _num, _num, _size),
+    st.builds(lambda x, y, rx, ry: ShapeElement(
+        "ellipse", (("cx", x), ("cy", y), ("rx", rx), ("ry", ry))), _num, _num, _size, _size),
+    st.builds(lambda a, b: ShapeElement(
+        "line", (("x1", a.x), ("y1", a.y), ("x2", b.x), ("y2", b.y))), _xy, _xy),
+    st.builds(lambda tag, pts: ShapeElement(tag, (("points", tuple(pts)),)),
+              st.sampled_from(["polyline", "polygon"]), st.lists(_xy, min_size=2, max_size=6)),
+)
+# identity, a rotation with scale, a shear, one that collapses everything to a point
+_transform = st.one_of(
+    st.sampled_from([AffineTransform(), AffineTransform(1e-30, 0.0, 0.0, 1e-30, 5.0, 5.0)]),
+    st.builds(AffineTransform, _num, _num, _num, _num, _num, _num),
+)
+
+
+class TestColumnsMatchScalarReference:
+    """The column sampler and flattener give the scalar reference's points to the bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), _transform, st.sampled_from([2, 5, 16, 64]),
+           st.sampled_from([0.02, 1e-3, 0.3]))
+    def test_random_documents(self, seed, t, n, tol):
+        raw, _ = parse_document(random_raw_svg(random.Random(seed)))
+        norm, _ = normalize_document(raw)
+        for el in raw.paths:
+            if convert_element(el) is None:
+                continue
+            for m in (t, t @ el.transform):
+                assert (_hex_chains(verifier._transform_polys(el, m, n))
+                        == _hex_chains(_ref_transform_polys(el, m, n)))
+            assert (_hex_chains(sample_outline(el, n))
+                    == _hex_chains(_ref_sample_outline(el, n)))
+        for path in norm.paths:
+            assert _hex_chains(verifier._flatten_path(path, tol)) == _hex_chains(
+                _ref_flatten_path(path, tol))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_shape, _transform, st.sampled_from([2, 7, 64]))
+    def test_every_shape_kind(self, el, t, n):
+        assert _hex_chains(verifier._transform_polys(el, t, n)) == _hex_chains(
+            _ref_transform_polys(el, t, n))
+        assert _hex_chains(sample_outline(el, n)) == _hex_chains(_ref_sample_outline(el, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_xy, _xy, _xy, _xy, st.sampled_from([1e-4, 0.02, 0.5, 10.0]))
+    def test_flatten_cubic(self, p0, c1, c2, p1, tol):
+        got = flatten_cubic(p0, c1, c2, p1, tol)
+        assert type(got) is Polyline and all(type(p) is Point for p in got.points)
+        assert _hex_points(got.points) == _hex_points(_ref_flatten_cubic(p0, c1, c2, p1, tol).points)
+
+    def test_collapsed_subpath_stays_as_a_point(self):
+        raw, _ = parse_document(
+            '<svg viewBox="0 0 24 24"><path d="M5 5L5 5M10 10L20 20L10 20Z"/></svg>')
+        (el,) = raw.paths
+        chains = verifier._transform_polys(el, AffineTransform(), 4)
+        assert [c.points.tolist() for c in chains][0] == [[5.0, 5.0]]
+        assert [len(c.points) for c in chains] == [1, 13]
+        # the public sampler keeps its Polyline contract and drops the point
+        assert [len(pl) for pl in sample_outline(el, 4)] == [13]
 
 
 def test_long_curve_verifies_in_bounded_memory():
