@@ -445,6 +445,88 @@ class TestDistanceKernel:
         assert seen == [2]
 
 
+def _ring(kind, size, radius, turn, start):
+    """One closed outline around the origin, as a ``_chain`` value, starting at vertex ``start``:
+    a square with a vertex at each integer point of its sides, or a circle
+    of ``size`` vertices turned by ``turn``.
+
+    Concentric squares of integer radii put every point of one at exactly
+    the same distance from the other; concentric circles nearly so.
+    """
+    if kind == "square":
+        r = radius
+        side = [(float(i), float(-r)) for i in range(-r, r)]
+        pts = side + [(-y, x) for x, y in side] + [(-x, -y) for x, y in side] + [(y, -x) for x, y in side]
+    else:
+        pts = [(radius * math.cos(turn + 2 * math.pi * i / size),
+                radius * math.sin(turn + 2 * math.pi * i / size)) for i in range(size)]
+    start %= len(pts)
+    pts = pts[start:] + pts[:start]
+    return [(pts + pts[:1], (0.0, 0.0))]
+
+
+_rings = st.builds(_ring, st.sampled_from(["square", "circle"]), st.integers(3, 40),
+                   st.integers(1, 6), st.floats(0, 2 * math.pi), st.integers(0, 100))
+_side = st.one_of(st.lists(_chain, min_size=1, max_size=4), _rings)
+
+
+class TestEarlyBreak:
+    """``_one_sided`` measures exactly only the points that can be the farthest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_side, _side, st.sampled_from([0, 1, 2]), st.integers(1, 40))
+    def test_matches_dense_reference(self, chains_p, chains_s, window, budget):
+        points, _, _ = _chain_arrays(chains_p)
+        _, a, b = _chain_arrays(chains_s)
+        want = _dense_reference(points, a, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verifier, "_FULL_PASS_PAIRS", 0)
+            mp.setattr(verifier, "_WINDOW", window)
+            mp.setattr(verifier, "PAIR_BUDGET", budget)
+            worst, where = verifier._one_sided(points, a, b)
+        i = int(np.argmax(want))
+        assert worst.hex() == float(want[i]).hex()
+        assert where == Point(float(points[i, 0]), float(points[i, 1]))
+
+    @pytest.mark.parametrize("side", ["points", "segments"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 1e300])
+    def test_out_of_scale_coordinates_take_the_full_pass(self, monkeypatch, bad, side):
+        monkeypatch.setattr(verifier, "_FULL_PASS_PAIRS", 0)
+        monkeypatch.setattr(verifier, "_WINDOW", 0)
+        points = np.array([[0.0, 0.0], [1.0, 2.0], [5.0, 5.0], [9.0, 1.0], [3.0, 3.0]])
+        chain = np.array([[0.0, 1.0], [4.0, 4.0], [6.0, 2.0], [8.0, 8.0], [2.0, 0.0]])
+        (points if side == "points" else chain)[2, 0] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _dense_reference(points, chain[:-1], chain[1:])
+            worst, where = verifier._one_sided(points, chain[:-1], chain[1:])
+        i = int(np.argmax(want))
+        assert worst.hex() == float(want[i]).hex()
+        assert _hex_points([where]) == _hex_points([points[i]])
+
+    def test_long_curve_measures_few_points(self, monkeypatch):
+        """Both sides of a 150-segment curve hold thousands of points; under
+        5 % of them can be the farthest, and only those are measured."""
+        raw, _ = parse_document(curved_icon(150))
+        norm, _ = normalize_document(raw)
+        measured = []
+        real = verifier._dist_points_to_segments
+        monkeypatch.setattr(verifier, "_dist_points_to_segments",
+                            lambda points, *segs: measured.append(len(points)) or real(points, *segs))
+        got = verify_normalization(raw, norm)
+        early = sum(measured)
+        monkeypatch.setattr(verifier, "_FULL_PASS_PAIRS", math.inf)
+        full = verify_normalization(raw, norm)
+
+        def key(result):
+            return result.passed, [(r.max_deviation.hex(), r.argmax_point, r.samples_used)
+                                   for r in result.reports]
+
+        assert key(got) == key(full)
+        samples = sum(r.samples_used for r in got.reports)
+        assert samples > 5000
+        assert early < 0.05 * samples, (measured, samples)
+
+
 # --- the scalar reference ----------------------------------------------------
 #
 # The Point-per-sample sampler and flattener that the verifier's column code
