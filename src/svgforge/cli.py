@@ -88,8 +88,8 @@ def _set(**options) -> dict:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs",
-                        help="threads for verify only, whose numpy kernel releases the GIL; "
-                             "the rest is pure Python (same bytes at any level)")
+                        help="accepted and leaves the output unchanged: "
+                             "all work runs in the calling thread")
     parser.add_argument("--seed",
                         help=f"master seed for seeded operations (default {AugmentSpec.seed})")
     parser.add_argument("--config", help="flat key=value config file")

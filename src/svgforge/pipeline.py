@@ -3,11 +3,10 @@
 All subcommand bodies live here as plain functions so they are usable as
 a library; the CLI module only does argument wiring. Each input goes
 through :func:`_each`, which makes whatever it raises its error row.
-Outputs are deterministic for fixed inputs, flags and seeds, and
-byte-identical at any ``jobs`` level. Only ``verify`` uses ``jobs``
-threads, because its numpy kernel releases the interpreter lock; the rest
-is pure Python, where a second thread measured slower (README, "CLI").
-Only the verifier's distance kernel imports numpy, on its first use.
+Inputs run one at a time, in order, in the calling thread; ``jobs`` is
+accepted and leaves the output unchanged. Outputs are deterministic for
+fixed inputs, flags and seeds (README, "CLI"). Only the verifier's
+distance kernel imports numpy, on its first use.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import hashlib
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -136,13 +134,12 @@ def _load_canonical(text: str) -> tuple[Document, str, bool]:
     return doc, svg, svg == text.strip()
 
 
-def _each(fn, items: list, jobs: int = 1):
+def _each(fn, items):
     """Yield ``(fn(item), None)`` or ``(None, "<Type>: <message>")`` per item, in order.
 
     The one per-input failure boundary: whatever an input raises, even
     ``MemoryError``, is its error, with the traceback in the debug log.
-    On one thread, items run lazily, so a caller that stops early stops
-    the work.
+    Items run lazily, so a caller that stops early stops the work.
     """
 
     def attempt(item):
@@ -152,11 +149,7 @@ def _each(fn, items: list, jobs: int = 1):
             log.debug("%.80s failed", item, exc_info=exc)
             return None, f"{type(exc).__name__}: {exc}"
 
-    if jobs <= 1 or len(items) <= 1:
-        yield from map(attempt, items)
-        return
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(attempt, items)
+    return map(attempt, items)
 
 
 def _write_json(path: Path, obj: dict, sort_keys: bool = False) -> None:
@@ -538,14 +531,13 @@ def run_verify(
     out_path: Path | None = None,
     jobs: int = 1,
 ) -> int:
-    """Geometry-check normalized outputs against their raw sources, on ``jobs`` threads.
+    """Geometry-check normalized outputs against their raw sources.
 
     A NORM file must be in normalized form: one whose text is not the
     serialization of its own normalization (:func:`_load_canonical`, the
     test behind classify's ``auto_normalized``) fails as a
-    :class:`NotNormalized` error row. A
-    ``tolerance`` that is not finite and positive raises
-    :class:`ValidationError` before any file is read.
+    :class:`NotNormalized` error row. A ``tolerance`` that is not finite
+    and positive raises :class:`ValidationError` before any file is read.
     """
     check_tolerance(tolerance)
     raw_dir, normalized_dir = Path(raw_dir), Path(normalized_dir)
@@ -566,7 +558,7 @@ def run_verify(
     rows = []
     worst_id, worst_dev = None, -1.0
     failures = errors = 0
-    for rel, (result, error) in zip(files, _each(work, files, jobs)):
+    for rel, (result, error) in zip(files, _each(work, files)):
         rid = file_id(rel)
         if error:
             errors += 1

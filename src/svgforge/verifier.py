@@ -405,6 +405,23 @@ def _min_dist2(x, y, ax, ay, dx, dy, len2) -> np.ndarray:
     return ex.min(axis=1)
 
 
+def _segment_terms(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_min_dist2`'s terms of the segments [a_j, b_j]; a zero length is taken as 1."""
+    ax, ay = a[:, 0], a[:, 1]
+    dx, dy = b[:, 0] - ax, b[:, 1] - ay
+    len2 = dx * dx + dy * dy
+    len2[len2 < 1e-30] = 1.0
+    return ax, ay, dx, dy, len2
+
+
+def _safe_scale(*coords: np.ndarray) -> float | None:
+    """The largest magnitude in ``coords``; ``None`` outside ``_SAFE_SCALE``, inf and NaN too."""
+    import numpy as np
+
+    scale = np.abs(np.concatenate(coords)).max()
+    return scale if _SAFE_SCALE[0] <= scale <= _SAFE_SCALE[1] else None
+
+
 def _dist_points_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Min distance from each point to any segment [a_j, b_j].
 
@@ -417,27 +434,24 @@ def _dist_points_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) -
 
     n, m = len(points), len(a)
     x, y = points[:, 0], points[:, 1]
-    ax, ay = a[:, 0], a[:, 1]
-    bx, by = b[:, 0], b[:, 1]
-    dx, dy = bx - ax, by - ay
-    len2 = dx * dx + dy * dy
-    len2[len2 < 1e-30] = 1.0
+    ax, ay, dx, dy, len2 = _segment_terms(a, b)
     rows = max(1, PAIR_BUDGET // m)
     if n <= rows:
         return np.sqrt(_min_dist2(x, y, ax, ay, dx, dy, len2))
 
-    scale = np.abs(np.concatenate([points, a, b])).max()
-    cull = _SAFE_SCALE[0] <= scale <= _SAFE_SCALE[1]  # also False for inf and NaN
-    slack = _CULL_ULPS * np.finfo(np.float64).eps * scale
-    lo_x, hi_x = np.minimum(ax, bx), np.maximum(ax, bx)
-    lo_y, hi_y = np.minimum(ay, by), np.maximum(ay, by)
+    scale = _safe_scale(points, a, b)
+    if scale is not None:
+        slack = _CULL_ULPS * np.finfo(np.float64).eps * scale
+        bx, by = b[:, 0], b[:, 1]
+        lo_x, hi_x = np.minimum(ax, bx), np.maximum(ax, bx)
+        lo_y, hi_y = np.minimum(ay, by), np.maximum(ay, by)
     out = np.empty(n)
     chunks = -(-n // rows)
     bounds = [i * n // chunks for i in range(chunks + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
         cx, cy = x[lo:hi], y[lo:hi]
         keep = slice(None)
-        if cull:
+        if scale is not None:
             x0, x1, y0, y1 = cx.min(), cx.max(), cy.min(), cy.max()
             # no chunk point is farther from segment j than the box corner
             # farthest from either endpoint is from that endpoint
@@ -478,10 +492,7 @@ def _window_bounds(pts: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.
     j0 = np.searchsorted(seg_place, _arclength_places(pts))
     offsets = np.arange(-_WINDOW, _WINDOW + 1)
     x, y = pts[:, 0], pts[:, 1]
-    ax, ay = starts[:, 0], starts[:, 1]
-    dx, dy = ends[:, 0] - ax, ends[:, 1] - ay
-    len2 = dx * dx + dy * dy
-    len2[len2 < 1e-30] = 1.0
+    ax, ay, dx, dy, len2 = _segment_terms(starts, ends)
     out = np.empty(len(pts))
     rows = max(1, PAIR_BUDGET // len(offsets))
     for lo in range(0, len(pts), rows):
@@ -497,16 +508,12 @@ def _one_sided(pts: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[f
     Large calls measure exactly only the points that can be the farthest
     (see the module docstring); the rest measure every point.
     """
-    import numpy as np
-
     candidates = pts
-    if len(pts) * len(starts) > _FULL_PASS_PAIRS:
-        scale = np.abs(np.concatenate([pts, starts, ends])).max()
-        if _SAFE_SCALE[0] <= scale <= _SAFE_SCALE[1]:  # also False for inf and NaN
-            bound = _window_bounds(pts, starts, ends)
-            top = int(bound.argmax())
-            lower = _dist_points_to_segments(pts[top:top + 1], starts, ends)[0]
-            candidates = pts[bound >= lower]
+    if len(pts) * len(starts) > _FULL_PASS_PAIRS and _safe_scale(pts, starts, ends) is not None:
+        bound = _window_bounds(pts, starts, ends)
+        top = int(bound.argmax())
+        lower = _dist_points_to_segments(pts[top:top + 1], starts, ends)[0]
+        candidates = pts[bound >= lower]
     dists = _dist_points_to_segments(candidates, starts, ends)
     k = int(dists.argmax())
     return float(dists[k]), Point(float(candidates[k, 0]), float(candidates[k, 1]))

@@ -231,8 +231,8 @@ def test_out_named_like_the_errors_sidecar_is_usage_error(tmp_path, capsys, monk
     records.write_text(json.dumps(RECORD) + "\n")
     ran = []
     each = pipeline._each
-    monkeypatch.setattr(pipeline, "_each", lambda fn, items, jobs=1: each(
-        lambda item: ran.append(item) or fn(item), items, jobs))
+    monkeypatch.setattr(pipeline, "_each", lambda fn, items: each(
+        lambda item: ran.append(item) or fn(item), items))
     out = tmp_path / "d" / "errors.jsonl"
     source = {"classify": raw, "score": pairs, "augment": records}[command]
     assert main([command, str(source), "--out", str(out)]) == EXIT_USAGE

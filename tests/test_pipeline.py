@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -839,35 +840,36 @@ def _fills(svg_text):
     return re.findall(r'fill="#([0-9a-f]{6})"', svg_text)
 
 
-class _PoolBuilt(Exception):
+class _ThreadStarted(Exception):
     pass
 
 
-def _no_pool(*args, **kwargs):
-    raise _PoolBuilt
+def _no_thread(self):
+    raise _ThreadStarted(self.name)
 
 
-class TestThreads:
-    """Only verify runs on threads; pure-Python subcommands never build a pool."""
+class TestOneThread:
+    """``jobs`` is accepted everywhere and changes nothing: all work runs in
+    the calling thread, so no subcommand starts a thread at any level."""
 
-    def test_only_verify_builds_a_pool(self, tmp_path, corpus_dir, monkeypatch):
+    def test_jobs_leaves_output_unchanged_and_starts_no_thread(self, tmp_path, corpus_dir, monkeypatch):
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text("".join(
             json.dumps({"id": f"p{i}", "generated": gen, "reference": VALID}) + "\n"
             for i, gen in enumerate([VALID, "<svg", VALID])
         ))
+        monkeypatch.setattr(threading.Thread, "start", _no_thread)
         trees = []
         for jobs in (1, 2):
-            if jobs == 2:
-                monkeypatch.setattr(pipeline, "ThreadPoolExecutor", _no_pool)
             out = tmp_path / f"j{jobs}"
             assert run_normalize(corpus_dir, out / "norm", jobs=jobs) == EXIT_OK
             assert run_classify(corpus_dir, out / "classify" / "records.jsonl", jobs=jobs) == EXIT_OK
             assert run_score(pairs, out / "score" / "scored.jsonl", jobs=jobs) == EXIT_OK
+            assert run_verify(corpus_dir, out / "norm", out_path=out / "verify.jsonl",
+                              jobs=jobs) == EXIT_OK
             trees.append(tree(out))
         assert trees[0] == trees[1]
-        with pytest.raises(_PoolBuilt):
-            run_verify(corpus_dir, tmp_path / "j1" / "norm", jobs=2)
+        assert {"verify.jsonl", "score/scored.jsonl", "classify/records.jsonl"} <= set(trees[0])
 
 
 _ICONS = (
