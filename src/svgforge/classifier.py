@@ -59,35 +59,47 @@ def distinct_fills(doc: Document) -> set:
     return fills
 
 
+def _category(n_fills: int) -> ColorCategory:
+    return ColorCategory.MONOCHROME if n_fills <= 1 else ColorCategory.MULTICOLOR
+
+
 def detect_color_category(doc: Document) -> ColorCategory:
     """Monochrome iff at most one distinct fill appears across all paths.
 
     Each gradient/pattern reference counts as its own pseudo-color, so any
     reference alongside a flat fill makes the document multicolor.
     """
-    if len(distinct_fills(doc)) <= 1:
-        return ColorCategory.MONOCHROME
-    return ColorCategory.MULTICOLOR
+    return _category(len(distinct_fills(doc)))
 
 
-def classify(doc: Document, *, shared_bound_to_harder: bool = True) -> Classification:
-    """Assign the difficulty level of a normalized document.
+def classify_counts(
+    n_fills: int, n_commands: int, n_paths: int, *, shared_bound_to_harder: bool = True
+) -> Classification:
+    """Assign the difficulty level from a document's counts: distinct fills
+    (as :func:`distinct_fills` counts them), M/L/C commands and paths.
 
     ``shared_bound_to_harder`` controls which class owns the shared table
     bounds (50 and 100): the default sends them to the harder class.
     """
-    category = detect_color_category(doc)
-    n = count_commands(doc)
+    category = _category(n_fills)
     bound = MONO_BOUND if category is ColorCategory.MONOCHROME else MULTI_BOUND
     easy, hard = (
         (DifficultyLevel.MONOCOLOR_EASY, DifficultyLevel.MONOCOLOR_DIFFICULT)
         if category is ColorCategory.MONOCHROME
         else (DifficultyLevel.MULTICOLOR_EASY, DifficultyLevel.MULTICOLOR_DIFFICULT)
     )
-    if n > MAX_COMMANDS:
+    if n_commands > MAX_COMMANDS:
         level = None
-    elif n < bound or (n == bound and not shared_bound_to_harder):
+    elif n_commands < bound or (n_commands == bound and not shared_bound_to_harder):
         level = easy
     else:
         level = hard
-    return Classification(category, n, len(doc.paths), level)
+    return Classification(category, n_commands, n_paths, level)
+
+
+def classify(doc: Document, *, shared_bound_to_harder: bool = True) -> Classification:
+    """Assign the difficulty level of a normalized document (:func:`classify_counts`)."""
+    return classify_counts(
+        len(distinct_fills(doc)), count_commands(doc), len(doc.paths),
+        shared_bound_to_harder=shared_bound_to_harder,
+    )

@@ -161,6 +161,9 @@ class CubicTo(_Absolute):
 #: normalization.
 PathCommand = Union[MoveTo, LineTo, CubicTo]
 
+#: Each post-normalization command type by its opcode.
+COMMAND_TYPES = {cls.opcode: cls for cls in (MoveTo, LineTo, CubicTo)}
+
 
 # --- paint ---------------------------------------------------------------
 

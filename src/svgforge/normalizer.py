@@ -26,6 +26,7 @@ from .errors import (
 from .model import (
     BLACK,
     CANVAS_SIZE,
+    COMMAND_TYPES,
     IDENTITY,
     AffineTransform,
     CubicTo,
@@ -575,9 +576,6 @@ def convert_element(
     return flattened
 
 
-_TYPED = {"M": MoveTo, "L": LineTo, "C": CubicTo}
-
-
 def _typed_as_is(doc: Document) -> Document | None:
     """The normalized form of a parsed document that already is in it, or ``None``.
 
@@ -599,7 +597,7 @@ def _typed_as_is(doc: Document) -> Document | None:
         cmds = []
         prev = None
         for cmd in el.commands:
-            kind = _TYPED.get(cmd.opcode) if isinstance(cmd, RawCommand) else None
+            kind = COMMAND_TYPES.get(cmd.opcode) if isinstance(cmd, RawCommand) else None
             if kind is None or len(cmd.args) != PARAM_COUNTS[cmd.opcode]:
                 return None
             if (prev is None and kind is not MoveTo) or (prev is MoveTo and kind is MoveTo):

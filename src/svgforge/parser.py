@@ -6,10 +6,24 @@
 compact canonical form. Parsing is tolerant: unsupported elements are
 dropped with a positioned warning rather than an error, keeping ingestion
 auditable without sacrificing corpus yield.
+
+The canonical form is also recognized as text. :func:`canonical_paths`
+matches one whole-document pattern built from the serializer's own parts
+and returns each path's ``d`` and ``fill`` slices, so a reader of
+normalized text counts, splices or types it (:func:`canonical_document`)
+without expat or a second serialization. It declines (returns ``None``)
+whenever it cannot be sure: any number outside :func:`format_number`'s
+output with at most 13 integer digits, any separator or attribute order
+the serializer does not write, a reference id outside a conservative ASCII
+set, ``fill="none"`` or a document with no path. A declined text takes the
+full parse-and-normalize route, so declining is always safe. A match
+means that ``serialize_document(normalize_document(parse_document(t)))``
+is ``t`` without its surrounding XML whitespace.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -18,7 +32,9 @@ from xml.parsers import expat
 
 from .errors import MalformedXml, MissingRoot, NoCanvas, NotNormalized
 from .model import (
+    COMMAND_TYPES,
     IDENTITY,
+    NORMALIZED_VIEW_BOX,
     AffineTransform,
     Document,
     Drawable,
@@ -49,6 +65,9 @@ _TRANSFORM_RE = re.compile(
 _URL_RE = re.compile(r"url\(\s*#([^)\s]+)\s*\)")
 # what a reference id must escape inside a double-quoted attribute
 _ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+# and back: entity name -> character
+_ENTITIES = {v[1:-1]: chr(k) for k, v in _ATTR_ESCAPES.items()}
+_ENTITY_RE = re.compile(f"&({'|'.join(_ENTITIES)});")
 
 # SVG 1.1 color keywords.
 NAMED_COLORS = {
@@ -461,6 +480,17 @@ def _format_fill(fill: Paint) -> str:
     return "none"
 
 
+# The canonical form's text: what serialize_paths writes and canonical_paths reads.
+_HEAD = '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1024 1024">'
+_PATH = '<path d="{}" fill="{}"/>'
+_TAIL = "</svg>"
+
+
+def serialize_paths(paths) -> str:
+    """Canonical text of ``(d, fill)`` attribute texts, one ``<path>`` each."""
+    return _HEAD + "".join(_PATH.format(d, fill) for d, fill in paths) + _TAIL
+
+
 def serialize_document(doc: Document) -> str:
     """Serialize a normalized document to canonical compact SVG text.
 
@@ -471,10 +501,66 @@ def serialize_document(doc: Document) -> str:
     """
     if not doc.normalized:
         raise NotNormalized("serialize_document requires a normalized document")
-    out = ['<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1024 1024">']
-    for p in doc.paths:
-        out.append(
-            f'<path d="{_format_commands(p.commands)}" fill="{_format_fill(p.fill)}"/>'
-        )
-    out.append("</svg>")
-    return "".join(out)
+    return serialize_paths(
+        (_format_commands(p.commands), _format_fill(p.fill)) for p in doc.paths
+    )
+
+
+@functools.cache
+def _canonical_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    """The whole-document pattern, the ``(d, fill)`` slicer and the
+    ``(opcode, numbers)`` slicer of ``d``, compiled on first use."""
+    # format_number's output: no -0, no trailing zero, at most 2 decimals;
+    # 13 integer digits keep every number within float's 15 exact digits.
+    # ASCII digits only: float() also reads other scripts' digits.
+    num = r"(?!-0(?!\.))-?(?:0|[1-9][0-9]{0,12})(?:\.[0-9]?[1-9])?"
+    # starts with M, and every M is followed by a segment: no M without one
+    d = rf"(?=M)(?:M{num} {num}(?=[LC])|L{num} {num}|C{num}(?: {num}){{5}})+"
+    ref_id = rf"(?:[A-Za-z0-9_.:-]|&(?:{'|'.join(_ENTITIES)});)+"
+    fill = rf"#[0-9a-f]{{6}}|url\(#{ref_id}\)"  # never none
+    before, between, after = map(re.escape, _PATH.split("{}"))
+    space = "[ \t\r\n]*"  # XML whitespace, which expat accepts around the root
+    document = re.compile(
+        f"{space}{re.escape(_HEAD)}(?:{before}{d}{between}(?:{fill}){after})+"
+        f"{re.escape(_TAIL)}{space}"
+    )
+    slices = re.compile(f'{before}([^"]*){between}([^"]*){after}')
+    return document, slices, re.compile("([MLC])([^MLC]+)")
+
+
+def canonical_paths(text) -> list[tuple[str, str]] | None:
+    """The ``(d, fill)`` attribute texts of each path of canonical ``text``, or ``None``.
+
+    ``text`` matches when it is, up to surrounding XML whitespace, what
+    :func:`serialize_document` writes and reads back unchanged (see the
+    module docstring); anything else, a non-string included, is ``None``.
+    """
+    if not isinstance(text, str):
+        return None
+    document, slices, _ = _canonical_patterns()
+    if document.fullmatch(text) is None:
+        return None
+    return slices.findall(text)
+
+
+def _canonical_paint(fill: str) -> Paint:
+    if fill[0] == "#":
+        return Hex(fill[1:])
+    return Reference(_ENTITY_RE.sub(lambda m: _ENTITIES[m.group(1)], fill[len("url(#"):-1]))
+
+
+def canonical_document(paths: list[tuple[str, str]]) -> Document:
+    """The normalized document of :func:`canonical_paths` slices.
+
+    It equals what parsing and normalizing their text gives: the same
+    floats of the same number texts, typed as M/L/C commands.
+    """
+    commands = _canonical_patterns()[2]
+    drawn = []
+    for d, fill in paths:
+        cmds = []
+        for opcode, numbers in commands.findall(d):
+            v = [float(x) for x in numbers.split(" ")]
+            cmds.append(COMMAND_TYPES[opcode](*map(Point, v[::2], v[1::2])))
+        drawn.append(PathElement(tuple(cmds), _canonical_paint(fill)))
+    return Document(NORMALIZED_VIEW_BOX, tuple(drawn), normalized=True)

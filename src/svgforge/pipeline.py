@@ -7,6 +7,14 @@ Inputs run one at a time, in order, in the calling thread; ``jobs`` is
 accepted and leaves the output unchanged. Outputs are deterministic for
 fixed inputs, flags and seeds (README, "CLI"). Only the verifier's
 distance kernel imports numpy, on its first use.
+
+Every reader of normalized text (``classify``, ``augment``, ``verify``'s
+NORM files and, in :mod:`~svgforge.rewards`, ``score``) first tries the
+text route: :func:`~svgforge.parser.canonical_paths` recognizes canonical
+text as text, and the reader counts, splices or types its ``(d, fill)``
+slices with no XML parse, normalization or second serialization. Text it
+declines takes the full route of parse, normalize and serialize, as
+before; the two routes give the same rows.
 """
 
 from __future__ import annotations
@@ -19,12 +27,25 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from .augment import AugmentSpec, replace_colors, swap_paths
-from .classifier import classify
+from .augment import (
+    NO_FLAT_FILL,
+    AugmentSpec,
+    recolor_slices,
+    replace_colors,
+    swap_paths,
+    swap_slices,
+)
+from .classifier import Classification, classify, classify_counts
 from .errors import NotNormalized, SchemaError, SvgForgeError, ValidationError
 from .model import DifficultyLevel, Document
 from .normalizer import NormalizeReport, normalize_document
-from .parser import parse_document, serialize_document
+from .parser import (
+    canonical_document,
+    canonical_paths,
+    parse_document,
+    serialize_document,
+    serialize_paths,
+)
 from .rewards import RewardParams, total_reward
 from .verifier import DEFAULT_TOLERANCE, check_tolerance, verify_normalization
 
@@ -68,14 +89,24 @@ def record_from_document(
     doc_id: str, doc: Document, augmented_from: str | None = None
 ) -> DatasetRecord:
     """Build a self-validating record from a normalized document."""
-    return _record(doc_id, doc, serialize_document(doc), augmented_from)
+    return _record(doc_id, classify(doc), serialize_document(doc), augmented_from)
+
+
+def _slices_record(
+    doc_id: str, paths: list[tuple[str, str]], augmented_from: str | None = None
+) -> DatasetRecord:
+    """:func:`record_from_document` of the document that canonical ``(d,
+    fill)`` slices type to, counted on the text: each of M, L and C is one
+    command, and equal fill texts are equal paints."""
+    n_commands = sum(d.count("M") + d.count("L") + d.count("C") for d, _ in paths)
+    c = classify_counts(len({fill for _, fill in paths}), n_commands, len(paths))
+    return _record(doc_id, c, serialize_paths(paths), augmented_from)
 
 
 def _record(
-    doc_id: str, doc: Document, svg: str, augmented_from: str | None = None
+    doc_id: str, c: Classification, svg: str, augmented_from: str | None = None
 ) -> DatasetRecord:
-    # ``svg`` is the serialization of ``doc``
-    c = classify(doc)
+    # ``c`` classifies the document that ``svg`` serializes
     return DatasetRecord(
         id=doc_id,
         svg=svg,
@@ -125,9 +156,9 @@ def _load_canonical(text: str) -> tuple[Document, str, bool]:
     """Parse, normalize and serialize one SVG text.
 
     Returns the normalized document, its canonical text, and whether
-    ``text`` already is that text up to surrounding whitespace: the one
-    test behind classify's ``auto_normalized`` and verify's
-    :class:`NotNormalized`.
+    ``text`` already is that text up to surrounding whitespace: the test
+    behind classify's ``auto_normalized`` and verify's
+    :class:`NotNormalized` for text that :func:`canonical_paths` declines.
     """
     doc = _load(text)[0]
     svg = serialize_document(doc)
@@ -274,7 +305,8 @@ def run_classify(input_dir: Path, out_path: Path, jobs: int = 1) -> int:
     """Emit one DatasetRecord per document, sorted by id.
 
     Inputs that are not yet normalized are normalized on the fly and the
-    record notes it. Per-file errors land in a sidecar errors.jsonl.
+    record notes it. Canonical text is classified on the text route (module
+    docstring). Per-file errors land in a sidecar errors.jsonl.
     """
     input_dir, out_path = Path(input_dir), Path(out_path)
     if not input_dir.is_dir():
@@ -284,8 +316,12 @@ def run_classify(input_dir: Path, out_path: Path, jobs: int = 1) -> int:
 
     def work(rel: Path) -> list[dict]:
         claim(rel)
-        doc, svg, canonical = _load_canonical((input_dir / rel).read_text(encoding="utf-8"))
-        row = _record(file_id(rel), doc, svg).to_dict()
+        text = (input_dir / rel).read_text(encoding="utf-8")
+        paths = canonical_paths(text)
+        if paths is not None:
+            return [_slices_record(file_id(rel), paths).to_dict()]
+        doc, svg, canonical = _load_canonical(text)
+        row = _record(file_id(rel), classify(doc), svg).to_dict()
         if not canonical:
             row["auto_normalized"] = True
         return [row]
@@ -436,8 +472,9 @@ def run_score(
 
     A pair that lacks a field, whose reference fails integrity or whose
     reward is not finite becomes a row in the sidecar errors.jsonl (exit 1).
-    Each distinct text, reference or rollout, is parsed and normalized once
-    per call: ``counts`` keeps its path count for the rows after it.
+    Each distinct text, reference or rollout, is counted once per call
+    (:func:`~svgforge.rewards.path_count`): ``counts`` keeps its path count
+    for the rows after it.
     """
     rows = _read_jsonl(Path(pairs_path))
     counts: dict[str, int | str] = {}
@@ -480,7 +517,10 @@ def run_augment(
 
     Each variant recolors through a seeded injective map and, when a safe
     adjacent pair exists, swaps it. An op that cannot run is logged and ends
-    the variant's ops; a variant equal to its source is not written. A
+    the variant's ops; a recolor with no flat fill is logged and the variant
+    goes on to swap; a variant equal to its source is not written. A record
+    whose svg is canonical text is augmented on its slices (module
+    docstring). A
     record with a missing or mistyped field, or an svg that fails to parse
     or normalize, becomes a row in the sidecar errors.jsonl (exit 1). Empty
     ``ops``, or a name outside :data:`AUGMENT_OPS`, raises
@@ -495,24 +535,31 @@ def run_augment(
         where, row = line
         _check_record(row, where)
         rid = row["id"]
-        source = _load(row["svg"])[0]
+        source = canonical_paths(row["svg"])
+        if source is None:
+            source = _load(row["svg"])[0]
+            recolor, swap, to_record = replace_colors, swap_paths, record_from_document
+        else:
+            recolor, swap, to_record = recolor_slices, swap_slices, _slices_record
         variants = []
         for k in range(spec.n_variants):
             variant_spec = replace(spec, seed=_variant_seed(spec.seed, rid, k))
-            variant, note = source, None
+            variant, notes = source, []
             try:
                 if "recolor" in ops:
-                    variant = replace_colors(variant, variant_spec)
+                    variant = recolor(source, variant_spec)
+                    if variant is source:  # both recolors return an input without flat fills
+                        notes.append(NO_FLAT_FILL)
                 if "swap" in ops:
-                    variant, note = swap_paths(
-                        variant, variant_spec.seed + 1, spec.allow_overlap_swap
-                    )
+                    variant, note = swap(variant, variant_spec.seed + 1, spec.allow_overlap_swap)
+                    if note is not None:
+                        notes.append(note)
             except SvgForgeError as exc:
-                note = f"{type(exc).__name__}: {exc}"
-            if note is not None:
+                notes.append(f"{type(exc).__name__}: {exc}")
+            for note in notes:
                 log.info("augment: %s variant %d: %s", rid, k, note)
             if variant != source:
-                record = record_from_document(f"{rid}__aug{k + 1}", variant, augmented_from=rid)
+                record = to_record(f"{rid}__aug{k + 1}", variant, augmented_from=rid)
                 variants.append(record.to_dict())
         return variants
 
@@ -536,7 +583,9 @@ def run_verify(
     A NORM file must be in normalized form: one whose text is not the
     serialization of its own normalization (:func:`_load_canonical`, the
     test behind classify's ``auto_normalized``) fails as a
-    :class:`NotNormalized` error row. A ``tolerance`` that is not finite
+    :class:`NotNormalized` error row. A NORM file that
+    :func:`canonical_paths` recognizes is canonical, and its document is
+    typed from its slices. A ``tolerance`` that is not finite
     and positive raises :class:`ValidationError` before any file is read.
     """
     check_tolerance(tolerance)
@@ -549,10 +598,14 @@ def run_verify(
     def work(rel: Path):
         claim(rel)
         raw_doc, _ = parse_document((raw_dir / rel).read_text(encoding="utf-8"))
-        norm_doc, _, canonical = _load_canonical(
-            (normalized_dir / rel).read_text(encoding="utf-8"))
-        if not canonical:
-            raise NotNormalized(f"{rel.as_posix()} differs from its normalized form")
+        text = (normalized_dir / rel).read_text(encoding="utf-8")
+        paths = canonical_paths(text)
+        if paths is not None:
+            norm_doc = canonical_document(paths)
+        else:
+            norm_doc, _, canonical = _load_canonical(text)
+            if not canonical:
+                raise NotNormalized(f"{rel.as_posix()} differs from its normalized form")
         return verify_normalization(raw_doc, norm_doc, tolerance)
 
     rows = []

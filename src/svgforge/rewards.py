@@ -21,7 +21,7 @@ in ``tests/test_normalizer.py`` pins that they leave integrity at 1.
 The functions keep no state of their own. A batch that scores many
 rollouts against few references can pass :func:`total_reward` a
 ``counts`` dict that it owns, from each text to its path count or its
-integrity failure, so each distinct text is parsed and normalized once;
+integrity failure, so each distinct text is counted once;
 the dict holds one entry per distinct text, so it is bounded by the
 caller's batch and freed with it. Without one, batches may be scored from
 any number of threads.
@@ -35,7 +35,7 @@ from enum import Enum
 
 from .errors import InvalidReference, Unparseable, ValidationError
 from .normalizer import normalize_document
-from .parser import parse_document
+from .parser import canonical_paths, parse_document
 
 
 class MatchSemantics(Enum):
@@ -88,9 +88,13 @@ def path_count(svg_text: str) -> int:
     """Number of path elements in the normalized document.
 
     Every drawable becomes exactly one path during normalization, so this
-    matches the classifier's path count. Raises :class:`Unparseable` when
-    the text fails the integrity check.
+    matches the classifier's path count. Canonical text
+    (:func:`~svgforge.parser.canonical_paths`) is counted as text. Raises
+    :class:`Unparseable` when the text fails the integrity check.
     """
+    paths = canonical_paths(svg_text)
+    if paths is not None:
+        return len(paths)
     try:
         doc, _ = parse_document(svg_text)
         normalized, _ = normalize_document(doc)

@@ -44,6 +44,9 @@ def test_one_line_per_output_with_exit_codes_and_listing():
         ["few", "stats", "0", "stats.json"],
         ["few", "curriculum", "0", "manifest.json"],
         ["few", "augment", "0", "aug.jsonl"],
+        ["few", "augment-recolor", "0", "aug.jsonl"],
+        ["few", "augment-swap", "0", "aug.jsonl"],
+        ["few", "augment-palette", "0", "aug.jsonl"],
         # the broken document has no normalized file to check
         ["few", "verify", "3", "report.jsonl"],
         ["pairs", "score", "0", "scored.jsonl"],

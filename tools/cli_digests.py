@@ -3,7 +3,9 @@
 Each corpus of ``verify_digests.corpora(dense=False)`` (the dense tier,
 which takes minutes to verify, is left out) is written out as one raw file
 per document and taken through ``normalize`` (with ``--report``),
-``classify``, ``stats``, ``curriculum``, ``augment`` and ``verify`` (with
+``classify``, ``stats``, ``curriculum``, ``augment`` (with the default
+ops, then ``--ops recolor``, ``--ops swap --variants 2``, and a
+``--palette`` with ``--allow-overlap-swap``) and ``verify`` (with
 ``--out``) by ``svgforge.cli.main``. ``score`` takes the rollouts of
 ``bench/inputs.score_pairs(601)`` as its pairs file. Each flow runs at
 ``--jobs 1`` and again at ``--jobs 2``, in a directory of its own but with
@@ -48,6 +50,12 @@ BUILD_STEPS = (
     ("stats", ["stats", "classify/records.jsonl", "--out", "stats/stats.json"]),
     ("curriculum", ["curriculum", "classify/records.jsonl", "--out", "curriculum/manifest.json"]),
     ("augment", ["augment", "classify/records.jsonl", "--out", "augment/aug.jsonl"]),
+    ("augment-recolor", ["augment", "classify/records.jsonl", "--out", "augment-recolor/aug.jsonl",
+                         "--ops", "recolor"]),
+    ("augment-swap", ["augment", "classify/records.jsonl", "--out", "augment-swap/aug.jsonl",
+                      "--ops", "swap", "--variants", "2"]),
+    ("augment-palette", ["augment", "classify/records.jsonl", "--out", "augment-palette/aug.jsonl",
+                         "--palette", "#111111,#222222,#333333,#444444", "--allow-overlap-swap"]),
     ("verify", ["verify", "../raw", "normalize/norm", "--out", "verify/report.jsonl"]),
 )
 SCORE_STEPS = (("score", ["score", "../pairs.jsonl", "--out", "score/scored.jsonl"]),)
