@@ -33,9 +33,16 @@ def _yes(text: str) -> bool:
     return text.lower() in ("1", "true", "yes")
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise ValueError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 #: Each layered option's one conversion from its text, whichever layer set it.
 CONVERSIONS = {
-    "jobs": int, "seed": int, "quiet": _yes,
+    "jobs": _jobs, "seed": int, "quiet": _yes,
     "strict": _yes, "report": lambda text: Path(text) if text else None,
     "epochs": lambda text: tuple(int(x) for x in text.split(",")), "extra_stage": str,
     "alpha": float, "beta": float, "gamma": float, "semantics": MatchSemantics,
@@ -88,8 +95,9 @@ def _set(**options) -> dict:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs",
-                        help="accepted and leaves the output unchanged: "
-                             "all work runs in the calling thread")
+                        help="worker processes for normalize and verify, at least 1 "
+                             "(default 1); capped at the file and CPU counts, and "
+                             "the output is the same at any value")
     parser.add_argument("--seed",
                         help=f"master seed for seeded operations (default {AugmentSpec.seed})")
     parser.add_argument("--config", help="flat key=value config file")

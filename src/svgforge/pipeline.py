@@ -3,10 +3,14 @@
 All subcommand bodies live here as plain functions so they are usable as
 a library; the CLI module only does argument wiring. Each input goes
 through :func:`_each`, which makes whatever it raises its error row.
-Inputs run one at a time, in order, in the calling thread; ``jobs`` is
-accepted and leaves the output unchanged. Outputs are deterministic for
-fixed inputs, flags and seeds (README, "CLI"). Only the verifier's
-distance kernel imports numpy, on its first use.
+``run_normalize`` and ``run_verify`` pass ``jobs`` on, so with ``jobs >
+1`` their inputs run on forked worker processes; every other subcommand
+runs its inputs one at a time in the calling thread, where a worker's
+start-up costs more than it saves, and accepts ``jobs`` only for the
+CLI's sake. Results keep input order at any ``jobs``, so outputs are
+deterministic for fixed inputs, flags and seeds (README, "CLI"). Only the
+verifier's distance kernel imports numpy, on its first use, and only
+``jobs > 1`` imports :mod:`multiprocessing`.
 
 Every reader of normalized text (``classify``, ``augment``, ``verify``'s
 NORM files and, in :mod:`~svgforge.rewards`, ``score``) first tries the
@@ -23,6 +27,8 @@ import hashlib
 import json
 import logging
 import math
+import os
+from contextlib import closing
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -165,22 +171,75 @@ def _load_canonical(text: str) -> tuple[Document, str, bool]:
     return doc, svg, svg == text.strip()
 
 
-def _each(fn, items):
-    """Yield ``(fn(item), None)`` or ``(None, "<Type>: <message>")`` per item, in order.
+def _attempt(fn, item):
+    """``(fn(item), None)``, or ``(None, "<Type>: <message>")`` for whatever
+    ``fn`` raises, even ``MemoryError``, with the traceback in the debug log."""
+    try:
+        return fn(item), None
+    except Exception as exc:
+        log.debug("%.80s failed", item, exc_info=exc)
+        return None, f"{type(exc).__name__}: {exc}"
 
-    The one per-input failure boundary: whatever an input raises, even
-    ``MemoryError``, is its error, with the traceback in the debug log.
-    Items run lazily, so a caller that stops early stops the work.
+
+#: Chunks per worker process: enough that a worker with slow items does not
+#: hold up the rest for long, few enough to keep each chunk's round trip small.
+_CHUNKS_PER_WORKER = 4
+#: Items per chunk at most, so a large batch streams its results back in
+#: small messages instead of holding a quarter of a worker's share at once.
+_MAX_CHUNK = 64
+
+#: ``(fn, items)`` of the one :func:`_each` whose worker processes are
+#: running; forked workers inherit it, so neither is pickled.
+_forked_batch = None
+
+
+def _attempt_forked(i: int):
+    fn, items = _forked_batch
+    return _attempt(fn, items[i])
+
+
+def _each(fn, items, jobs: int = 1):
+    """Yield :func:`_attempt` of each item of the list ``items``, in order.
+
+    The one per-input failure boundary. With ``jobs`` of 1 or less, a single
+    item, or no ``fork`` start method, items run lazily in the calling
+    thread, so a caller that stops early stops the work. Otherwise they run
+    on ``min(jobs, len(items), os.cpu_count())`` forked worker processes
+    (README, "CLI"), which inherit ``fn`` and ``items``, so ``fn`` may be a
+    closure; workers can run ahead of the caller, which still receives the
+    results in input order. A worker that dies (a signal, an out-of-memory
+    kill) turns every result not yet yielded into ``(None,
+    "BrokenProcessPool: ...")``. Every worker is joined when the generator
+    ends or is closed, so a caller that may stop early closes it. Not for
+    concurrent use from several threads: forking a threaded process is
+    unsafe, and the workers' batch is one module global.
     """
+    global _forked_batch
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        import multiprocessing
 
-    def attempt(item):
-        try:
-            return fn(item), None
-        except Exception as exc:
-            log.debug("%.80s failed", item, exc_info=exc)
-            return None, f"{type(exc).__name__}: {exc}"
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
-    return map(attempt, items)
+            done = 0
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            _forked_batch = fn, items  # before the first map call forks the workers
+            try:
+                chunk = max(1, min(_MAX_CHUNK, len(items) // (_CHUNKS_PER_WORKER * workers)))
+                for result in pool.map(_attempt_forked, range(len(items)), chunksize=chunk):
+                    yield result
+                    done += 1
+            except BrokenProcessPool as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                yield from ((None, error) for _ in range(done, len(items)))
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+                _forked_batch = None
+            return
+    for item in items:
+        yield _attempt(fn, item)
 
 
 def _write_json(path: Path, obj: dict, sort_keys: bool = False) -> None:
@@ -259,8 +318,10 @@ def run_normalize(
 
     Output files keep their relative paths. Failures are logged and
     skipped (exit 1), or abort at the first failure under ``strict``
-    (exit 2) before any later file is read. ``output_dir`` is created
-    even when every file fails, so ``verify`` can give each an error row.
+    (exit 2): no later file is written, and at ``jobs=1`` none is read,
+    while worker processes at ``jobs > 1`` may have read and normalized
+    later files already. ``output_dir`` is created even when every file
+    fails, so ``verify`` can give each an error row.
     """
     input_dir, output_dir = Path(input_dir), Path(output_dir)
     if not input_dir.is_dir():
@@ -274,19 +335,20 @@ def run_normalize(
 
     aggregate = NormalizeReport()
     failures = 0
-    for rel, (result, error) in zip(files, _each(work, files)):
-        if error is not None:
-            failures += 1
-            log.warning("failed %s: %s", rel, error)
-            if strict:
-                log.error("aborting on first failure (--strict)")
-                return EXIT_USAGE
-            continue
-        text, report = result
-        out_file = output_dir / rel
-        out_file.parent.mkdir(parents=True, exist_ok=True)
-        out_file.write_text(text, encoding="utf-8", newline="\n")
-        aggregate.merge(report)
+    with closing(_each(work, files, jobs)) as results:
+        for rel, (result, error) in zip(files, results):
+            if error is not None:
+                failures += 1
+                log.warning("failed %s: %s", rel, error)
+                if strict:
+                    log.error("aborting on first failure (--strict)")
+                    return EXIT_USAGE
+                continue
+            text, report = result
+            out_file = output_dir / rel
+            out_file.parent.mkdir(parents=True, exist_ok=True)
+            out_file.write_text(text, encoding="utf-8", newline="\n")
+            aggregate.merge(report)
     output_dir.mkdir(parents=True, exist_ok=True)
 
     if report_path is not None:
@@ -587,6 +649,8 @@ def run_verify(
     :func:`canonical_paths` recognizes is canonical, and its document is
     typed from its slices. A ``tolerance`` that is not finite
     and positive raises :class:`ValidationError` before any file is read.
+    Files are checked on up to ``jobs`` worker processes (:func:`_each`);
+    the rows keep file order.
     """
     check_tolerance(tolerance)
     raw_dir, normalized_dir = Path(raw_dir), Path(normalized_dir)
@@ -611,17 +675,19 @@ def run_verify(
     rows = []
     worst_id, worst_dev = None, -1.0
     failures = errors = 0
-    for rel, (result, error) in zip(files, _each(work, files)):
-        rid = file_id(rel)
-        if error:
-            errors += 1
-            rows.append({"id": rid, "pass": False, "worst_path_deviation": None, "error": error})
-            continue
-        rows.append({"id": rid, "pass": result.passed, "worst_path_deviation": result.worst})
-        if not result.passed:
-            failures += 1
-            if result.worst > worst_dev:
-                worst_id, worst_dev = rid, result.worst
+    with closing(_each(work, files, jobs)) as results:
+        for rel, (result, error) in zip(files, results):
+            rid = file_id(rel)
+            if error:
+                errors += 1
+                rows.append({"id": rid, "pass": False, "worst_path_deviation": None,
+                             "error": error})
+                continue
+            rows.append({"id": rid, "pass": result.passed, "worst_path_deviation": result.worst})
+            if not result.passed:
+                failures += 1
+                if result.worst > worst_dev:
+                    worst_id, worst_dev = rid, result.worst
     if out_path is not None:
         _write_jsonl(Path(out_path), rows)
     if failures or errors:

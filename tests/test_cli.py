@@ -139,6 +139,27 @@ class TestLayeredOptions:
         assert "Traceback" not in err
         assert not (tmp_path / "stats.json").exists()
 
+    @pytest.mark.parametrize("text", ["0", "-3"])
+    @pytest.mark.parametrize("layer", ["flag", "env", "config"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, monkeypatch, capsys, layer, text):
+        (tmp_path / "in").mkdir()
+        (tmp_path / "in" / "a.svg").write_text(VALID)
+        argv = ["normalize", str(tmp_path / "in"), str(tmp_path / "out")]
+        if layer == "flag":
+            argv += ["--jobs", text]
+            where = "--jobs"
+        elif layer == "env":
+            monkeypatch.setenv("SVGFORGE_JOBS", text)
+            where = "SVGFORGE_JOBS"
+        else:
+            (tmp_path / "cfg").write_text(f"jobs = {text}\n")
+            argv += ["--config", str(tmp_path / "cfg")]
+            where = f"{tmp_path / 'cfg'}: jobs"
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"svgforge: {where}: must be at least 1, got {text}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestVerifyTolerance:
     @pytest.mark.parametrize("tolerance", ["nan", "0", "inf"])

@@ -1,6 +1,10 @@
+import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -848,9 +852,19 @@ def _no_thread(self):
     raise _ThreadStarted(self.name)
 
 
+class _Forked(Exception):
+    pass
+
+
+def _no_fork():
+    raise _Forked("os.fork")
+
+
 class TestOneThread:
-    """``jobs`` is accepted everywhere and changes nothing: all work runs in
-    the calling thread, so no subcommand starts a thread at any level."""
+    """At ``jobs=1`` all work runs in the calling thread: no subcommand starts
+    a thread or a process. At ``jobs=2`` normalize and verify run on forked
+    worker processes, the output is byte-identical, and every worker is
+    joined before its ``run_*`` call returns."""
 
     def test_jobs_leaves_output_unchanged_and_starts_no_thread(self, tmp_path, corpus_dir, monkeypatch):
         pairs = tmp_path / "pairs.jsonl"
@@ -858,18 +872,146 @@ class TestOneThread:
             json.dumps({"id": f"p{i}", "generated": gen, "reference": VALID}) + "\n"
             for i, gen in enumerate([VALID, "<svg", VALID])
         ))
-        monkeypatch.setattr(threading.Thread, "start", _no_thread)
+        real_fork, forks = os.fork, []
         trees = []
         for jobs in (1, 2):
             out = tmp_path / f"j{jobs}"
-            assert run_normalize(corpus_dir, out / "norm", jobs=jobs) == EXIT_OK
-            assert run_classify(corpus_dir, out / "classify" / "records.jsonl", jobs=jobs) == EXIT_OK
-            assert run_score(pairs, out / "score" / "scored.jsonl", jobs=jobs) == EXIT_OK
-            assert run_verify(corpus_dir, out / "norm", out_path=out / "verify.jsonl",
-                              jobs=jobs) == EXIT_OK
+            runs = (
+                lambda: run_normalize(corpus_dir, out / "norm", jobs=jobs),
+                lambda: run_classify(corpus_dir, out / "classify" / "records.jsonl", jobs=jobs),
+                lambda: run_score(pairs, out / "score" / "scored.jsonl", jobs=jobs),
+                lambda: run_verify(corpus_dir, out / "norm", out_path=out / "verify.jsonl",
+                                   jobs=jobs),
+            )
+            with monkeypatch.context() as m:
+                if jobs == 1:
+                    m.setattr(threading.Thread, "start", _no_thread)
+                    m.setattr(os, "fork", _no_fork)
+                else:
+                    m.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+                for run in runs:
+                    assert run() == EXIT_OK
+                    assert multiprocessing.active_children() == []
             trees.append(tree(out))
         assert trees[0] == trees[1]
         assert {"verify.jsonl", "score/scored.jsonl", "classify/records.jsonl"} <= set(trees[0])
+        # two workers each for normalize and verify, none for classify or score
+        assert len(forks) == (4 if os.cpu_count() > 1 else 0)
+
+
+class TestWorkerProcesses:
+    def test_strict_writes_nothing_after_the_first_failure(self, tmp_path):
+        """At ``jobs=2`` workers may read files after the first failure, but
+        nothing after it is written."""
+        src, dst = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        for i in range(12):
+            (src / f"f{i:02d}.svg").write_text("<svg" if i in (5, 9) else VALID)
+        assert run_normalize(src, dst, strict=True, jobs=2) == EXIT_USAGE
+        assert sorted(p.name for p in dst.glob("*.svg")) == [f"f{i:02d}.svg" for i in range(5)]
+        assert multiprocessing.active_children() == []
+
+    def test_workers_are_capped_by_files_and_cpus(self, tmp_path, monkeypatch):
+        asked = []
+
+        class Recorder:
+            """Records the worker count asked for and runs the work in process."""
+
+            def __init__(self, max_workers, mp_context=None):
+                asked.append(max_workers)
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        src = tmp_path / "in"
+        src.mkdir()
+        for i in range(3):
+            (src / f"f{i}.svg").write_text(VALID)
+        assert main(["normalize", str(src), str(tmp_path / "out"), "--jobs", "1000000"]) == EXIT_OK
+        assert main(["verify", str(src), str(tmp_path / "out"), "--jobs", "1000000"]) == EXIT_OK
+        workers = min(3, os.cpu_count())
+        assert asked == ([workers, workers] if workers > 1 else [])
+        assert len(list((tmp_path / "out").glob("*.svg"))) == 3
+
+
+# Runs in a fresh interpreter with a timeout, so a pool that hangs fails the
+# test: a worker that reads the marked file kills itself, as an out-of-memory
+# kill would, and the run must end with an error row for each item not yet
+# returned and no process left.
+_KILL_PROBE = """
+import json, logging, multiprocessing, os, signal, sys
+from pathlib import Path
+from svgforge import pipeline
+
+raw, norm, out = map(Path, sys.argv[1:4])
+parent, parse = os.getpid(), pipeline.parse_document
+
+def parse_or_die(text):
+    if "kill-me" in text and os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return parse(text)
+
+pipeline.parse_document = parse_or_die
+failed = {}
+
+class Failures(logging.Handler):
+    def emit(self, record):
+        if record.msg == "failed %s: %s":
+            failed[str(record.args[0])] = record.args[1]
+
+logging.getLogger("svgforge").addHandler(Failures())
+codes = [pipeline.run_normalize(raw, out / "norm", jobs=2),
+         pipeline.run_verify(raw, norm, out_path=out / "verify.jsonl", jobs=2)]
+left = multiprocessing.active_children()
+try:
+    os.waitpid(-1, os.WNOHANG)
+    waitable = True
+except ChildProcessError:
+    waitable = False
+print(json.dumps({"codes": codes, "failed": failed, "left": len(left), "waitable": waitable}))
+"""
+
+
+@pytest.mark.skipif(os.cpu_count() < 2, reason="one CPU runs every item in process")
+def test_a_dead_worker_becomes_error_rows(tmp_path):
+    raw, norm, out = tmp_path / "raw", tmp_path / "norm", tmp_path / "out"
+    raw.mkdir()
+    names = [f"f{i:02d}.svg" for i in range(16)]
+    for i, name in enumerate(names):
+        marker = "<!-- kill-me -->" if i == 6 else ""
+        (raw / name).write_text(_ICONS[i % 3].replace("</svg>", marker + "</svg>"))
+    assert run_normalize(raw, norm) == EXIT_OK
+    assert run_verify(raw, norm, out_path=tmp_path / "verify.jsonl") == EXIT_OK
+    expected_rows = {row["id"]: row for row in read_strict_jsonl(tmp_path / "verify.jsonl")}
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILL_PROBE, str(raw), str(norm), str(out)], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [EXIT_PARTIAL, EXIT_VERIFY_FAILED]
+    assert got["left"] == 0 and got["waitable"] is False
+    failed = got["failed"]
+    assert "f06.svg" in failed
+    assert all(error.startswith("BrokenProcessPool: ") for error in failed.values())
+    for name in names:
+        written = out / "norm" / name
+        assert (name in failed) != written.exists(), name
+        if written.exists():
+            assert written.read_bytes() == (norm / name).read_bytes(), name
+    rows = read_strict_jsonl(out / "verify.jsonl")
+    assert [row["id"] for row in rows] == list(expected_rows)
+    broken = [row for row in rows if row != expected_rows[row["id"]]]
+    assert "f06" in {row["id"] for row in broken}
+    for row in broken:
+        assert row["pass"] is False and row["worst_path_deviation"] is None
+        assert row["error"].startswith("BrokenProcessPool: ")
 
 
 _ICONS = (
