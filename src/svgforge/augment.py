@@ -7,8 +7,9 @@ injective map over the distinct fills so the distinct-fill count, and
 with it the color category, cannot change. Equal (document, seed, spec)
 inputs always yield equal outputs.
 
-Each operation also works on the ``(d, fill)`` slices of canonical text
-(:func:`~svgforge.parser.canonical_paths`): :func:`recolor_slices` and
+Each operation also works on the ``(d, fill)`` slices of normalized text
+(:func:`~svgforge.parser.canonical_paths`,
+:func:`~svgforge.parser.document_slices`): :func:`recolor_slices` and
 :func:`swap_slices` splice the slices, drawing from the seeded generators
 exactly as :func:`replace_colors` and :func:`swap_paths` do on the
 document those slices type to, so both give the same variant.

@@ -13,6 +13,7 @@ The M/L/C commands carry their own layout: a class-level ``opcode`` and
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -189,11 +190,20 @@ class NoFill:
     """Explicit ``fill="none"``."""
 
 
+#: A reference id that ``url(#...)`` reads back whole: no ``)`` or whitespace.
+REF_ID = r"[^)\s]+"
+
+
 @dataclass(frozen=True, slots=True)
 class Reference:
     """A paint server reference such as ``url(#gradient)``."""
 
     ref_id: str
+
+    def __post_init__(self) -> None:
+        if re.fullmatch(REF_ID, self.ref_id) is None:
+            raise ValidationError(
+                f"reference id {self.ref_id!r} is empty or holds ')' or whitespace")
 
 
 Paint = Union[Hex, NoFill, Reference]

@@ -9,14 +9,15 @@ auditable without sacrificing corpus yield.
 
 The canonical form is also recognized as text. :func:`canonical_paths`
 matches one whole-document pattern built from the serializer's own parts
-and returns each path's ``d`` and ``fill`` slices, so a reader of
-normalized text counts, splices or types it (:func:`canonical_document`)
+and returns each path's ``d`` and ``fill`` slices, which a reader of
+normalized text counts, splices or types (:func:`canonical_document`)
 without expat or a second serialization. It declines (returns ``None``)
 whenever it cannot be sure: any number outside :func:`format_number`'s
 output with at most 13 integer digits, any separator or attribute order
 the serializer does not write, a reference id outside a conservative ASCII
-set, ``fill="none"`` or a document with no path. A declined text takes the
-full parse-and-normalize route, so declining is always safe. A match
+set, ``fill="none"`` or a document with no path. A reader takes a declined
+text's slices from its parsed and normalized document
+(:func:`document_slices`), so declining is always safe. A match
 means that ``serialize_document(normalize_document(parse_document(t)))``
 is ``t`` without its surrounding XML whitespace.
 """
@@ -43,6 +44,7 @@ from .model import (
     Paint,
     PathElement,
     Point,
+    REF_ID,
     Reference,
     SHAPE_TAGS,
     ShapeElement,
@@ -62,7 +64,7 @@ _METADATA = frozenset({"title", "desc", "metadata"})
 _TRANSFORM_RE = re.compile(
     r"(matrix|translate|scale|rotate|skewX|skewY)\s*\(([^)]*)\)"
 )
-_URL_RE = re.compile(r"url\(\s*#([^)\s]+)\s*\)")
+_URL_RE = re.compile(rf"url\(\s*#({REF_ID})\s*\)")
 # what a reference id must escape inside a double-quoted attribute
 _ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 # and back: entity name -> character
@@ -491,6 +493,14 @@ def serialize_paths(paths) -> str:
     return _HEAD + "".join(_PATH.format(d, fill) for d, fill in paths) + _TAIL
 
 
+def document_slices(doc: Document) -> list[tuple[str, str]]:
+    """The ``(d, fill)`` attribute texts that :func:`serialize_document`
+    writes for each path of a normalized document."""
+    if not doc.normalized:
+        raise NotNormalized("serialization requires a normalized document")
+    return [(_format_commands(p.commands), _format_fill(p.fill)) for p in doc.paths]
+
+
 def serialize_document(doc: Document) -> str:
     """Serialize a normalized document to canonical compact SVG text.
 
@@ -499,11 +509,7 @@ def serialize_document(doc: Document) -> str:
     separators, canonical number formatting, and reference ids with
     ``&``, ``<``, ``>`` and ``"`` escaped as XML.
     """
-    if not doc.normalized:
-        raise NotNormalized("serialize_document requires a normalized document")
-    return serialize_paths(
-        (_format_commands(p.commands), _format_fill(p.fill)) for p in doc.paths
-    )
+    return serialize_paths(document_slices(doc))
 
 
 @functools.cache

@@ -12,13 +12,13 @@ deterministic for fixed inputs, flags and seeds (README, "CLI"). Only the
 verifier's distance kernel imports numpy, on its first use, and only
 ``jobs > 1`` imports :mod:`multiprocessing`.
 
-Every reader of normalized text (``classify``, ``augment``, ``verify``'s
-NORM files and, in :mod:`~svgforge.rewards`, ``score``) first tries the
-text route: :func:`~svgforge.parser.canonical_paths` recognizes canonical
-text as text, and the reader counts, splices or types its ``(d, fill)``
-slices with no XML parse, normalization or second serialization. Text it
-declines takes the full route of parse, normalize and serialize, as
-before; the two routes give the same rows.
+Every reader of normalized text (``classify``, ``augment`` and
+``verify``'s NORM files) counts, splices or types its ``(d, fill)`` slices
+(:func:`_canonical`), so each has one implementation. Canonical text gives
+its slices with no XML parse, normalization or second serialization
+(:func:`~svgforge.parser.canonical_paths`); other text is parsed and
+normalized first (:func:`~svgforge.parser.document_slices`). ``score``
+counts paths in :func:`~svgforge.rewards.path_count`.
 """
 
 from __future__ import annotations
@@ -33,27 +33,25 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from .augment import (
-    NO_FLAT_FILL,
-    AugmentSpec,
-    recolor_slices,
-    replace_colors,
-    swap_paths,
-    swap_slices,
-)
-from .classifier import Classification, classify, classify_counts
+from .augment import NO_FLAT_FILL, AugmentSpec, recolor_slices, swap_slices
+from .classifier import classify_counts
 from .errors import NotNormalized, SchemaError, SvgForgeError, ValidationError
 from .model import DifficultyLevel, Document
 from .normalizer import NormalizeReport, normalize_document
 from .parser import (
     canonical_document,
     canonical_paths,
+    document_slices,
     parse_document,
     serialize_document,
     serialize_paths,
 )
 from .rewards import RewardParams, total_reward
 from .verifier import DEFAULT_TOLERANCE, check_tolerance, verify_normalization
+
+# Not called here, but bench/spans.py traces them by these names in this module.
+from .augment import replace_colors, swap_paths  # noqa: F401
+from .classifier import classify  # noqa: F401
 
 log = logging.getLogger("svgforge")
 
@@ -95,27 +93,21 @@ def record_from_document(
     doc_id: str, doc: Document, augmented_from: str | None = None
 ) -> DatasetRecord:
     """Build a self-validating record from a normalized document."""
-    return _record(doc_id, classify(doc), serialize_document(doc), augmented_from)
+    return _slices_record(doc_id, document_slices(doc), augmented_from)
 
 
 def _slices_record(
     doc_id: str, paths: list[tuple[str, str]], augmented_from: str | None = None
 ) -> DatasetRecord:
-    """:func:`record_from_document` of the document that canonical ``(d,
-    fill)`` slices type to, counted on the text: each of M, L and C is one
-    command, and equal fill texts are equal paints."""
+    """The record of the document whose ``(d, fill)`` slices are ``paths``,
+    classified on the text as :func:`~svgforge.classifier.classify` does on
+    the document: each of M, L and C is one command, and equal fill texts
+    other than ``none`` are equal paints."""
     n_commands = sum(d.count("M") + d.count("L") + d.count("C") for d, _ in paths)
-    c = classify_counts(len({fill for _, fill in paths}), n_commands, len(paths))
-    return _record(doc_id, c, serialize_paths(paths), augmented_from)
-
-
-def _record(
-    doc_id: str, c: Classification, svg: str, augmented_from: str | None = None
-) -> DatasetRecord:
-    # ``c`` classifies the document that ``svg`` serializes
+    c = classify_counts(len({fill for _, fill in paths} - {"none"}), n_commands, len(paths))
     return DatasetRecord(
         id=doc_id,
-        svg=svg,
+        svg=serialize_paths(paths),
         color_category=c.color_category.value,
         difficulty_level=c.level_name,
         command_count=c.command_count,
@@ -158,17 +150,16 @@ def _load(text: str) -> tuple[Document, NormalizeReport]:
     return normalize_document(doc)
 
 
-def _load_canonical(text: str) -> tuple[Document, str, bool]:
-    """Parse, normalize and serialize one SVG text.
-
-    Returns the normalized document, its canonical text, and whether
-    ``text`` already is that text up to surrounding whitespace: the test
-    behind classify's ``auto_normalized`` and verify's
-    :class:`NotNormalized` for text that :func:`canonical_paths` declines.
-    """
-    doc = _load(text)[0]
-    svg = serialize_document(doc)
-    return doc, svg, svg == text.strip()
+def _canonical(text: str) -> tuple[list[tuple[str, str]], bool]:
+    """The ``(d, fill)`` slices of ``text``, recognized by :func:`canonical_paths`
+    or else parsed and normalized, and whether ``text`` already is their
+    canonical text up to surrounding whitespace: the test behind classify's
+    ``auto_normalized`` and verify's :class:`NotNormalized`."""
+    paths = canonical_paths(text)
+    if paths is not None:
+        return paths, True
+    paths = document_slices(_load(text)[0])
+    return paths, serialize_paths(paths) == text.strip()
 
 
 def _attempt(fn, item):
@@ -366,9 +357,9 @@ def run_normalize(
 def run_classify(input_dir: Path, out_path: Path, jobs: int = 1) -> int:
     """Emit one DatasetRecord per document, sorted by id.
 
-    Inputs that are not yet normalized are normalized on the fly and the
-    record notes it. Canonical text is classified on the text route (module
-    docstring). Per-file errors land in a sidecar errors.jsonl.
+    Each file is classified on its ``(d, fill)`` slices (module
+    docstring). Inputs that are not yet normalized are normalized on the fly
+    and the record notes it. Per-file errors land in a sidecar errors.jsonl.
     """
     input_dir, out_path = Path(input_dir), Path(out_path)
     if not input_dir.is_dir():
@@ -378,12 +369,8 @@ def run_classify(input_dir: Path, out_path: Path, jobs: int = 1) -> int:
 
     def work(rel: Path) -> list[dict]:
         claim(rel)
-        text = (input_dir / rel).read_text(encoding="utf-8")
-        paths = canonical_paths(text)
-        if paths is not None:
-            return [_slices_record(file_id(rel), paths).to_dict()]
-        doc, svg, canonical = _load_canonical(text)
-        row = _record(file_id(rel), classify(doc), svg).to_dict()
+        paths, canonical = _canonical((input_dir / rel).read_text(encoding="utf-8"))
+        row = _slices_record(file_id(rel), paths).to_dict()
         if not canonical:
             row["auto_normalized"] = True
         return [row]
@@ -580,9 +567,9 @@ def run_augment(
     Each variant recolors through a seeded injective map and, when a safe
     adjacent pair exists, swaps it. An op that cannot run is logged and ends
     the variant's ops; a recolor with no flat fill is logged and the variant
-    goes on to swap; a variant equal to its source is not written. A record
-    whose svg is canonical text is augmented on its slices (module
-    docstring). A
+    goes on to swap; a variant equal to its source is not written. Each
+    record's svg is augmented on its ``(d, fill)`` slices (module
+    docstring), so the swap guard judges the boxes of the written numbers. A
     record with a missing or mistyped field, or an svg that fails to parse
     or normalize, becomes a row in the sidecar errors.jsonl (exit 1). Empty
     ``ops``, or a name outside :data:`AUGMENT_OPS`, raises
@@ -597,23 +584,19 @@ def run_augment(
         where, row = line
         _check_record(row, where)
         rid = row["id"]
-        source = canonical_paths(row["svg"])
-        if source is None:
-            source = _load(row["svg"])[0]
-            recolor, swap, to_record = replace_colors, swap_paths, record_from_document
-        else:
-            recolor, swap, to_record = recolor_slices, swap_slices, _slices_record
+        source = _canonical(row["svg"])[0]
         variants = []
         for k in range(spec.n_variants):
             variant_spec = replace(spec, seed=_variant_seed(spec.seed, rid, k))
             variant, notes = source, []
             try:
                 if "recolor" in ops:
-                    variant = recolor(source, variant_spec)
-                    if variant is source:  # both recolors return an input without flat fills
+                    variant = recolor_slices(source, variant_spec)
+                    if variant is source:  # returned itself: no flat fill
                         notes.append(NO_FLAT_FILL)
                 if "swap" in ops:
-                    variant, note = swap(variant, variant_spec.seed + 1, spec.allow_overlap_swap)
+                    variant, note = swap_slices(variant, variant_spec.seed + 1,
+                                                spec.allow_overlap_swap)
                     if note is not None:
                         notes.append(note)
             except SvgForgeError as exc:
@@ -621,7 +604,7 @@ def run_augment(
             for note in notes:
                 log.info("augment: %s variant %d: %s", rid, k, note)
             if variant != source:
-                record = to_record(f"{rid}__aug{k + 1}", variant, augmented_from=rid)
+                record = _slices_record(f"{rid}__aug{k + 1}", variant, augmented_from=rid)
                 variants.append(record.to_dict())
         return variants
 
@@ -643,12 +626,11 @@ def run_verify(
     """Geometry-check normalized outputs against their raw sources.
 
     A NORM file must be in normalized form: one whose text is not the
-    serialization of its own normalization (:func:`_load_canonical`, the
-    test behind classify's ``auto_normalized``) fails as a
-    :class:`NotNormalized` error row. A NORM file that
-    :func:`canonical_paths` recognizes is canonical, and its document is
-    typed from its slices. A ``tolerance`` that is not finite
-    and positive raises :class:`ValidationError` before any file is read.
+    serialization of its own normalization (:func:`_canonical`, the test
+    behind classify's ``auto_normalized``) fails as a
+    :class:`NotNormalized` error row. The document of a NORM file is typed
+    from its ``(d, fill)`` slices. A ``tolerance`` that is not finite and
+    positive raises :class:`ValidationError` before any file is read.
     Files are checked on up to ``jobs`` worker processes (:func:`_each`);
     the rows keep file order.
     """
@@ -662,15 +644,10 @@ def run_verify(
     def work(rel: Path):
         claim(rel)
         raw_doc, _ = parse_document((raw_dir / rel).read_text(encoding="utf-8"))
-        text = (normalized_dir / rel).read_text(encoding="utf-8")
-        paths = canonical_paths(text)
-        if paths is not None:
-            norm_doc = canonical_document(paths)
-        else:
-            norm_doc, _, canonical = _load_canonical(text)
-            if not canonical:
-                raise NotNormalized(f"{rel.as_posix()} differs from its normalized form")
-        return verify_normalization(raw_doc, norm_doc, tolerance)
+        paths, canonical = _canonical((normalized_dir / rel).read_text(encoding="utf-8"))
+        if not canonical:
+            raise NotNormalized(f"{rel.as_posix()} differs from its normalized form")
+        return verify_normalization(raw_doc, canonical_document(paths), tolerance)
 
     rows = []
     worst_id, worst_dev = None, -1.0

@@ -149,6 +149,17 @@ class TestPathElement:
         PathElement((RawCommand("M", (0, 0)), RawCommand("M", (1, 1))))
 
 
+class TestReference:
+    @pytest.mark.parametrize("ref_id", ["", "a)", "a b", "a\tb", "a\nb", "a\u00a0b", " a"])
+    def test_ids_that_url_cannot_read_back_are_rejected(self, ref_id):
+        with pytest.raises(ValidationError):
+            Reference(ref_id)
+
+    @pytest.mark.parametrize("ref_id", ["g1", "a&b", "#'é(", "a#b"])
+    def test_other_ids_are_kept(self, ref_id):
+        assert Reference(ref_id).ref_id == ref_id
+
+
 class TestDocument:
     def test_positive_dimensions(self):
         with pytest.raises(ValidationError):

@@ -21,6 +21,7 @@ from svgforge.model import (
     Hex,
     LineTo,
     MoveTo,
+    NO_FILL,
     PathElement,
     Point,
     Reference,
@@ -30,14 +31,16 @@ from svgforge.parser import (
     _format_fill,
     canonical_document,
     canonical_paths,
+    document_slices,
     serialize_document,
     serialize_paths,
 )
 from svgforge.pipeline import (
     EXIT_OK,
     EXIT_VERIFY_FAILED,
-    _load_canonical,
-    _record,
+    DatasetRecord,
+    _canonical,
+    _load,
     _slices_record,
     run_augment,
     run_classify,
@@ -55,11 +58,14 @@ def agrees(text) -> bool:
     paths = canonical_paths(text)
     if paths is None:
         return False
-    doc, svg, canonical = _load_canonical(text)
-    assert canonical and svg == text.strip()
+    doc = _load(text)[0]
+    svg = serialize_document(doc)
+    assert svg == text.strip()
     assert paths == [(_format_commands(p.commands), _format_fill(p.fill)) for p in doc.paths]
     assert serialize_paths(paths) == svg
-    assert _slices_record("x", paths) == _record("x", classify(doc), svg)
+    c = classify(doc)
+    assert _slices_record("x", paths) == DatasetRecord(
+        "x", svg, c.color_category.value, c.level_name, c.command_count, c.path_count)
     assert len({fill for _, fill in paths}) == len(distinct_fills(doc))
     assert canonical_document(paths) == doc
     return True
@@ -80,7 +86,7 @@ _ANY = st.one_of(_MODERATE, st.floats(-1e17, 1e17, allow_nan=False))
 _fills = st.one_of(
     st.text("0123456789abcdef", min_size=6, max_size=6).map(Hex),
     st.text(SAFE_ID, min_size=1, max_size=5).map(Reference),
-    st.text(SAFE_ID + " #)'é\t", min_size=0, max_size=5).map(Reference),
+    st.text(SAFE_ID + "#'é", min_size=1, max_size=5).map(Reference),
 )
 
 
@@ -117,6 +123,8 @@ def test_serialized_documents_are_recognized_or_declined_in_agreement(doc):
     if _surely_canonical(doc):
         assert matched
     assert agrees(f"\n {text}\t\r\n") == matched
+    assert _canonical(text) == (document_slices(doc), True)
+    assert _canonical(_uncanonical(text)) == (document_slices(doc), False)
 
 
 _EDITS = "ML C0123456789.-# \"<>/&;=()abfu"
@@ -357,3 +365,33 @@ def test_recolor_without_flat_fill_logs_a_note(tmp_path, caplog, canonical):
     assert out.read_text() == ""
     notes = [r.getMessage() for r in caplog.records if r.getMessage().startswith("augment: ")]
     assert notes == [f"augment: grad variant {k}: no flat fill to recolor" for k in (0, 1)]
+
+
+# --- every reader reads the slices of the written text -----------------------------
+
+
+def test_swap_guard_judges_the_written_boxes(tmp_path, caplog):
+    # raw boxes 0.0009 apart, which both round to a shared edge at x=10
+    svg = ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1024 1024">'
+           '<path d="M0 0H10.004V10H0Z" fill="#ff0000"/>'
+           '<path d="M10.0049 0H20V10H10.0049Z" fill="#00ff00"/></svg>')
+    row = {"id": "near", "svg": svg, "color_category": "Multicolor",
+           "difficulty_level": "Multicolor_easy", "command_count": 10, "path_count": 2}
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(row) + "\n")
+    out = tmp_path / "aug.jsonl"
+    with caplog.at_level("INFO", logger="svgforge"):
+        assert run_augment(records, out, AugmentSpec(seed=1), ("swap",)) == EXIT_OK
+    assert out.read_text() == ""
+    notes = [r.getMessage() for r in caplog.records if r.getMessage().startswith("augment: ")]
+    assert notes == ["augment: near variant 0: NoSwapAvailable: no adjacent disjoint pair"]
+
+
+def test_record_from_document_classifies_as_classify_does():
+    square = (MoveTo(Point(0, 0)), LineTo(Point(9, 0)), LineTo(Point(9, 9)))
+    doc = Document(NORMALIZED_VIEW_BOX, (PathElement(square, NO_FILL),
+                                         PathElement(square, Hex("ff0000"))), normalized=True)
+    c = classify(doc)
+    assert pipeline.record_from_document("x", doc) == DatasetRecord(
+        "x", serialize_document(doc), c.color_category.value, c.level_name, c.command_count,
+        c.path_count)
