@@ -39,11 +39,12 @@ from .normalizer import (
     apply_transform,
     normalize_canvas,
     normalize_document,
+    normalize_slices,
     shape_to_path,
     simplify_commands,
     to_absolute,
 )
-from .parser import ParseDiagnostics, parse_document, serialize_document
+from .parser import ParseDiagnostics, parse_document, serialize_document, serialize_paths
 from .pathdata import parse_path_data
 from .pipeline import DatasetRecord, build_curriculum, record_from_document
 from .rewards import (
@@ -77,8 +78,8 @@ __all__ = [
     "arc_to_cubics", "build_curriculum", "classify", "count_commands",
     "detect_color_category", "document_equal", "flatten_cubic",
     "integrity_indicator", "match_reward", "max_deviation", "normalize_canvas",
-    "normalize_document", "parse_document", "parse_path_data", "path_count",
-    "record_from_document", "replace_colors", "sample_outline",
-    "serialize_document", "shape_to_path", "simplify_commands", "swap_paths",
-    "to_absolute", "total_reward", "verify_normalization",
+    "normalize_document", "normalize_slices", "parse_document", "parse_path_data",
+    "path_count", "record_from_document", "replace_colors", "sample_outline",
+    "serialize_document", "serialize_paths", "shape_to_path", "simplify_commands",
+    "swap_paths", "to_absolute", "total_reward", "verify_normalization",
 ]

@@ -2,12 +2,19 @@
 
 All types are immutable after construction and safe to share between
 threads. Coordinates are double-precision floats; canonical rounding to the
-0.01-unit serialization grid happens only in :func:`format_number`, never
-inside the model itself.
+0.01-unit serialization grid happens only in :func:`format_number` and
+:func:`format_columns`, which write the same text, never inside the model
+itself.
 
 The M/L/C commands carry their own layout: a class-level ``opcode`` and
 ``points`` (control points, then the endpoint, in constructor order, so
 ``type(c)(*c.points) == c``). Other modules read those, not the type.
+
+A run of M/L/C commands can also be carried as columns: an opcode string
+such as ``"MLCC"`` and one flat float list of 2 numbers per M or L and 6
+per C, in the order of ``points``. The normalizer works on columns, and
+:func:`typed_commands` and :func:`command_columns` convert between the
+two forms.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import ClassVar, NamedTuple, Union
 
 from .errors import ValidationError
@@ -52,6 +60,25 @@ def format_number(value: float) -> str:
     if s in ("-0", ""):
         return "0"
     return s
+
+
+#: The ``%`` template of each opcode's numbers, 2 decimals each.
+_TEMPLATES = {"M": "M%.2f %.2f", "L": "L%.2f %.2f", "C": "C%.2f %.2f %.2f %.2f %.2f %.2f"}
+_TRAILING_ZERO = re.compile(r"(\.[1-9])0")
+
+
+def format_columns(ops: str, xy) -> str:
+    """The ``d`` text of M/L/C columns: each opcode, then its numbers as
+    :func:`format_number` writes them, separated by single spaces.
+
+    Every number is formatted to exactly 2 decimals in one ``%`` operation.
+    A ``.`` or ``-`` then appears only inside a number and every number
+    ends in 2 decimals, so a ``-0.00`` is a whole number, and a ``.00`` or
+    ``.d0`` is the decimals of one.
+    """
+    text = "".join(map(_TEMPLATES.__getitem__, ops)) % tuple(xy)
+    # itemgetter(1) gives group 1, as the template r"\1" would, with no Python call per match
+    return _TRAILING_ZERO.sub(itemgetter(1), text.replace("-0.00", "0").replace(".00", ""))
 
 
 def _require_finite(*values: float) -> None:
@@ -166,6 +193,19 @@ PathCommand = Union[MoveTo, LineTo, CubicTo]
 COMMAND_TYPES = {cls.opcode: cls for cls in (MoveTo, LineTo, CubicTo)}
 
 
+def typed_commands(ops: str, xy) -> tuple[PathCommand, ...]:
+    """The M/L/C commands of columns (module docstring). Raises
+    :class:`ValidationError` for the first non-finite coordinate."""
+    it = iter(xy)
+    points = map(Point, it, it)
+    return tuple(COMMAND_TYPES[op](*islice(points, 3 if op == "C" else 1)) for op in ops)
+
+
+def command_columns(commands) -> tuple[str, list[float]]:
+    """The columns (module docstring) of M/L/C commands."""
+    return "".join(c.opcode for c in commands), [v for c in commands for p in c.points for v in p]
+
+
 # --- paint ---------------------------------------------------------------
 
 
@@ -190,8 +230,9 @@ class NoFill:
     """Explicit ``fill="none"``."""
 
 
-#: A reference id that ``url(#...)`` reads back whole: no ``)`` or whitespace.
-REF_ID = r"[^)\s]+"
+#: A reference id that ``url(#...)`` reads back whole and an XML 1.0 attribute
+#: can carry: no ``)``, whitespace, control character, surrogate, U+FFFE or U+FFFF.
+REF_ID = r"[^)\s\x00-\x1f\ud800-\udfff\ufffe\uffff]+"
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,7 +244,8 @@ class Reference:
     def __post_init__(self) -> None:
         if re.fullmatch(REF_ID, self.ref_id) is None:
             raise ValidationError(
-                f"reference id {self.ref_id!r} is empty or holds ')' or whitespace")
+                f"reference id {self.ref_id!r} is empty or holds ')', whitespace "
+                "or a character that XML 1.0 cannot carry")
 
 
 Paint = Union[Hex, NoFill, Reference]

@@ -8,6 +8,20 @@ flattened into coordinates, and the whole canvas is mapped onto
 endpoints exactly; curved conversions stay within a tight analytic error
 bound (arcs are split at 90 degrees, worst-case radial error about
 2.7e-4 of the radius).
+
+From the segment walk on, a path is carried as columns: one opcode string
+such as ``"MLCC"`` and one flat float list, 2 numbers per M or L and 6 per
+C (:mod:`svgforge.model`). The command mapping (``_to_mlc``), the element
+transform and the canvas map (both ``_map_columns``) all work on them, and
+each raises :class:`ValidationError` for the first non-finite coordinate
+in coordinate order, as building M/L/C commands one by one would.
+:func:`normalize_slices` formats the columns into ``(d, fill)`` text, which
+is what the CLI writes, and builds no command object;
+:func:`normalize_document` types them as MoveTo/LineTo/CubicTo once, for
+library callers. The typed public functions (:func:`convert_element`,
+:func:`simplify_commands`, :func:`apply_transform`,
+:func:`normalize_canvas`, :func:`shape_to_path` and
+:func:`arc_to_cubics`) are thin wrappers over the same column code.
 """
 
 from __future__ import annotations
@@ -33,17 +47,20 @@ from .model import (
     Document,
     Drawable,
     LineTo,
-    MoveTo,
     NO_FILL,
     NORMALIZED_VIEW_BOX,
     PARAM_COUNTS,
+    Paint,
     PathCommand,
     PathElement,
     Point,
     RawCommand,
     ShapeElement,
     _require_finite,
+    command_columns,
+    typed_commands,
 )
+from .parser import path_slice
 
 #: Cubic handle length approximating a unit quarter circle: 4/3 * tan(pi/8).
 KAPPA = 4.0 / 3.0 * math.tan(math.pi / 8.0)
@@ -263,6 +280,45 @@ def arc_spans(delta: float) -> int:
     return max(1, math.ceil(abs(delta) / (math.pi / 2.0) - 1e-9))
 
 
+def _arc_columns(ops: list[str], xy: list[float], start: Point, rx: float, ry: float,
+                 x_rotation_deg: float, large_arc: bool | float, sweep: bool | float,
+                 end: Point) -> None:
+    """Append the M/L/C columns of one arc (:func:`arc_to_cubics`) to ``ops`` and ``xy``."""
+    center = arc_center(start, rx, ry, x_rotation_deg, large_arc, sweep, end)
+    if center is None:
+        if start != end:
+            ops.append("L")
+            xy += end
+        return
+    cx, cy, rx, ry, phi, theta1, delta = center
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+    segments = arc_spans(delta)
+    step = delta / segments
+    k = 4.0 / 3.0 * math.tan(step / 4.0)
+
+    x0, y0 = start
+    for i in range(segments):
+        ta = theta1 + i * step
+        tb = ta + step
+        ca, sa, cb, sb = math.cos(ta), math.sin(ta), math.cos(tb), math.sin(tb)
+        if i == segments - 1:
+            x1, y1 = end
+        else:
+            x1 = cx + rx * cb * cos_phi - ry * sb * sin_phi
+            y1 = cy + rx * cb * sin_phi + ry * sb * cos_phi
+        # the ellipse's tangent at ta and at tb, scaled by k
+        xy += (
+            x0 + k * (-rx * sa * cos_phi - ry * ca * sin_phi),
+            y0 + k * (-rx * sa * sin_phi + ry * ca * cos_phi),
+            x1 - k * (-rx * sb * cos_phi - ry * cb * sin_phi),
+            y1 - k * (-rx * sb * sin_phi + ry * cb * cos_phi),
+            x1,
+            y1,
+        )
+        x0, y0 = x1, y1
+    ops.append("C" * segments)
+
+
 def arc_to_cubics(
     start: Point,
     rx: float,
@@ -281,93 +337,77 @@ def arc_to_cubics(
     4/3*tan(delta/4). The first segment starts exactly at ``start`` and
     the last ends exactly at ``end``.
     """
-    center = arc_center(start, rx, ry, x_rotation_deg, large_arc, sweep, end)
-    if center is None:
-        return [] if start == end else [LineTo(end)]
-    cx, cy, rx, ry, phi, theta1, delta = center
-    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
-
-    def ellipse_point(theta: float) -> Point:
-        ct, st = math.cos(theta), math.sin(theta)
-        return Point(
-            cx + rx * ct * cos_phi - ry * st * sin_phi,
-            cy + rx * ct * sin_phi + ry * st * cos_phi,
-        )
-
-    def ellipse_tangent(theta: float) -> tuple[float, float]:
-        ct, st = math.cos(theta), math.sin(theta)
-        return (
-            -rx * st * cos_phi - ry * ct * sin_phi,
-            -rx * st * sin_phi + ry * ct * cos_phi,
-        )
-
-    segments = arc_spans(delta)
-    step = delta / segments
-    k = 4.0 / 3.0 * math.tan(step / 4.0)
-
-    out: list[CubicTo | LineTo] = []
-    p0 = start
-    for i in range(segments):
-        ta = theta1 + i * step
-        tb = ta + step
-        p1 = end if i == segments - 1 else ellipse_point(tb)
-        d0x, d0y = ellipse_tangent(ta)
-        d1x, d1y = ellipse_tangent(tb)
-        out.append(
-            CubicTo(
-                Point(p0.x + k * d0x, p0.y + k * d0y),
-                Point(p1.x - k * d1x, p1.y - k * d1y),
-                p1,
-            )
-        )
-        p0 = p1
-    return out
+    ops: list[str] = []
+    xy: list[float] = []
+    _arc_columns(ops, xy, start, rx, ry, x_rotation_deg, large_arc, sweep, end)
+    return list(typed_commands("".join(ops), xy))
 
 
 # --- command simplification ------------------------------------------------
 
 
-def _elevate_quadratic(p0: Point, q: Point, p1: Point) -> CubicTo:
-    # exact degree elevation: c = p + (2/3)(q - p)
-    c1 = Point(p0.x + 2.0 * (q.x - p0.x) / 3.0, p0.y + 2.0 * (q.y - p0.y) / 3.0)
-    c2 = Point(p1.x + 2.0 * (q.x - p1.x) / 3.0, p1.y + 2.0 * (q.y - p1.y) / 3.0)
-    return CubicTo(c1, c2, p1)
+def _require_finite_columns(xy: list[float]) -> None:
+    # the first non-finite value raises, as the typed constructors would
+    if not all(map(math.isfinite, xy)):
+        _require_finite(*xy)
 
 
-def _to_mlc(segments, report: NormalizeReport) -> list[PathCommand]:
-    """Map typed segments (those of :func:`iter_segments`) to M/L/C commands.
+def _to_mlc(segments, report: NormalizeReport) -> tuple[str, list[float]]:
+    """Map typed segments (those of :func:`iter_segments`) to M/L/C columns.
 
-    Q is degree-elevated exactly, arcs go through :func:`arc_to_cubics`,
-    and Z materializes as a LineTo back to the subpath start unless the
+    Q is degree-elevated exactly, arcs become the cubics of
+    :func:`arc_to_cubics`, and Z materializes as a LineTo back to the subpath start unless the
     current point is already there. Runs of MoveTo collapse to the last
     one and a trailing MoveTo is dropped, so empty subpaths leave no
     residue.
-    """
-    out: list[PathCommand] = []
-    for seg in segments:
-        kind = seg[0]
-        if kind == "L":
-            out.append(LineTo(seg[2]))
-        elif kind == "C":
-            out.append(CubicTo(seg[2], seg[3], seg[4]))
-        elif kind == "Q":
-            out.append(_elevate_quadratic(seg[1], seg[2], seg[3]))
-        elif kind == "M":
-            if out and isinstance(out[-1], MoveTo):
-                out.pop()
-            out.append(MoveTo(seg[1]))
-        elif kind == "A":
-            out.extend(arc_to_cubics(*seg[1:]))
-            report.arcs_converted += 1
-        else:  # Z
-            _, cur, start = seg
-            if max(abs(cur.x - start.x), abs(cur.y - start.y)) > _CLOSE_EPS:
-                out.append(LineTo(start))
-                report.closures_materialized += 1
 
-    if out and isinstance(out[-1], MoveTo):
-        out.pop()
-    return out
+    Raises :class:`ValidationError` for the first non-finite coordinate,
+    ahead of any error that a later segment raises, as building the
+    commands one by one would; values are checked once, at the end or on
+    that error.
+    """
+    ops: list[str] = []
+    xy: list[float] = []
+    try:
+        for seg in segments:
+            kind = seg[0]
+            if kind == "L":
+                ops.append("L")
+                xy += seg[2]
+            elif kind == "C":
+                ops.append("C")
+                xy += (*seg[2], *seg[3], *seg[4])
+            elif kind == "Q":
+                # exact degree elevation: c = p + (2/3)(q - p)
+                _, p0, q, p1 = seg
+                ops.append("C")
+                xy += (p0.x + 2.0 * (q.x - p0.x) / 3.0, p0.y + 2.0 * (q.y - p0.y) / 3.0,
+                       p1.x + 2.0 * (q.x - p1.x) / 3.0, p1.y + 2.0 * (q.y - p1.y) / 3.0,
+                       p1.x, p1.y)
+            elif kind == "M":
+                if ops and ops[-1] == "M":
+                    ops.pop()
+                    del xy[-2:]
+                ops.append("M")
+                xy += seg[1]
+            elif kind == "A":
+                _arc_columns(ops, xy, *seg[1:])
+                report.arcs_converted += 1
+            else:  # Z
+                _, cur, start = seg
+                if max(abs(cur.x - start.x), abs(cur.y - start.y)) > _CLOSE_EPS:
+                    ops.append("L")
+                    xy += start
+                    report.closures_materialized += 1
+    except Exception:
+        _require_finite_columns(xy)
+        raise
+    _require_finite_columns(xy)
+
+    if ops and ops[-1] == "M":
+        ops.pop()
+        del xy[-2:]
+    return "".join(ops), xy
 
 
 def simplify_commands(
@@ -379,7 +419,8 @@ def simplify_commands(
     The segments of :func:`iter_segments`, mapped by the one segment to
     M/L/C rule that :func:`shape_to_path` uses too.
     """
-    return _to_mlc(iter_segments(cmds), NormalizeReport() if report is None else report)
+    report = NormalizeReport() if report is None else report
+    return list(typed_commands(*_to_mlc(iter_segments(cmds), report)))
 
 
 # --- shape conversion -------------------------------------------------------
@@ -449,15 +490,23 @@ def shape_segments(element: ShapeElement) -> list[tuple]:
     return [("M", points[0])] + [("L", a, b) for a, b in zip(points, points[1:])]
 
 
-def _ellipse_commands(cx: float, cy: float, rx: float, ry: float) -> list[PathCommand]:
+def _shape_columns(element: ShapeElement) -> tuple[str, list[float]]:
+    """The M/L/C columns of :func:`shape_to_path`."""
+    segments = shape_segments(element)
+    if element.tag not in ("circle", "ellipse"):
+        return _to_mlc(segments, NormalizeReport())
+    _, _, rx, ry, *_ = segments[1]
+    cx, cy = element.get("cx"), element.get("cy")
     kx, ky = KAPPA * rx, KAPPA * ry
-    return [
-        MoveTo(Point(cx + rx, cy)),
-        CubicTo(Point(cx + rx, cy + ky), Point(cx + kx, cy + ry), Point(cx, cy + ry)),
-        CubicTo(Point(cx - kx, cy + ry), Point(cx - rx, cy + ky), Point(cx - rx, cy)),
-        CubicTo(Point(cx - rx, cy - ky), Point(cx - kx, cy - ry), Point(cx, cy - ry)),
-        CubicTo(Point(cx + kx, cy - ry), Point(cx + rx, cy - ky), Point(cx + rx, cy)),
+    xy = [
+        cx + rx, cy,
+        cx + rx, cy + ky, cx + kx, cy + ry, cx, cy + ry,
+        cx - kx, cy + ry, cx - rx, cy + ky, cx - rx, cy,
+        cx - rx, cy - ky, cx - kx, cy - ry, cx, cy - ry,
+        cx + kx, cy - ry, cx + rx, cy - ky, cx + rx, cy,
     ]
+    _require_finite_columns(xy)
+    return "MCCCC", xy
 
 
 def shape_to_path(element: ShapeElement) -> PathElement:
@@ -472,16 +521,28 @@ def shape_to_path(element: ShapeElement) -> PathElement:
     point is exact. Raises :class:`DegenerateShape` as
     :func:`shape_segments` does.
     """
-    segments = shape_segments(element)
-    if element.tag in ("circle", "ellipse"):
-        _, _, rx, ry, *_ = segments[1]
-        cmds = _ellipse_commands(element.get("cx"), element.get("cy"), rx, ry)
-    else:
-        cmds = _to_mlc(segments, NormalizeReport())
-    return PathElement(tuple(cmds), element.fill, element.transform)
+    return PathElement(typed_commands(*_shape_columns(element)), element.fill, element.transform)
 
 
 # --- transforms and canvas ---------------------------------------------------
+
+
+def _check_invertible(m: AffineTransform) -> None:
+    if abs(m.det) < _SINGULAR_EPS:
+        raise SingularTransform(f"determinant {m.det}")
+
+
+def _map_columns(m: AffineTransform, xy: list[float]) -> list[float]:
+    """The coordinate column ``xy`` mapped through ``m``, point by point, by
+    :meth:`~svgforge.model.AffineTransform.apply_point`'s arithmetic in its
+    order. Raises :class:`ValidationError` for the first non-finite result."""
+    a, b, c, d, e, f = m.a, m.b, m.c, m.d, m.e, m.f
+    xs, ys = xy[0::2], xy[1::2]
+    out = [0.0] * len(xy)
+    out[0::2] = [a * x + c * y + e for x, y in zip(xs, ys)]
+    out[1::2] = [b * x + d * y + f for x, y in zip(xs, ys)]
+    _require_finite_columns(out)
+    return out
 
 
 def apply_transform(path: PathElement, m: AffineTransform) -> PathElement:
@@ -491,15 +552,13 @@ def apply_transform(path: PathElement, m: AffineTransform) -> PathElement:
     transformed exactly. Raises :class:`SingularTransform` for
     non-invertible matrices.
     """
-    if abs(m.det) < _SINGULAR_EPS:
-        raise SingularTransform(f"determinant {m.det}")
+    _check_invertible(m)
     if path.is_raw:
         raise ValidationError("apply_transform needs a simplified M/L/C path")
     if m.is_identity:
         return path
-    ap = m.apply_point
-    cmds = tuple(type(cmd)(*map(ap, cmd.points)) for cmd in path.commands)
-    return PathElement(cmds, path.fill, path.transform)
+    ops, xy = command_columns(path.commands)
+    return PathElement(typed_commands(ops, _map_columns(m, xy)), path.fill, path.transform)
 
 
 def canvas_transform(view_box: tuple[float, float, float, float]) -> AffineTransform:
@@ -533,16 +592,11 @@ def normalize_canvas(doc: Document) -> Document:
 # --- full pipeline ------------------------------------------------------------
 
 
-def convert_element(
+def element_columns(
     el: Drawable, report: NormalizeReport | None = None
-) -> PathElement | None:
-    """Convert one raw drawable to a flattened M/L/C path element.
-
-    Returns ``None`` when the element is dropped under the documented
-    rules: explicit ``fill="none"``, degenerate shape, singular transform,
-    or no drawing commands after simplification. The same predicate drives
-    both normalization and geometric verification.
-    """
+) -> tuple[str, list[float]] | None:
+    """The M/L/C columns of :func:`convert_element`, or ``None`` when it
+    drops ``el``; it counts in ``report`` and raises as that does."""
     if report is None:
         report = NormalizeReport()
     if el.fill == NO_FILL:
@@ -554,38 +608,59 @@ def convert_element(
 
     if isinstance(el, ShapeElement):
         try:
-            path = shape_to_path(el)
+            ops, xy = _shape_columns(el)
         except DegenerateShape:
             report.count_drop("degenerate_shape")
             return None
         report.count_shape(el.tag)
-        cmds = list(path.commands)
     else:
         report.relative_resolved += sum(len(c.groups()) for c in el.commands if c.is_relative)
-        cmds = simplify_commands(el.commands, report)
+        ops, xy = _to_mlc(iter_segments(el.commands), report)
 
-    if all(isinstance(c, MoveTo) for c in cmds):
+    if not ops.strip("M"):
         report.count_drop("no_geometry")
         return None
-
-    fill = el.fill if el.fill is not None else BLACK
-    flattened = PathElement(tuple(cmds), fill, IDENTITY)
     if not el.transform.is_identity:
-        flattened = apply_transform(flattened, el.transform)
+        xy = _map_columns(el.transform, xy)
         report.transforms_flattened += 1
-    return flattened
+    return ops, xy
 
 
-def _typed_as_is(doc: Document) -> Document | None:
-    """The normalized form of a parsed document that already is in it, or ``None``.
+def convert_element(
+    el: Drawable, report: NormalizeReport | None = None
+) -> PathElement | None:
+    """Convert one raw drawable to a flattened M/L/C path element.
+
+    Returns ``None`` when the element is dropped under the documented
+    rules: explicit ``fill="none"``, degenerate shape, singular transform,
+    or no drawing commands after simplification. The same predicate drives
+    both normalization and geometric verification.
+    """
+    columns = element_columns(el, report)
+    if columns is None:
+        return None
+    return PathElement(typed_commands(*columns), _resolved(el.fill), IDENTITY)
+
+
+def _resolved(fill: Paint | None) -> Paint:
+    return BLACK if fill is None else fill
+
+
+#: One normalized path: its M/L/C columns and its fill.
+_ColumnPath = tuple[str, list[float], Paint]
+
+
+def _as_is(doc: Document) -> list[_ColumnPath] | None:
+    """The normalized paths, as columns and fill, of a parsed document that
+    already is in normalized form, or ``None``.
 
     That holds for the view box 0 0 1024 1024, at least one path and no
     shape, every path with an identity transform, a fill that is present
     and not ``none``, and only absolute M/L/C raw commands of one argument
     group each that start with M and hold no consecutive or trailing M.
     The full pipeline then adds no offset, fires no Z, collapse or drop
-    rule, maps the canvas by the identity and counts nothing, so typing
-    the same floats gives an equal document.
+    rule, maps the canvas by the identity and counts nothing, so the same
+    floats are its result.
     """
     if doc.view_box != NORMALIZED_VIEW_BOX or not doc.paths:
         return None
@@ -594,21 +669,46 @@ def _typed_as_is(doc: Document) -> Document | None:
         if (not isinstance(el, PathElement) or el.fill is None or el.fill == NO_FILL
                 or not el.transform.is_identity):
             return None
-        cmds = []
-        prev = None
+        opcodes: list[str] = []
+        xy: list[float] = []
         for cmd in el.commands:
-            kind = COMMAND_TYPES.get(cmd.opcode) if isinstance(cmd, RawCommand) else None
-            if kind is None or len(cmd.args) != PARAM_COUNTS[cmd.opcode]:
+            if (not isinstance(cmd, RawCommand) or cmd.opcode not in COMMAND_TYPES
+                    or len(cmd.args) != PARAM_COUNTS[cmd.opcode]):
                 return None
-            if (prev is None and kind is not MoveTo) or (prev is MoveTo and kind is MoveTo):
-                return None
-            a = cmd.args
-            cmds.append(kind(*map(Point, a[::2], a[1::2])))
-            prev = kind
-        if prev is None or prev is MoveTo:
+            opcodes.append(cmd.opcode)
+            xy += cmd.args
+        ops = "".join(opcodes)
+        if not ops.startswith("M") or ops.endswith("M") or "MM" in ops:
             return None
-        paths.append(PathElement(tuple(cmds), el.fill, IDENTITY))
-    return Document(NORMALIZED_VIEW_BOX, tuple(paths), normalized=True)
+        paths.append((ops, xy, el.fill))
+    return paths
+
+
+def _normalized_columns(doc: Document) -> tuple[list[_ColumnPath], NormalizeReport]:
+    """Each normalized path of ``doc`` as columns and fill, and the report:
+    the one core of :func:`normalize_document` and :func:`normalize_slices`.
+
+    Every drawable is converted (:func:`element_columns`) before any is
+    mapped onto the canvas, so errors come in the order the typed steps
+    raise them.
+    """
+    paths = _as_is(doc)
+    if paths is not None:
+        return paths, NormalizeReport()
+    report = NormalizeReport()
+    paths = []
+    for el in doc.paths:
+        columns = element_columns(el, report)
+        if columns is not None:
+            paths.append((*columns, _resolved(el.fill)))
+    if not paths:
+        raise EmptyDocument("no drawable path survived normalization")
+
+    t = canvas_transform(doc.view_box)
+    if not t.is_identity:
+        _check_invertible(t)
+        paths = [(ops, _map_columns(t, xy), fill) for ops, xy, fill in paths]
+    return paths, report
 
 
 def normalize_document(doc: Document) -> tuple[Document, NormalizeReport]:
@@ -622,20 +722,20 @@ def normalize_document(doc: Document) -> tuple[Document, NormalizeReport]:
     A document that already is in normalized form (say, a parsed
     ``serialize_document`` output) skips the pipeline: its M/L/C commands
     are typed from the same floats, which is what the pipeline would give,
-    and its report is empty.
+    and its report is empty. The commands are typed once, from the
+    columns the pipeline works on (module docstring).
     """
-    typed = _typed_as_is(doc)
-    if typed is not None:
-        return typed, NormalizeReport()
-    report = NormalizeReport()
-    paths: list[PathElement] = []
-    for el in doc.paths:
-        converted = convert_element(el, report)
-        if converted is not None:
-            paths.append(converted)
-    if not paths:
-        raise EmptyDocument("no drawable path survived normalization")
+    paths, report = _normalized_columns(doc)
+    typed = tuple(PathElement(typed_commands(ops, xy), fill) for ops, xy, fill in paths)
+    return Document(NORMALIZED_VIEW_BOX, typed, normalized=True), report
 
-    staged = Document(doc.view_box, tuple(paths))
-    scaled = normalize_canvas(staged)
-    return Document(NORMALIZED_VIEW_BOX, scaled.paths, normalized=True), report
+
+def normalize_slices(doc: Document) -> tuple[list[tuple[str, str]], NormalizeReport]:
+    """The ``(d, fill)`` attribute texts that
+    ``serialize_document(normalize_document(doc)[0])`` writes for each path,
+    and the report, without typing a command.
+
+    It raises what :func:`normalize_document` raises, in the same order.
+    """
+    paths, report = _normalized_columns(doc)
+    return [path_slice(ops, xy, fill) for ops, xy, fill in paths], report

@@ -16,8 +16,9 @@ whenever it cannot be sure: any number outside :func:`format_number`'s
 output with at most 13 integer digits, any separator or attribute order
 the serializer does not write, a reference id outside a conservative ASCII
 set, ``fill="none"`` or a document with no path. A reader takes a declined
-text's slices from its parsed and normalized document
-(:func:`document_slices`), so declining is always safe. A match
+text's slices from its parsed document
+(:func:`~svgforge.normalizer.normalize_slices`), so declining is always
+safe. A match
 means that ``serialize_document(normalize_document(parse_document(t)))``
 is ``t`` without its surrounding XML whitespace.
 """
@@ -28,12 +29,10 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import chain
 from xml.parsers import expat
 
 from .errors import MalformedXml, MissingRoot, NoCanvas, NotNormalized
 from .model import (
-    COMMAND_TYPES,
     IDENTITY,
     NORMALIZED_VIEW_BOX,
     AffineTransform,
@@ -48,7 +47,9 @@ from .model import (
     Reference,
     SHAPE_TAGS,
     ShapeElement,
-    format_number,
+    command_columns,
+    format_columns,
+    typed_commands,
 )
 from .pathdata import NUMBER, parse_path_data
 
@@ -468,12 +469,6 @@ def parse_document(text: str) -> tuple[Document, ParseDiagnostics]:
 # --- serialization -----------------------------------------------------------
 
 
-def _format_commands(commands) -> str:
-    return "".join(
-        cmd.opcode + " ".join(map(format_number, chain(*cmd.points))) for cmd in commands
-    )
-
-
 def _format_fill(fill: Paint) -> str:
     if isinstance(fill, Hex):
         return fill.css
@@ -493,12 +488,18 @@ def serialize_paths(paths) -> str:
     return _HEAD + "".join(_PATH.format(d, fill) for d, fill in paths) + _TAIL
 
 
+def path_slice(ops: str, xy, fill: Paint) -> tuple[str, str]:
+    """The ``(d, fill)`` attribute texts of one path given as M/L/C columns
+    (:mod:`svgforge.model`) and its fill."""
+    return format_columns(ops, xy), _format_fill(fill)
+
+
 def document_slices(doc: Document) -> list[tuple[str, str]]:
     """The ``(d, fill)`` attribute texts that :func:`serialize_document`
     writes for each path of a normalized document."""
     if not doc.normalized:
         raise NotNormalized("serialization requires a normalized document")
-    return [(_format_commands(p.commands), _format_fill(p.fill)) for p in doc.paths]
+    return [path_slice(*command_columns(p.commands), p.fill) for p in doc.paths]
 
 
 def serialize_document(doc: Document) -> str:
@@ -564,9 +565,8 @@ def canonical_document(paths: list[tuple[str, str]]) -> Document:
     commands = _canonical_patterns()[2]
     drawn = []
     for d, fill in paths:
-        cmds = []
-        for opcode, numbers in commands.findall(d):
-            v = [float(x) for x in numbers.split(" ")]
-            cmds.append(COMMAND_TYPES[opcode](*map(Point, v[::2], v[1::2])))
-        drawn.append(PathElement(tuple(cmds), _canonical_paint(fill)))
+        found = commands.findall(d)
+        xy = [float(x) for _, numbers in found for x in numbers.split(" ")]
+        cmds = typed_commands("".join(opcode for opcode, _ in found), xy)
+        drawn.append(PathElement(cmds, _canonical_paint(fill)))
     return Document(NORMALIZED_VIEW_BOX, tuple(drawn), normalized=True)

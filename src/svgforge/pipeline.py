@@ -12,13 +12,16 @@ deterministic for fixed inputs, flags and seeds (README, "CLI"). Only the
 verifier's distance kernel imports numpy, on its first use, and only
 ``jobs > 1`` imports :mod:`multiprocessing`.
 
-Every reader of normalized text (``classify``, ``augment`` and
+``normalize`` writes the ``(d, fill)`` slices of
+:func:`~svgforge.normalizer.normalize_slices`, which builds no command
+object. Every reader of normalized text (``classify``, ``augment`` and
 ``verify``'s NORM files) counts, splices or types its ``(d, fill)`` slices
 (:func:`_canonical`), so each has one implementation. Canonical text gives
 its slices with no XML parse, normalization or second serialization
-(:func:`~svgforge.parser.canonical_paths`); other text is parsed and
-normalized first (:func:`~svgforge.parser.document_slices`). ``score``
-counts paths in :func:`~svgforge.rewards.path_count`.
+(:func:`~svgforge.parser.canonical_paths`); other text is parsed and its
+slices normalized the way ``normalize`` does it. Only verify types
+commands, from the slices of its NORM files. ``score`` counts paths in
+:func:`~svgforge.rewards.path_count`.
 """
 
 from __future__ import annotations
@@ -37,13 +40,12 @@ from .augment import NO_FLAT_FILL, AugmentSpec, recolor_slices, swap_slices
 from .classifier import classify_counts
 from .errors import NotNormalized, SchemaError, SvgForgeError, ValidationError
 from .model import DifficultyLevel, Document
-from .normalizer import NormalizeReport, normalize_document
+from .normalizer import NormalizeReport, normalize_slices
 from .parser import (
     canonical_document,
     canonical_paths,
     document_slices,
     parse_document,
-    serialize_document,
     serialize_paths,
 )
 from .rewards import RewardParams, total_reward
@@ -52,6 +54,8 @@ from .verifier import DEFAULT_TOLERANCE, check_tolerance, verify_normalization
 # Not called here, but bench/spans.py traces them by these names in this module.
 from .augment import replace_colors, swap_paths  # noqa: F401
 from .classifier import classify  # noqa: F401
+from .normalizer import normalize_document  # noqa: F401
+from .parser import serialize_document  # noqa: F401
 
 log = logging.getLogger("svgforge")
 
@@ -144,10 +148,10 @@ def _claimed_files(root: Path):
     return files, claim
 
 
-def _load(text: str) -> tuple[Document, NormalizeReport]:
-    """Parse and normalize one SVG text."""
+def _normalized_slices(text: str) -> tuple[list[tuple[str, str]], NormalizeReport]:
+    """Parse one SVG text and normalize it into ``(d, fill)`` slices."""
     doc, _ = parse_document(text)
-    return normalize_document(doc)
+    return normalize_slices(doc)
 
 
 def _canonical(text: str) -> tuple[list[tuple[str, str]], bool]:
@@ -158,7 +162,7 @@ def _canonical(text: str) -> tuple[list[tuple[str, str]], bool]:
     paths = canonical_paths(text)
     if paths is not None:
         return paths, True
-    paths = document_slices(_load(text)[0])
+    paths = _normalized_slices(text)[0]
     return paths, serialize_paths(paths) == text.strip()
 
 
@@ -321,8 +325,8 @@ def run_normalize(
     files = iter_svg_files(input_dir)
 
     def work(rel: Path):
-        normalized, report = _load((input_dir / rel).read_text(encoding="utf-8"))
-        return serialize_document(normalized), report
+        paths, report = _normalized_slices((input_dir / rel).read_text(encoding="utf-8"))
+        return serialize_paths(paths), report
 
     aggregate = NormalizeReport()
     failures = 0

@@ -109,7 +109,7 @@ from .normalizer import (
     arc_center,
     arc_spans,
     canvas_transform,
-    convert_element,
+    element_columns,
     iter_segments,
     shape_segments,
 )
@@ -626,7 +626,7 @@ def verify_normalization(
     signals a pipeline bug rather than a geometric error.
     """
     check_tolerance(tolerance)
-    kept = [el for el in raw_doc.paths if convert_element(el) is not None]
+    kept = [el for el in raw_doc.paths if element_columns(el) is not None]
     if len(kept) != len(normalized_doc.paths):
         raise PathCountMismatch(
             f"{len(kept)} surviving drawables vs {len(normalized_doc.paths)} paths"

@@ -78,3 +78,21 @@ def test_an_output_that_changes_with_jobs_is_reported(monkeypatch):
     # each level's jobs.txt differs; scored.jsonl does not
     assert [line.split("\t")[:4] for line in err.getvalue().splitlines()] == [
         ["--jobs 1: pairs", "score", "0", "jobs.txt"], ["--jobs 2: pairs", "score", "0", "jobs.txt"]]
+
+
+def test_check_prints_the_first_output_that_differs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli_digests, "cases", _cases)
+    saved, again = tmp_path / "base.list", tmp_path / "again.list"
+    assert cli_digests.main(["--list", str(saved)]) == 0
+    lines = saved.read_text().splitlines()
+    edited = tmp_path / "edited.list"
+    wrong = lines[-1].rsplit("\t", 1)[0] + "\t" + "0" * 64
+    edited.write_text("\n".join([*lines[:-1], wrong]) + "\n")
+    # the run itself still lists the same files, and --check reports the one edited line
+    assert cli_digests.main(["--check", str(edited), "--list", str(again)]) == 1
+    assert again.read_text() == saved.read_text()
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        f"first difference from {edited}, at line {len(lines)}:",
+        f"  saved: {wrong}",
+        f"  here:  {lines[-1]}",
+    ]

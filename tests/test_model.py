@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svgforge.errors import ValidationError
 from svgforge.model import (
@@ -17,8 +19,11 @@ from svgforge.model import (
     Point,
     RawCommand,
     Reference,
+    command_columns,
     document_equal,
+    format_columns,
     format_number,
+    typed_commands,
 )
 
 
@@ -44,6 +49,38 @@ class TestFormatNumber:
         for v in (0.005, 123.456, -7.891, 1e-3, 999.999):
             once = format_number(v)
             assert format_number(float(once)) == once
+
+
+_COORD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-0.01, 0.01),  # rounds to 0, -0 included
+    st.integers(-2000, 2000).map(lambda n: n / 100),  # .d0 and .00 decimals
+)
+
+
+class TestColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("MLC"), st.lists(_COORD, min_size=6, max_size=6)),
+                    max_size=8))
+    def test_format_columns_writes_format_number_per_value(self, commands):
+        ops = "".join(op for op, _ in commands)
+        xy = [v for op, values in commands for v in values[:6 if op == "C" else 2]]
+        expected, i = "", 0
+        for op in ops:
+            n = 6 if op == "C" else 2
+            expected += op + " ".join(map(format_number, xy[i:i + n]))
+            i += n
+        assert format_columns(ops, xy) == expected
+
+    def test_typed_and_columns_convert_both_ways(self):
+        cmds = (MoveTo(Point(0, 1)), LineTo(Point(2, 3)),
+                CubicTo(Point(4, 5), Point(6, 7), Point(8, 9)))
+        assert command_columns(cmds) == ("MLC", [float(v) for v in range(10)])
+        assert typed_commands(*command_columns(cmds)) == cmds
+
+    def test_typed_commands_reject_the_first_non_finite_value(self):
+        with pytest.raises(ValidationError, match="non-finite coordinate -inf"):
+            typed_commands("MC", [0.0, 0.0, 1.0, -math.inf, math.nan, 2.0, 3.0, 4.0])
 
 
 class TestRawCommand:
@@ -155,7 +192,14 @@ class TestReference:
         with pytest.raises(ValidationError):
             Reference(ref_id)
 
-    @pytest.mark.parametrize("ref_id", ["g1", "a&b", "#'é(", "a#b"])
+    @pytest.mark.parametrize("ref_id", [
+        "a\x01b", "\x00", "a\x1f", "\x0b", "a\ud800", "\udfff", "a\ufffe", "\uffff"])
+    def test_ids_that_xml_cannot_carry_are_rejected(self, ref_id):
+        with pytest.raises(ValidationError, match="XML 1.0 cannot carry"):
+            Reference(ref_id)
+
+    @pytest.mark.parametrize(
+        "ref_id", ["g1", "a&b", "#'é(", "a#b", "a\x7fb", "\ufffd", "\U0001f600"])
     def test_other_ids_are_kept(self, ref_id):
         assert Reference(ref_id).ref_id == ref_id
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -5,7 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus import colored_icons, full_corpus, random_normalized_document, random_raw_svg
+from corpus import (
+    colored_icons,
+    full_corpus,
+    random_normalized_document,
+    random_raw_svg,
+    write_corpus,
+)
 from svgforge import normalizer
 from svgforge.errors import (
     DegenerateShape,
@@ -40,12 +47,14 @@ from svgforge.normalizer import (
     iter_segments,
     normalize_canvas,
     normalize_document,
+    normalize_slices,
     shape_segments,
     shape_to_path,
     simplify_commands,
     to_absolute,
 )
-from svgforge.parser import parse_document, serialize_document
+from svgforge.parser import parse_document, serialize_document, serialize_paths
+from svgforge.pipeline import EXIT_OK, run_normalize
 from svgforge.rewards import integrity_indicator
 from svgforge.verifier import sample_outline, verify_normalization
 
@@ -684,7 +693,7 @@ def _both_ways(doc, monkeypatch):
     """``normalize_document(doc)`` as it is, and with the direct path off."""
     direct = _normalized_outcome(doc)
     with monkeypatch.context() as mp:
-        mp.setattr(normalizer, "_typed_as_is", lambda doc: None)
+        mp.setattr(normalizer, "_as_is", lambda doc: None)
         full = _normalized_outcome(doc)
     return direct, full
 
@@ -711,7 +720,7 @@ class TestAlreadyNormalized:
     def test_serialized_outputs_take_the_direct_path(self, monkeypatch):
         for text in self._serialized_outputs():
             doc, _ = parse_document(text)
-            assert normalizer._typed_as_is(doc) is not None, text
+            assert normalizer._as_is(doc) is not None, text
             direct, full = _both_ways(doc, monkeypatch)
             assert direct == full, text
             assert direct[1] == NormalizeReport().as_dict()
@@ -742,7 +751,7 @@ class TestAlreadyNormalized:
         "no_paths",
     ])
     def test_near_misses_take_the_full_path(self, doc, monkeypatch):
-        assert normalizer._typed_as_is(doc) is None
+        assert normalizer._as_is(doc) is None
         direct, full = _both_ways(doc, monkeypatch)
         assert direct == full
 
@@ -803,3 +812,110 @@ class TestSilentDecisions:
             '<svg viewBox="0 0 24 24"><path d="M0 0L9 9" transform="rotate(45"/></svg>'
         )
         assert doc.paths[0].transform == IDENTITY
+
+
+def _typed_route(doc):
+    """``serialize_document(normalize_document(doc)[0])`` and the report, or
+    the error's type and message."""
+    try:
+        norm, report = normalize_document(doc)
+        return serialize_document(norm), report.as_dict()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _slices_route(doc):
+    try:
+        paths, report = normalize_slices(doc)
+        return serialize_paths(paths), report.as_dict()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_COEFFICIENT = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 1e-300, 1e150, -1e150, 1e300, -1e300]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def _transformed_documents(draw):
+    """A ``random_raw_svg`` document whose drawables each may take one more
+    random transform, some of them overflowing, on one of a few canvases."""
+    doc, _ = parse_document(random_raw_svg(random.Random(draw(st.integers(0, 2**32 - 1)))))
+    drawables = []
+    for el in doc.paths:
+        if draw(st.booleans()):
+            try:
+                el = dataclasses.replace(
+                    el, transform=AffineTransform(*draw(st.lists(_COEFFICIENT, min_size=6,
+                                                                 max_size=6))) @ el.transform)
+            except ValidationError:  # a determinant that overflows
+                pass
+        drawables.append(el)
+    view_box = draw(st.sampled_from([(0.0, 0.0, 96.0, 96.0), NORMALIZED_VIEW_BOX,
+                                     (-5.0, 3.0, 1e-100, 2e-100), (0.0, 0.0, 1e10, 1e10)]))
+    return Document(view_box, tuple(drawables))
+
+
+class TestSlicesRoute:
+    """``normalize_slices`` gives what serializing ``normalize_document``'s
+    result gives, and raises what it raises, first error first."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_transformed_documents())
+    def test_same_bytes_reports_and_errors_as_the_typed_route(self, doc):
+        assert _slices_route(doc) == _typed_route(doc)
+
+    @pytest.mark.parametrize("body,view_box,error", [
+        ('<path d="M1e10 0L0 5" transform="scale(1e300 1e-300)"/>', "0 0 96 96",
+         "ValidationError: non-finite coordinate inf"),
+        ('<path d="M-1e10 1e10L1e10 0" transform="matrix(1e300 0 0 1e-300 0 0)"/>',
+         "0 0 96 96", "ValidationError: non-finite coordinate -inf"),
+        # the elevated quadratic overflows before the arc's own error
+        ('<path d="M1e308 0Q-1e308 0 0 0M-1e308 0Q1e308 0 0 0A1 1e-199 0 0 0 0 1"/>',
+         "0 0 96 96", "ValidationError: non-finite coordinate -inf"),
+        ('<path d="M0 0A1 1e-199 0 0 0 0 1M-1e308 0Q1e308 0 0 0"/>', "0 0 96 96",
+         "OverflowError: (34, 'Numerical result out of range')"),
+        ('<path d="M0 0A1e-320 1e-320 0 0 1 10 5"/>', "0 0 96 96",
+         "ValidationError: non-finite coordinate nan"),
+        ('<path d="M1e308 0C0 0 -1e308 0 1e308 0S0 0 0 0l1e308 0"/>', "0 0 96 96",
+         "ValidationError: non-finite coordinate inf"),
+        ('<rect x="0" y="0" width="1e999" height="5" rx="1"/>', "0 0 96 96",
+         "ValidationError: non-finite coordinate inf"),
+        # the canvas map: first non-finite value in coordinate order
+        ('<path d="M0 -1e250L1e250 0"/>', "0 0 1e-100 1e-100",
+         "ValidationError: non-finite coordinate -inf"),
+        # every drawable is converted before the canvas is mapped
+        ('<path d="M1e300 0L0 5"/><path d="M0 0A1 1e-199 0 0 0 0 1"/>', "0 0 1e-10 1e-10",
+         "OverflowError: (34, 'Numerical result out of range')"),
+        ('<path d="M1e10 0L0 5" transform="scale(1e300 1e-300)"/>'
+         '<path d="M0 0A1 1e-199 0 0 0 0 1"/>',
+         "0 0 96 96", "ValidationError: non-finite coordinate inf"),
+        ('<path d="M0 0A1 1e-199 0 0 0 0 1"/>'
+         '<path d="M1e10 0L0 5" transform="scale(1e300 1e-300)"/>',
+         "0 0 96 96", "OverflowError: (34, 'Numerical result out of range')"),
+        ('<path d="M1e10 0L0 5"/>', "0 0 1e10 1e10",
+         "SingularTransform: determinant 1.0485760000000001e-14"),
+    ], ids=["scale", "matrix_signs", "quad_before_arc", "arc_before_quad", "subnormal_arc",
+            "smooth_reflection", "rect_inf", "canvas_signs", "element_before_canvas",
+            "transform_before_arc", "arc_before_transform", "canvas_singular"])
+    def test_first_error_in_the_same_place(self, body, view_box, error):
+        doc, _ = parse_document(f'<svg viewBox="{view_box}">{body}</svg>')
+        for route in (_typed_route, _slices_route):
+            kind, message = route(doc)
+            assert f"{kind.__name__}: {message}" == error
+
+    def test_the_cli_route_types_no_command(self, tmp_path, corpus, monkeypatch):
+        write_corpus(tmp_path / "raw", corpus)
+        expected = {name: _typed_route(parse_document(text)[0])[0]
+                    for name, text in corpus.items()}
+
+        def refuse(*_):
+            raise AssertionError("built a command object")
+
+        for kind in (MoveTo, LineTo, CubicTo):
+            monkeypatch.setattr(kind, "__post_init__", refuse)
+        assert run_normalize(tmp_path / "raw", tmp_path / "norm") == EXIT_OK
+        for name, text in expected.items():
+            assert (tmp_path / "norm" / f"{name}.svg").read_text() == text

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svgforge.errors import (
     MalformedXml,
@@ -8,6 +10,7 @@ from svgforge.errors import (
     NoCanvas,
     NotNormalized,
     PathSyntax,
+    ValidationError,
 )
 from svgforge.model import (
     CubicTo,
@@ -225,6 +228,20 @@ class TestSerialize:
         text = serialize_document(doc)
         assert 'fill="url(#g1)"' in text
         assert document_equal(parse_document(text)[0], doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(min_size=1, max_size=6))
+    def test_every_accepted_reference_id_roundtrips(self, ref_id):
+        try:
+            fill = Reference(ref_id)
+        except ValidationError:
+            return
+        doc = Document(
+            NORMALIZED_VIEW_BOX,
+            (PathElement((MoveTo(Point(0, 0)), LineTo(Point(1, 1))), fill),),
+            normalized=True,
+        )
+        assert parse_document(serialize_document(doc))[0].paths[0].fill == fill
 
 
 class TestSerializeCommands:

@@ -772,7 +772,7 @@ class TestFailureContract:
 
     def test_runtime_error_in_classify_is_one_row(self, tmp_path, monkeypatch):
         raw = self._two_files(tmp_path)
-        real = pipeline.normalize_document
+        real = pipeline.normalize_slices
         calls = []
 
         def flaky(doc):
@@ -781,7 +781,7 @@ class TestFailureContract:
                 raise RuntimeError("boom")
             return real(doc)
 
-        monkeypatch.setattr(pipeline, "normalize_document", flaky)
+        monkeypatch.setattr(pipeline, "normalize_slices", flaky)
         out = tmp_path / "records.jsonl"
         assert run_classify(raw, out) == EXIT_PARTIAL
         assert len(read_strict_jsonl(out)) == 1

@@ -26,12 +26,12 @@ from svgforge.model import (
     Point,
     Reference,
 )
+from svgforge.normalizer import normalize_document
 from svgforge.parser import (
-    _format_commands,
-    _format_fill,
     canonical_document,
     canonical_paths,
     document_slices,
+    parse_document,
     serialize_document,
     serialize_paths,
 )
@@ -40,7 +40,6 @@ from svgforge.pipeline import (
     EXIT_VERIFY_FAILED,
     DatasetRecord,
     _canonical,
-    _load,
     _slices_record,
     run_augment,
     run_classify,
@@ -58,10 +57,10 @@ def agrees(text) -> bool:
     paths = canonical_paths(text)
     if paths is None:
         return False
-    doc = _load(text)[0]
+    doc = normalize_document(parse_document(text)[0])[0]
     svg = serialize_document(doc)
     assert svg == text.strip()
-    assert paths == [(_format_commands(p.commands), _format_fill(p.fill)) for p in doc.paths]
+    assert paths == document_slices(doc)
     assert serialize_paths(paths) == svg
     c = classify(doc)
     assert _slices_record("x", paths) == DatasetRecord(

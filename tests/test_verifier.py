@@ -764,15 +764,22 @@ class TestColumnsMatchScalarReference:
 
 
 def test_long_curve_verifies_in_bounded_memory():
-    """A closed 150-segment curve: the whole pair matrix would need about 5 GB."""
+    """A closed 150-segment curve: the whole pair matrix would need about 5 GB.
+
+    The child reports its own peak, ``VmHWM``: on Linux a child's
+    ``ru_maxrss`` can carry the peak of the process that started it, here
+    pytest's, whatever ran before this test.
+    """
     script = (
-        "import json, resource, sys\n"
+        "import json, re, sys\n"
         "from svgforge import normalize_document, parse_document, verify_normalization\n"
         "raw, _ = parse_document(sys.stdin.read())\n"
         "norm, _ = normalize_document(raw)\n"
         "result = verify_normalization(raw, norm)\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    hwm = re.search(r'^VmHWM:\\s*(\\d+) kB', fh.read(), re.M)\n"
         "print(json.dumps({'passed': result.passed, 'worst': result.worst,\n"
-        "                  'maxrss_kb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))\n"
+        "                  'maxrss_kb': int(hwm.group(1))}))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(

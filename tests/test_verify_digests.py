@@ -50,3 +50,24 @@ def test_digests_and_listing():
     again = io.StringIO()
     verify_digests.write_digests(named, again)
     assert again.getvalue() == out.getvalue()
+
+
+def test_check_prints_the_first_document_that_differs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(verify_digests, "corpora", lambda dense: {"few": _few()})
+    saved = tmp_path / "base.list"
+    assert verify_digests.main(["--list", str(saved)]) == 0
+    assert verify_digests.main(["--check", str(saved)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"same 5 lines as {saved}"
+    lines = saved.read_text().splitlines()
+    third = lines[2].split("\t")[1]
+    saved.write_text("\n".join(lines[:2] + ["few\t" + third + "\tpass", *lines[3:]]) + "\n")
+    assert verify_digests.main(["--check", str(saved)]) == 1
+    report = capsys.readouterr().out.splitlines()[-3:]
+    assert report[0] == f"first difference from {saved}, at line 3:"
+    assert report[1] == f"  saved: few\t{third}\tpass"
+    assert report[2] == f"  here:  {lines[2]}"
+    # a listing that ends early differs at its first missing line
+    saved.write_text("\n".join(lines[:4]) + "\n")
+    assert verify_digests.main(["--check", str(saved)]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "  saved: (no line)", f"  here:  {lines[4]}"]

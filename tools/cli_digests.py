@@ -11,7 +11,7 @@ ops, then ``--ops recolor``, ``--ops swap --variants 2``, and a
 ``--jobs 1`` and again at ``--jobs 2``, in a directory of its own but with
 the same relative paths, so that a path an output names is the same in both.
 
-    python tools/cli_digests.py [--list FILE]
+    python tools/cli_digests.py [--list FILE] [--check FILE]
 
 prints one line per corpus, subcommand and output: the exit code, the
 output's name and its sha256. normalize's output directory is one line,
@@ -19,15 +19,25 @@ digesting every file in it. The lines are those of the ``--jobs 1`` run.
 Where the ``--jobs 2`` run differs, each line that only one of the runs
 gives is printed to stderr after its ``--jobs`` level, and the script then
 exits 1. ``--list FILE`` writes one line per output file, each
-normalized SVG included, so the lists of two checkouts can be ``diff``ed.
+normalized SVG included. ``--check FILE`` compares those lines with a
+listing that ``--list`` saved from another checkout, prints the first line
+that differs, and exits 1 if any does.
 
-The script imports svgforge from this checkout's ``src/``.
+The script imports svgforge from the ``src/`` of the checkout it is in, so
+two commits are compared from two ``git worktree`` checkouts:
+
+    git worktree add ../base BASE_COMMIT
+    git worktree add ../change CHANGE_COMMIT
+    python ../base/tools/cli_digests.py --list base.list
+    python ../change/tools/cli_digests.py --check base.list
+    git worktree remove ../base && git worktree remove ../change
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import logging
 import os
@@ -40,7 +50,7 @@ for _sub in ("tools", "bench", "tests", "src"):
     sys.path.insert(0, str(ROOT / _sub))
 
 from svgforge.cli import main as cli_main  # noqa: E402
-from verify_digests import corpora  # noqa: E402
+from verify_digests import add_listing_options, corpora, save_and_check  # noqa: E402
 
 # (subcommand, argv without the common flags); each writes under a directory
 # named after its subcommand, so a sidecar errors.jsonl is digested with it
@@ -152,17 +162,14 @@ def write_digests(named, out, listing=None, err=None) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--list", type=Path, metavar="FILE",
-                        help="write one line per output file to FILE")
+    add_listing_options(parser, "output file")
     args = parser.parse_args(argv)
     # the exit codes and error files say what the log would, for every document
     logging.getLogger().addHandler(logging.NullHandler())
-    if args.list is None:
-        differ = write_digests(cases(), sys.stdout)
-    else:
-        with args.list.open("w", encoding="utf-8") as listing:
-            differ = write_digests(cases(), sys.stdout, listing)
-    return 1 if differ else 0
+    listing = io.StringIO()
+    differ = write_digests(cases(), sys.stdout, listing)
+    changed = save_and_check(args, listing)
+    return 1 if differ or changed else 0
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ serialized text. Each verification gives ``passed`` and, per drawable,
 ``samples_used``. A document that raises gives its error's type and
 message instead.
 
-    python tools/verify_digests.py [--dense] [--list FILE]
+    python tools/verify_digests.py [--dense] [--list FILE] [--check FILE]
 
 prints one sha256 per corpus over its documents' lines, in order. The
 corpora are ``verify_corpus(601)``, ``full_corpus()``,
@@ -15,18 +15,28 @@ corpora are ``verify_corpus(601)``, ``full_corpus()``,
 ``random_raw_svg(random.Random(3))`` and ``build_corpus(601)`` without its
 dense tier. The dense tier takes minutes to verify and runs only with
 ``--dense``; without it, its line says it was skipped. ``--list FILE``
-writes one line per document, so the lists of two checkouts can be
-``diff``ed to find the first document that differs.
+writes one line per document. ``--check FILE`` compares those lines with
+a listing that ``--list`` saved from another checkout, prints the first
+line that differs, and exits 1 if any does.
 
-The script imports svgforge from this checkout's ``src/``.
+The script imports svgforge from the ``src/`` of the checkout it is in, so
+two commits are compared from two ``git worktree`` checkouts:
+
+    git worktree add ../base BASE_COMMIT
+    git worktree add ../change CHANGE_COMMIT
+    python ../base/tools/verify_digests.py --list base.list
+    python ../change/tools/verify_digests.py --check base.list
+    git worktree remove ../base && git worktree remove ../change
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import random
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,20 +103,42 @@ def write_digests(named: dict[str, dict[str, str] | None], out, listing=None) ->
         print(f"{corpus}\t{len(lines)}\t{digest}", file=out, flush=True)
 
 
+def add_listing_options(parser: argparse.ArgumentParser, line: str) -> None:
+    parser.add_argument("--list", type=Path, metavar="FILE",
+                        help=f"write one line per {line} to FILE")
+    parser.add_argument("--check", type=Path, metavar="FILE",
+                        help="compare the lines with a --list FILE saved from another checkout")
+
+
+def save_and_check(args, listing: io.StringIO) -> int:
+    """Write ``listing`` to the ``--list`` file, as asked, and compare it
+    with the ``--check`` file: print the first line that differs and
+    return 1, or return 0 when there is none or nothing to check."""
+    if args.list is not None:
+        args.list.write_text(listing.getvalue(), encoding="utf-8")
+    if args.check is None:
+        return 0
+    ours = listing.getvalue().splitlines()
+    theirs = args.check.read_text(encoding="utf-8").splitlines()
+    for n, (here, there) in enumerate(zip_longest(ours, theirs), 1):
+        if here != there:
+            print(f"first difference from {args.check}, at line {n}:\n"
+                  f"  saved: {there if there is not None else '(no line)'}\n"
+                  f"  here:  {here if here is not None else '(no line)'}")
+            return 1
+    print(f"same {len(ours)} lines as {args.check}")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--dense", action="store_true",
                         help=f"also verify the {DENSE} tier (minutes)")
-    parser.add_argument("--list", type=Path, metavar="FILE",
-                        help="write one line per document to FILE")
+    add_listing_options(parser, "document")
     args = parser.parse_args(argv)
-    named = corpora(args.dense)
-    if args.list is None:
-        write_digests(named, sys.stdout)
-    else:
-        with args.list.open("w", encoding="utf-8") as listing:
-            write_digests(named, sys.stdout, listing)
-    return 0
+    listing = io.StringIO()
+    write_digests(corpora(args.dense), sys.stdout, listing)
+    return save_and_check(args, listing)
 
 
 if __name__ == "__main__":
