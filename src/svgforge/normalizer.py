@@ -614,7 +614,10 @@ def element_columns(
             return None
         report.count_shape(el.tag)
     else:
-        report.relative_resolved += sum(len(c.groups()) for c in el.commands if c.is_relative)
+        # one per argument group of each relative command; a z has none and counts once
+        report.relative_resolved += sum(
+            len(c.args) // PARAM_COUNTS[c.opcode.upper()] if c.args else 1
+            for c in el.commands if c.opcode.islower())
         ops, xy = _to_mlc(iter_segments(el.commands), report)
 
     if not ops.strip("M"):

@@ -10,8 +10,9 @@ auditable without sacrificing corpus yield.
 The canonical form is also recognized as text. :func:`canonical_paths`
 matches one whole-document pattern built from the serializer's own parts
 and returns each path's ``d`` and ``fill`` slices, which a reader of
-normalized text counts, splices or types (:func:`canonical_document`)
-without expat or a second serialization. It declines (returns ``None``)
+normalized text counts, splices, reads as coordinate columns
+(:func:`canonical_columns`) or types (:func:`canonical_document`) without
+expat or a second serialization. It declines (returns ``None``)
 whenever it cannot be sure: any number outside :func:`format_number`'s
 output with at most 13 integer digits, any separator or attribute order
 the serializer does not write, a reference id outside a conservative ASCII
@@ -556,17 +557,25 @@ def _canonical_paint(fill: str) -> Paint:
     return Reference(_ENTITY_RE.sub(lambda m: _ENTITIES[m.group(1)], fill[len("url(#"):-1]))
 
 
+def canonical_columns(paths: list[tuple[str, str]]) -> list[tuple[str, list[float]]]:
+    """The M/L/C columns ``(ops, xy)`` (:mod:`svgforge.model`) of the ``d``
+    of each :func:`canonical_paths` slice: the floats of its number texts,
+    those that parsing and normalizing its text give."""
+    commands = _canonical_patterns()[2]
+    columns = []
+    for d, _ in paths:
+        found = commands.findall(d)
+        xy = [float(x) for _, numbers in found for x in numbers.split(" ")]
+        columns.append(("".join(opcode for opcode, _ in found), xy))
+    return columns
+
+
 def canonical_document(paths: list[tuple[str, str]]) -> Document:
     """The normalized document of :func:`canonical_paths` slices.
 
-    It equals what parsing and normalizing their text gives: the same
-    floats of the same number texts, typed as M/L/C commands.
+    It equals what parsing and normalizing their text gives: the
+    :func:`canonical_columns`, typed as M/L/C commands.
     """
-    commands = _canonical_patterns()[2]
-    drawn = []
-    for d, fill in paths:
-        found = commands.findall(d)
-        xy = [float(x) for _, numbers in found for x in numbers.split(" ")]
-        cmds = typed_commands("".join(opcode for opcode, _ in found), xy)
-        drawn.append(PathElement(cmds, _canonical_paint(fill)))
+    drawn = (PathElement(typed_commands(ops, xy), _canonical_paint(fill))
+             for (ops, xy), (_, fill) in zip(canonical_columns(paths), paths))
     return Document(NORMALIZED_VIEW_BOX, tuple(drawn), normalized=True)

@@ -19,8 +19,9 @@ object. Every reader of normalized text (``classify``, ``augment`` and
 (:func:`_canonical`), so each has one implementation. Canonical text gives
 its slices with no XML parse, normalization or second serialization
 (:func:`~svgforge.parser.canonical_paths`); other text is parsed and its
-slices normalized the way ``normalize`` does it. Only verify types
-commands, from the slices of its NORM files. ``score`` counts paths in
+slices normalized the way ``normalize`` does it. Verify reads the ``d``
+slices of its NORM files as coordinate columns; no subcommand types a
+command. ``score`` counts paths in
 :func:`~svgforge.rewards.path_count`.
 """
 
@@ -42,20 +43,21 @@ from .errors import NotNormalized, SchemaError, SvgForgeError, ValidationError
 from .model import DifficultyLevel, Document
 from .normalizer import NormalizeReport, normalize_slices
 from .parser import (
-    canonical_document,
+    canonical_columns,
     canonical_paths,
     document_slices,
     parse_document,
     serialize_paths,
 )
 from .rewards import RewardParams, total_reward
-from .verifier import DEFAULT_TOLERANCE, check_tolerance, verify_normalization
+from .verifier import DEFAULT_TOLERANCE, check_tolerance, verify_columns
 
 # Not called here, but bench/spans.py traces them by these names in this module.
 from .augment import replace_colors, swap_paths  # noqa: F401
 from .classifier import classify  # noqa: F401
 from .normalizer import normalize_document  # noqa: F401
 from .parser import serialize_document  # noqa: F401
+from .verifier import verify_normalization  # noqa: F401
 
 log = logging.getLogger("svgforge")
 
@@ -183,14 +185,90 @@ _CHUNKS_PER_WORKER = 4
 #: small messages instead of holding a quarter of a worker's share at once.
 _MAX_CHUNK = 64
 
-#: ``(fn, items)`` of the one :func:`_each` whose worker processes are
-#: running; forked workers inherit it, so neither is pickled.
+#: ``(fn, items, state)`` of the one :func:`_each` whose worker processes are
+#: running; forked workers inherit it, so none of it is pickled. ``state`` is
+#: one byte of shared memory per item, where a worker marks the item
+#: ``_STARTED`` before it runs it and ``_FINISHED`` after.
 _forked_batch = None
+_STARTED, _FINISHED = 1, 2
 
 
-def _attempt_forked(i: int):
-    fn, items = _forked_batch
-    return _attempt(fn, items[i])
+def _attempt_forked(chunk: range) -> list:
+    fn, items, state = _forked_batch
+    out = []
+    for i in chunk:
+        state[i] = _STARTED
+        out.append(_attempt(fn, items[i]))
+        state[i] = _FINISHED
+    return out
+
+
+def _chunks(indices, size: int) -> list[range]:
+    """The increasing ``indices`` as runs of consecutive ones, at most ``size`` each."""
+    out: list[range] = []
+    for i in indices:
+        if out and out[-1].stop == i and len(out[-1]) < size:
+            out[-1] = range(out[-1].start, i + 1)
+        else:
+            out.append(range(i, i + 1))
+    return out
+
+
+def _pool_chunks(context, chunks: list[range], workers: int):
+    """Run each range of item indices in ``chunks`` as one task on a fresh
+    pool of ``workers`` processes started by ``context``, and yield each
+    task's results in order until a worker dies; then yield the error text
+    and stop. The pool is shut down when the generator ends or is closed."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=context)
+    try:
+        yield from pool.map(_attempt_forked, chunks)
+    except BrokenProcessPool as exc:
+        yield f"{type(exc).__name__}: {exc}"
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _forked_results(context, n: int, workers: int, state):
+    """``(i, result)`` of each of ``n`` items run on ``workers`` forked
+    processes, in no fixed order.
+
+    When a worker dies, the pool breaks and the results of every task not
+    yet returned are lost. The items that a worker had started and not
+    finished when it broke (``state``) run again one at a time, in order, on
+    one worker, so when it dies the item it was running is the one that
+    killed it, and becomes the only error row. The other lost items run
+    again on a fresh pool of ``workers``. A pool that breaks while no item
+    is running has nothing to blame, and its lost items become error rows.
+    """
+    size = max(1, min(_MAX_CHUNK, n // (_CHUNKS_PER_WORKER * workers)))
+    pending: list[int] = list(range(n))
+    while pending:
+        chunks = _chunks(pending, size)
+        lost: list[int] = []
+        with closing(_pool_chunks(context, chunks, workers)) as runs:
+            for k, (chunk, results) in enumerate(zip(chunks, runs)):
+                if isinstance(results, str):
+                    lost, error = [i for c in chunks[k:] for i in c], results
+                    break
+                yield from zip(chunk, results)
+        running = [i for i in lost if state[i] == _STARTED]
+        pending = [i for i in lost if state[i] != _STARTED]
+        if lost and not running:
+            yield from ((i, (None, error)) for i in lost)
+            return
+        while running:  # one at a time, so the first lost item is the killer
+            with closing(_pool_chunks(context, _chunks(running, 1), 1)) as runs:
+                for k, results in enumerate(runs):
+                    if isinstance(results, str):
+                        yield running[k], (None, results)
+                        running = running[k + 1:]
+                        break
+                    yield running[k], results[0]
+                else:
+                    running = []
 
 
 def _each(fn, items, jobs: int = 1):
@@ -203,8 +281,9 @@ def _each(fn, items, jobs: int = 1):
     (README, "CLI"), which inherit ``fn`` and ``items``, so ``fn`` may be a
     closure; workers can run ahead of the caller, which still receives the
     results in input order. A worker that dies (a signal, an out-of-memory
-    kill) turns every result not yet yielded into ``(None,
-    "BrokenProcessPool: ...")``. Every worker is joined when the generator
+    kill) costs the item it was running, whose result is ``(None,
+    "BrokenProcessPool: ...")``; the other items are rerun
+    (:func:`_forked_results`). Every worker is joined when the generator
     ends or is closed, so a caller that may stop early closes it. Not for
     concurrent use from several threads: forking a threaded process is
     unsafe, and the workers' batch is one module global.
@@ -215,23 +294,23 @@ def _each(fn, items, jobs: int = 1):
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
+            import mmap
 
+            context = multiprocessing.get_context("fork")
+            state = mmap.mmap(-1, len(items))  # anonymous and shared with forked workers
+            ready: dict[int, tuple] = {}  # results that came before an earlier item's
             done = 0
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            _forked_batch = fn, items  # before the first map call forks the workers
+            _forked_batch = fn, items, state  # before the first pool forks its workers
             try:
-                chunk = max(1, min(_MAX_CHUNK, len(items) // (_CHUNKS_PER_WORKER * workers)))
-                for result in pool.map(_attempt_forked, range(len(items)), chunksize=chunk):
-                    yield result
-                    done += 1
-            except BrokenProcessPool as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                yield from ((None, error) for _ in range(done, len(items)))
+                with closing(_forked_results(context, len(items), workers, state)) as results:
+                    for i, result in results:
+                        ready[i] = result
+                        while done in ready:
+                            yield ready.pop(done)
+                            done += 1
             finally:
-                pool.shutdown(wait=True, cancel_futures=True)
                 _forked_batch = None
+                state.close()
             return
     for item in items:
         yield _attempt(fn, item)
@@ -632,9 +711,11 @@ def run_verify(
     A NORM file must be in normalized form: one whose text is not the
     serialization of its own normalization (:func:`_canonical`, the test
     behind classify's ``auto_normalized``) fails as a
-    :class:`NotNormalized` error row. The document of a NORM file is typed
-    from its ``(d, fill)`` slices. A ``tolerance`` that is not finite and
-    positive raises :class:`ValidationError` before any file is read.
+    :class:`NotNormalized` error row. The paths of a NORM file reach the
+    verifier as the M/L/C columns of its ``d`` slices
+    (:func:`~svgforge.verifier.verify_columns`); no command is typed. A
+    ``tolerance`` that is not finite and positive raises
+    :class:`ValidationError` before any file is read.
     Files are checked on up to ``jobs`` worker processes (:func:`_each`);
     the rows keep file order.
     """
@@ -651,7 +732,7 @@ def run_verify(
         paths, canonical = _canonical((normalized_dir / rel).read_text(encoding="utf-8"))
         if not canonical:
             raise NotNormalized(f"{rel.as_posix()} differs from its normalized form")
-        return verify_normalization(raw_doc, canonical_document(paths), tolerance)
+        return verify_columns(raw_doc, canonical_columns(paths), tolerance)
 
     rows = []
     worst_id, worst_dev = None, -1.0

@@ -34,8 +34,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidReference, Unparseable, ValidationError
-from .normalizer import normalize_document
+from .normalizer import normalize_slices
 from .parser import canonical_paths, parse_document
+
+# Not called here, but bench/spans.py traces it by this name in this module.
+from .normalizer import normalize_document  # noqa: F401
 
 
 class MatchSemantics(Enum):
@@ -89,19 +92,21 @@ def path_count(svg_text: str) -> int:
 
     Every drawable becomes exactly one path during normalization, so this
     matches the classifier's path count. Canonical text
-    (:func:`~svgforge.parser.canonical_paths`) is counted as text. Raises
+    (:func:`~svgforge.parser.canonical_paths`) is counted as text, and
+    other text as the slices of
+    :func:`~svgforge.normalizer.normalize_slices`, which raises what
+    ``normalize_document`` raises without typing a command. Raises
     :class:`Unparseable` when the text fails the integrity check.
     """
     paths = canonical_paths(svg_text)
-    if paths is not None:
-        return len(paths)
-    try:
-        doc, _ = parse_document(svg_text)
-        normalized, _ = normalize_document(doc)
-    except Exception as exc:
-        # arbitrary model output can break in arbitrary ways; that fails integrity
-        raise Unparseable(str(exc)) from None
-    return len(normalized.paths)
+    if paths is None:
+        try:
+            doc, _ = parse_document(svg_text)
+            paths, _ = normalize_slices(doc)
+        except Exception as exc:
+            # arbitrary model output can break in arbitrary ways; that fails integrity
+            raise Unparseable(str(exc)) from None
+    return len(paths)
 
 
 def _match_from_counts(n_gen: int, n_ref: int, params: RewardParams) -> float:

@@ -27,16 +27,27 @@ subdivision; transforms and the canvas map are applied to the samples
 rather than flattened into coordinates; and the distance kernel is this
 module's own.
 
-Verification carries coordinates as columns, not ``Point`` objects. Each
-original drawable is sampled one segment at a time on an index array, and
-its samples go through the transform as whole columns; the flattener
-appends plain floats to its chain's columns. Consecutive duplicates are
-dropped once, after the transform. A subpath that collapses to one point
-stays as that point, which is a zero-length segment for the other side.
-The public ``sample_outline`` and ``flatten_cubic`` evaluate the same
-formulas and the same subdivision per scalar, without numpy. Verify's
-sampling and the distance kernel use numpy, and both import it on first
-use, so importing svgforge, this module included, does not load it.
+Verification prepares each document in one pass per side, and carries
+coordinates as columns, not ``Point`` objects. One walk over the segments
+of every surviving drawable gives each segment its place in the
+document's columns; each kind of segment (line, quadratic, cubic, arc) is
+then sampled in one broadcast, every sample with its formula's operations
+in their scalar order, so the samples are those of one segment at a time
+to the bit. The samples of every drawable whose transform is not the
+identity are mapped in one array pass; an identity is not applied, so a
+``-0.0`` or a non-finite sample stays as it is. The converted side arrives
+as each path's M/L/C columns (``verify_columns``; ``verify_normalization``
+reads a typed document's paths as columns), and its cubics are flattened
+by ``flatten_cubic``'s subdivision from an explicit stack into plain float
+columns. On each side, consecutive duplicates are dropped in one array
+pass, after the transform, and never across the start of a subpath or a
+drawable. A subpath that collapses to one point stays as that point, which
+is a zero-length segment for the other side. The drawables are then
+measured one at a time. The public ``sample_outline`` and
+``flatten_cubic`` evaluate the same formulas and the same subdivision per
+scalar, without numpy. Verify's sampling and the distance kernel use
+numpy, and both import it on first use, so importing svgforge, this module
+included, does not load it.
 
 Each one-sided measure (``_one_sided``) is the largest distance from a
 point of one side to the other side's segments, and the first point that
@@ -97,13 +108,13 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PathCountMismatch, ValidationError
 from .model import (
-    IDENTITY,
     AffineTransform,
     Document,
     Drawable,
     PathElement,
     Point,
     ShapeElement,
+    command_columns,
 )
 from .normalizer import (
     arc_center,
@@ -112,6 +123,7 @@ from .normalizer import (
     element_columns,
     iter_segments,
     shape_segments,
+    simplify_commands,
 )
 
 if TYPE_CHECKING:
@@ -197,46 +209,63 @@ class VerificationResult:
 # --- flattening ------------------------------------------------------------
 
 
-def _flatness(x0, y0, x1, y1, x2, y2, x3, y3) -> float:
-    # max control-point distance to the chord segment p0-p3: the curve lies in
-    # the hull of its control points, so it is no farther from the chord. The
-    # segment, not its line, so a curve that turns back beyond an endpoint is
-    # not taken for its chord.
-    dx, dy = x3 - x0, y3 - y0
-    norm = math.hypot(dx, dy)
-    if norm < 1e-30:
-        return max(math.hypot(x1 - x0, y1 - y0), math.hypot(x2 - x0, y2 - y0))
-    len2 = dx * dx + dy * dy
-    worst = 0.0
-    for cx, cy in ((x1, y1), (x2, y2)):
-        ex, ey = cx - x0, cy - y0
-        along = dx * ex + dy * ey
-        if along < 0.0:
-            d = math.hypot(ex, ey)
-        elif along > len2:
-            d = math.hypot(cx - x3, cy - y3)
-        else:
-            d = abs(dx * ey - dy * ex) / norm
-        if d > worst:
-            worst = d
-    return worst
+def _flatten_into(xs: list, ys: list, x0, y0, x1, y1, x2, y2, x3, y3, tolerance: float) -> None:
+    """Append the points of the cubic after its start to the columns ``xs``, ``ys``.
 
-
-def _flatten_into(xs, ys, x0, y0, x1, y1, x2, y2, x3, y3, tolerance: float, depth: int) -> None:
-    """Append the points of the cubic after its start to the columns ``xs``, ``ys``."""
-    if depth >= 24 or _flatness(x0, y0, x1, y1, x2, y2, x3, y3) <= tolerance:
+    The cubic is halved at t = 0.5 (de Casteljau) until a piece is flat or
+    24 halvings deep, left half first; an explicit stack holds the right
+    halves still to come. A piece is flat when no control point is farther
+    than ``tolerance`` from the chord segment: the curve lies in the hull
+    of its control points, so it is no farther from the chord. The segment,
+    not its line, so a curve that turns back beyond an endpoint is not
+    taken for its chord.
+    """
+    hypot = math.hypot
+    stack: list[tuple] = []
+    depth = 0
+    while True:
+        if depth < 24:
+            dx, dy = x3 - x0, y3 - y0
+            norm = hypot(dx, dy)
+            if norm < 1e-30:
+                split = not max(hypot(x1 - x0, y1 - y0), hypot(x2 - x0, y2 - y0)) <= tolerance
+            else:
+                # the farther control point is beyond the tolerance when either one is
+                len2 = dx * dx + dy * dy
+                ex, ey = x1 - x0, y1 - y0
+                along = dx * ex + dy * ey
+                if along < 0.0:
+                    split = hypot(ex, ey) > tolerance
+                elif along > len2:
+                    split = hypot(x1 - x3, y1 - y3) > tolerance
+                else:
+                    split = abs(dx * ey - dy * ex) / norm > tolerance
+                if not split:
+                    ex, ey = x2 - x0, y2 - y0
+                    along = dx * ex + dy * ey
+                    if along < 0.0:
+                        split = hypot(ex, ey) > tolerance
+                    elif along > len2:
+                        split = hypot(x2 - x3, y2 - y3) > tolerance
+                    else:
+                        split = abs(dx * ey - dy * ex) / norm > tolerance
+            if split:
+                ax, ay = (x0 + x1) / 2, (y0 + y1) / 2
+                bx, by = (x1 + x2) / 2, (y1 + y2) / 2
+                cx, cy = (x2 + x3) / 2, (y2 + y3) / 2
+                abx, aby = (ax + bx) / 2, (ay + by) / 2
+                bcx, bcy = (bx + cx) / 2, (by + cy) / 2
+                mx, my = (abx + bcx) / 2, (aby + bcy) / 2
+                depth += 1
+                stack.append((bcx, bcy, cx, cy, x3, y3, depth))
+                x1, y1, x2, y2, x3, y3 = ax, ay, abx, aby, mx, my
+                continue
         xs.append(x3)
         ys.append(y3)
-        return
-    # de Casteljau at t = 0.5
-    ax, ay = (x0 + x1) / 2, (y0 + y1) / 2
-    bx, by = (x1 + x2) / 2, (y1 + y2) / 2
-    cx, cy = (x2 + x3) / 2, (y2 + y3) / 2
-    abx, aby = (ax + bx) / 2, (ay + by) / 2
-    bcx, bcy = (bx + cx) / 2, (by + cy) / 2
-    mx, my = (abx + bcx) / 2, (aby + bcy) / 2
-    _flatten_into(xs, ys, x0, y0, ax, ay, abx, aby, mx, my, tolerance, depth + 1)
-    _flatten_into(xs, ys, mx, my, bcx, bcy, cx, cy, x3, y3, tolerance, depth + 1)
+        if not stack:
+            return
+        x0, y0 = x3, y3  # a right half starts where the points so far end
+        x1, y1, x2, y2, x3, y3, depth = stack.pop()
 
 
 def flatten_cubic(
@@ -250,7 +279,7 @@ def flatten_cubic(
     if not tolerance > 0:
         raise ValidationError("tolerance must be positive")
     xs, ys = [p0.x], [p0.y]
-    _flatten_into(xs, ys, *p0, *c1, *c2, *p1, tolerance, 0)
+    _flatten_into(xs, ys, *p0, *c1, *c2, *p1, tolerance)
     return polyline(map(Point, xs, ys)) or Polyline((p0, p1))
 
 
@@ -276,29 +305,29 @@ def _quad_point(p0, q, p1, t: float) -> Point:
 def _segment_sampler(seg: tuple, n: int):
     """How one segment is sampled after its start point: ``(m, at, pinned)``.
 
-    ``at(i, cos, sin)`` gives the coordinates ``(x, y)`` of sample ``i`` of
-    ``1..m``, for an int ``i`` with ``math``'s cosine and sine or for an
-    index array with numpy's; with ``pinned``, the last sample is the
-    segment's end itself. ``m`` is 0 for a segment that draws nothing.
+    ``at(i)`` gives the coordinates ``(x, y)`` of sample ``i`` of ``1..m``;
+    with ``pinned``, the last sample is the segment's end itself. ``m`` is 0
+    for a segment that draws nothing. :func:`_sample_document` evaluates
+    the same formulas for whole arrays of segments.
     """
     kind, p0, end = seg[0], seg[1], seg[-1]
     if kind == "C":
-        return n, lambda i, *_: _cubic_point(p0, seg[2], seg[3], end, i / n), False
+        return n, lambda i: _cubic_point(p0, seg[2], seg[3], end, i / n), False
     if kind == "Q":
-        return n, lambda i, *_: _quad_point(p0, seg[2], end, i / n), False
+        return n, lambda i: _quad_point(p0, seg[2], end, i / n), False
     center = arc_center(*seg[1:]) if kind == "A" else None
     if center is None:
         if kind != "L" and p0 == end:  # a Z or an arc back to its start
             return 0, None, False
         dx, dy = end.x - p0.x, end.y - p0.y
-        return n, lambda i, *_: (p0.x + dx * i / n, p0.y + dy * i / n), False
+        return n, lambda i: (p0.x + dx * i / n, p0.y + dy * i / n), False
     cx, cy, rx, ry, phi, theta1, delta = center
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     m = n * arc_spans(delta)
 
-    def at(i, cos, sin):
+    def at(i):
         t = theta1 + delta * i / m
-        ct, st = cos(t), sin(t)
+        ct, st = math.cos(t), math.sin(t)
         return (cx + rx * ct * cos_phi - ry * st * sin_phi,
                 cy + rx * ct * sin_phi + ry * st * cos_phi)
 
@@ -349,7 +378,7 @@ def sample_outline(source: Drawable, n_per_segment: int = 16) -> list[Polyline]:
     def expand(seg: tuple, xs: array, ys: array) -> None:
         m, at, pinned = _segment_sampler(seg, n_per_segment)
         for i in range(1, m + 1):
-            x, y = at(i, math.cos, math.sin)
+            x, y = at(i)
             xs.append(x)
             ys.append(y)
         if pinned:
@@ -548,68 +577,235 @@ def max_deviation(a: Polyline, b: Polyline) -> DeviationReport:
 
 
 class _Chain(NamedTuple):
-    """One subpath of a side in :func:`verify_normalization`: its points as
-    an ``(n, 2)`` array, where ``n = 1`` is a subpath collapsed to a point."""
+    """One subpath of a side in :func:`verify_columns`: its points as an
+    ``(n, 2)`` array, where ``n = 1`` is a subpath collapsed to a point."""
 
     points: np.ndarray
 
 
-def _chains(xs: array, ys: array, starts: list[int], t: AffineTransform) -> list[_Chain]:
-    """The chains of the columns ``xs``, ``ys`` that start at ``starts``,
-    mapped through ``t``, with consecutive duplicates dropped.
+def _split_chains(x: np.ndarray, y: np.ndarray, starts: list[int],
+                  counts: list[int]) -> list[list[_Chain]]:
+    """The chains of the document columns ``x``, ``y``, which start at
+    ``starts``, with consecutive duplicates dropped, as one list per
+    drawable of ``counts`` chains each.
 
-    Points equal before the transform are equal after it, so one pass after
-    it drops every duplicate. A chain that collapses to one point stays as
-    that point: the other side must still come near it.
+    Every chain start is kept, so no point is dropped for equalling the
+    last point of the chain, or drawable, before it. A chain that collapses
+    to one point stays as that point: the other side must still come near
+    it.
     """
     import numpy as np
 
     if not starts:
-        return []
-    x, y = np.frombuffer(xs), np.frombuffer(ys)
-    if not t.is_identity:
-        # apply_point's operations in its order, so every sample rounds as there
-        x, y = t.a * x + t.c * y + t.e, t.b * x + t.d * y + t.f
+        return [[] for _ in counts]
     keep = np.empty(len(x), dtype=bool)
-    keep[0] = True
     np.not_equal(x[1:], x[:-1], out=keep[1:])
     keep[1:] |= y[1:] != y[:-1]
     keep[starts] = True
     points = np.column_stack((x[keep], y[keep]))
     bounds = (np.cumsum(keep)[starts] - 1).tolist() + [len(points)]
-    return [_Chain(points[a:b]) for a, b in zip(bounds, bounds[1:])]
+    chains = [_Chain(points[a:b]) for a, b in zip(bounds, bounds[1:])]
+    out, k = [], 0
+    for count in counts:
+        out.append(chains[k:k + count])
+        k += count
+    return out
 
 
-def _transform_polys(source: Drawable, t: AffineTransform, n: int) -> list[_Chain]:
-    """The outline of ``source`` sampled as :func:`sample_outline` samples
-    it, ``n`` points per span, and mapped through ``t``: one chain per
-    subpath, each segment's samples computed as arrays.
+def _sample_document(drawables, transforms, n: int) -> list[list[_Chain]]:
+    """The outline of each drawable sampled as :func:`sample_outline`
+    samples it, ``n`` points per span, and mapped through its transform:
+    one chain per subpath, one list per drawable.
 
-    ``bench/spans.py`` times this function by its name as verify's sampling.
+    One walk over every drawable's segments places each segment's samples
+    in the document's columns; each segment kind is then evaluated in one
+    broadcast, with its formula's operations in the scalar order, and the
+    points of every drawable whose transform is not the identity are mapped
+    together.
     """
     import numpy as np
 
-    def expand(seg: tuple, xs: array, ys: array) -> None:
-        m, at, pinned = _segment_sampler(seg, n)
-        if m:
-            x, y = at(np.arange(1, m + 1), np.cos, np.sin)
-            if pinned:
-                x[-1], y[-1] = seg[-1]
-            xs.frombytes(x.tobytes())
-            ys.frombytes(y.tobytes())
+    moves: list[tuple[int, float, float]] = []
+    lines, quads, cubics, arcs = [], [], [], []
+    starts: list[int] = []
+    counts: list[int] = []
+    sizes: list[int] = []
+    pos = 0
+    for el in drawables:
+        first, begin = len(starts), pos
+        for seg in _segments(el):
+            kind = seg[0]
+            if kind == "M":
+                if len(starts) > first and starts[-1] == pos - 1:  # a MoveTo alone
+                    moves[-1] = (pos - 1, *seg[1])
+                else:
+                    starts.append(pos)
+                    moves.append((pos, *seg[1]))
+                    pos += 1
+                continue
+            p0, end = seg[1], seg[-1]
+            if kind == "C":
+                cubics.append((pos, *p0, *seg[2], *seg[3], *end))
+            elif kind == "Q":
+                quads.append((pos, *p0, *seg[2], *end))
+            else:
+                center = arc_center(*seg[1:]) if kind == "A" else None
+                if center is not None:
+                    cx, cy, rx, ry, phi, theta1, delta = center
+                    m = n * arc_spans(delta)
+                    arcs.append((pos, m, cx, cy, rx, ry, math.cos(phi), math.sin(phi),
+                                 theta1, delta, *end))
+                    pos += m
+                    continue
+                if kind != "L" and p0 == end:  # a Z or an arc back to its start
+                    continue
+                lines.append((pos, *p0, end.x - p0.x, end.y - p0.y))
+            pos += n
+        if len(starts) > first and starts[-1] == pos - 1:
+            del starts[-1], moves[-1]
+            pos -= 1
+        counts.append(len(starts) - first)
+        sizes.append(pos - begin)
 
-    return _chains(*_chain_columns(_segments(source), expand), t)
+    x, y = np.empty(pos), np.empty(pos)
+    i = np.arange(1, n + 1)
+    t = i / n
+    s = 1.0 - t
+
+    def put(rows: list[tuple], width: int) -> tuple[np.ndarray, ...]:
+        """Each column of ``rows`` as a ``(k, 1)`` array, and the ``(k, width)``
+        places of their samples."""
+        cols = np.array(rows).T[:, :, None]
+        return cols[0].astype(np.intp) + np.arange(width), *cols[1:]
+
+    if moves:
+        at, mx, my = put(moves, 1)
+        x[at], y[at] = mx, my
+    if lines:
+        at, x0, y0, dx, dy = put(lines, n)
+        x[at], y[at] = x0 + dx * i / n, y0 + dy * i / n
+    if quads:
+        at, x0, y0, qx, qy, x1, y1 = put(quads, n)
+        x[at] = s * s * x0 + 2 * s * t * qx + t * t * x1
+        y[at] = s * s * y0 + 2 * s * t * qy + t * t * y1
+    if cubics:
+        at, x0, y0, x1, y1, x2, y2, x3, y3 = put(cubics, n)
+        x[at] = s * s * s * x0 + 3 * s * s * t * x1 + 3 * s * t * t * x2 + t * t * t * x3
+        y[at] = s * s * s * y0 + 3 * s * s * t * y1 + 3 * s * t * t * y2 + t * t * t * y3
+    if arcs:
+        rows = np.array(arcs)
+        m = rows[:, 1].astype(np.intp)
+        owner = np.repeat(np.arange(len(arcs)), m)
+        last = np.cumsum(m)
+        k = np.arange(last[-1]) - (last - m)[owner] + 1  # 1..m within each arc
+        cx, cy, rx, ry, cos_phi, sin_phi, theta1, delta = rows[owner, 2:10].T
+        angle = theta1 + delta * k / m[owner]
+        ct, st = np.cos(angle), np.sin(angle)
+        at = rows[owner, 0].astype(np.intp) + k - 1
+        x[at] = cx + rx * ct * cos_phi - ry * st * sin_phi
+        y[at] = cy + rx * ct * sin_phi + ry * st * cos_phi
+        # the last sample of an arc is its end itself
+        end = rows[:, 0].astype(np.intp) + m - 1
+        x[end], y[end] = rows[:, 10], rows[:, 11]
+
+    moved = np.array([not tf.is_identity for tf in transforms])
+    if moved.any():
+        # apply_point's operations in its order, so every sample rounds as
+        # there; an identity is not applied, which keeps -0.0 and inf as they are
+        coef = np.repeat([(tf.a, tf.b, tf.c, tf.d, tf.e, tf.f) for tf in transforms], sizes, axis=0)
+        at = slice(None) if moved.all() else np.flatnonzero(np.repeat(moved, sizes))
+        a, b, c, d, e, f = coef[at].T
+        px, py = x[at], y[at]
+        x[at], y[at] = a * px + c * py + e, b * px + d * py + f
+    return _split_chains(x, y, starts, counts)
+
+
+def _flatten_document(paths, tolerance: float) -> list[list[_Chain]]:
+    """The converted side: each path, given as M/L/C columns ``(ops, xy)``
+    whose first opcode is M, flattened by :func:`flatten_cubic`'s
+    subdivision into chains, one list per path."""
+    import numpy as np
+
+    xs: list[float] = []
+    ys: list[float] = []
+    starts: list[int] = []
+    counts: list[int] = []
+    for ops, xy in paths:
+        first = len(starts)
+        k = 0
+        for op in ops:
+            if op == "C":
+                _flatten_into(xs, ys, xs[-1], ys[-1], *xy[k:k + 6], tolerance)
+                k += 6
+                continue
+            if op == "L":
+                xs.append(xy[k])
+                ys.append(xy[k + 1])
+            elif len(starts) > first and starts[-1] == len(xs) - 1:  # a MoveTo alone
+                xs[-1], ys[-1] = xy[k], xy[k + 1]
+            else:
+                starts.append(len(xs))
+                xs.append(xy[k])
+                ys.append(xy[k + 1])
+            k += 2
+        if len(starts) > first and starts[-1] == len(xs) - 1:
+            del xs[-1], ys[-1], starts[-1]
+        counts.append(len(starts) - first)
+    return _split_chains(np.array(xs, dtype=float), np.array(ys, dtype=float), starts, counts)
+
+
+def _transform_polys(source: Drawable, t: AffineTransform, n: int) -> list[_Chain]:
+    """The chains that :func:`_sample_document` gives ``source`` alone.
+
+    Verify samples whole documents; ``bench/spans.py`` looks this name up.
+    """
+    return _sample_document([source], [t], n)[0]
 
 
 def _flatten_path(path: PathElement, tolerance: float) -> list[_Chain]:
-    def expand(seg: tuple, xs: array, ys: array) -> None:
-        if seg[0] == "L":
-            xs.append(seg[2].x)
-            ys.append(seg[2].y)
-        else:  # C: a normalized path holds only M/L/C
-            _flatten_into(xs, ys, *seg[1], *seg[2], *seg[3], *seg[4], tolerance, 0)
+    """The chains that :func:`_flatten_document` gives an M/L/C path alone.
 
-    return _chains(*_chain_columns(iter_segments(path.commands), expand), IDENTITY)
+    Verify flattens whole documents; ``bench/spans.py`` looks this name up.
+    """
+    return _flatten_document([command_columns(path.commands)], tolerance)[0]
+
+
+def verify_columns(
+    raw_doc: Document,
+    paths,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> VerificationResult:
+    """:func:`verify_normalization` against normalized paths given as M/L/C
+    columns ``(ops, xy)`` (:mod:`svgforge.model`), one per path, each
+    starting with M.
+
+    The whole document is prepared in one pass per side: every surviving
+    drawable is sampled (:func:`_sample_document`) and every path flattened
+    (:func:`_flatten_document`) before the drawables are measured one by
+    one with :func:`set_deviation`.
+    """
+    check_tolerance(tolerance)
+    kept = [el for el in raw_doc.paths if element_columns(el) is not None]
+    if len(kept) != len(paths):
+        raise PathCountMismatch(f"{len(kept)} surviving drawables vs {len(paths)} paths")
+
+    canvas = canvas_transform(raw_doc.view_box)
+    transforms = [canvas @ el.transform for el in kept]
+    # Chords on both sides add to the measured deviation; keep them well
+    # below the tolerance so only real conversion error can trip it.
+    flatten_tol = min(0.02, max(1e-4, tolerance / 20.0))
+    originals = _sample_document(kept, transforms, SAMPLES_PER_SPAN)
+    converted = _flatten_document(paths, flatten_tol)
+    reports: list[DeviationReport] = []
+    passed = True
+    for original, flattened in zip(originals, converted):
+        if not original and not flattened:
+            continue
+        report = set_deviation(original, flattened)
+        reports.append(report)
+        if report.max_deviation > tolerance:
+            passed = False
+    return VerificationResult(passed, tolerance, tuple(reports))
 
 
 def verify_normalization(
@@ -621,30 +817,12 @@ def verify_normalization(
 
     Each surviving original drawable is sampled analytically, mapped
     through its composed transform plus the canvas transform, and compared
-    against its converted path. Raises :class:`PathCountMismatch` when the
-    surviving-drawable count differs from the normalized path count, which
-    signals a pipeline bug rather than a geometric error.
+    against its converted path: typed M/L/C commands, or raw ones (as
+    parsed from normalized text), which :func:`simplify_commands` types
+    first. Raises :class:`PathCountMismatch` when the surviving-drawable
+    count differs from the normalized path count, which signals a pipeline
+    bug rather than a geometric error.
     """
-    check_tolerance(tolerance)
-    kept = [el for el in raw_doc.paths if element_columns(el) is not None]
-    if len(kept) != len(normalized_doc.paths):
-        raise PathCountMismatch(
-            f"{len(kept)} surviving drawables vs {len(normalized_doc.paths)} paths"
-        )
-
-    canvas = canvas_transform(raw_doc.view_box)
-    # Chords on both sides add to the measured deviation; keep them well
-    # below the tolerance so only real conversion error can trip it.
-    flatten_tol = min(0.02, max(1e-4, tolerance / 20.0))
-    reports: list[DeviationReport] = []
-    passed = True
-    for el, converted in zip(kept, normalized_doc.paths):
-        original = _transform_polys(el, canvas @ el.transform, SAMPLES_PER_SPAN)
-        flattened = _flatten_path(converted, flatten_tol)
-        if not original and not flattened:
-            continue
-        report = set_deviation(original, flattened)
-        reports.append(report)
-        if report.max_deviation > tolerance:
-            passed = False
-    return VerificationResult(passed, tolerance, tuple(reports))
+    paths = [command_columns(simplify_commands(p.commands) if p.is_raw else p.commands)
+             for p in normalized_doc.paths]
+    return verify_columns(raw_doc, paths, tolerance)

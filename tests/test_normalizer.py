@@ -637,6 +637,19 @@ class TestNormalizeDocument:
             norm, _ = normalize_document(doc)
             assert norm.paths[0].commands == cmds[:2]
 
+    def test_relative_groups_are_counted_once_each(self):
+        # m 3 groups, l 2, h 2, c 2, s 1, q 1, t 2, a 2, v 1 and z 1 (no argument,
+        # counted once), then l 1 and z 1, then h 3: 22
+        doc, _ = parse_document(
+            '<svg viewBox="0 0 100 100"><path d="m1 1 2 2 3 3l1 1 2 2h3 4'
+            'c1 1 2 2 3 3 1 1 2 2 3 3s1 1 2 2q1 1 2 2t1 1 2 2a3 3 0 0 1 2 2 3 3 0 0 0 2 2v5z'
+            'M50 50L60 60l1 1zM70 70h1 2 3"/></svg>')
+        el = doc.paths[0]
+        expected = sum(len(c.groups()) for c in el.commands if c.is_relative)
+        assert expected == 22
+        _, report = normalize_document(doc)
+        assert report.relative_resolved == expected
+
     def test_fill_none_dropped_and_default_black(self):
         doc, _ = parse_document(
             '<svg viewBox="0 0 10 10"><path d="M0 0L1 1" fill="none"/><path d="M0 0L2 2"/></svg>'

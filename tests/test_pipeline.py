@@ -750,16 +750,16 @@ class TestFailureContract:
         raw = self._two_files(tmp_path)
         normalized = tmp_path / "norm"
         run_normalize(raw, normalized)
-        real = pipeline.verify_normalization
+        real = pipeline.verify_columns
         calls = []
 
-        def flaky(raw_doc, norm_doc, tolerance):
+        def flaky(raw_doc, columns, tolerance):
             calls.append(1)
             if len(calls) == 2:
                 raise MemoryError("dense distance matrix")
-            return real(raw_doc, norm_doc, tolerance)
+            return real(raw_doc, columns, tolerance)
 
-        monkeypatch.setattr(pipeline, "verify_normalization", flaky)
+        monkeypatch.setattr(pipeline, "verify_columns", flaky)
         report = tmp_path / "verify.jsonl"
         assert run_verify(raw, normalized, 0.5, report) == EXIT_VERIFY_FAILED
         rows = read_strict_jsonl(report)
@@ -1012,6 +1012,45 @@ def test_a_dead_worker_becomes_error_rows(tmp_path):
     for row in broken:
         assert row["pass"] is False and row["worst_path_deviation"] is None
         assert row["error"].startswith("BrokenProcessPool: ")
+
+
+@pytest.mark.skipif(os.cpu_count() < 2, reason="one CPU runs every item in process")
+@pytest.mark.parametrize("killers", [(0,), (6,), (15,), (4, 5, 11)])
+def test_a_dead_worker_costs_only_the_file_it_ran(tmp_path, killers):
+    """The items a dead worker's pool had not returned run again, so only a
+    file that kills a worker each time it runs becomes an error row."""
+    raw, norm, out = tmp_path / "raw", tmp_path / "norm", tmp_path / "out"
+    raw.mkdir()
+    names = [f"f{i:02d}.svg" for i in range(16)]
+    for i, name in enumerate(names):
+        marker = "<!-- kill-me -->" if i in killers else ""
+        (raw / name).write_text(_ICONS[i % 3].replace("</svg>", marker + "</svg>"))
+    assert run_normalize(raw, norm) == EXIT_OK
+    assert run_verify(raw, norm, out_path=tmp_path / "verify.jsonl") == EXIT_OK
+    expected_rows = read_strict_jsonl(tmp_path / "verify.jsonl")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILL_PROBE, str(raw), str(norm), str(out)], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [EXIT_PARTIAL, EXIT_VERIFY_FAILED]
+    assert got["left"] == 0 and got["waitable"] is False
+    dead = [names[i] for i in killers]
+    assert sorted(got["failed"]) == dead
+    assert all(error.startswith("BrokenProcessPool: ") for error in got["failed"].values())
+    for name in names:
+        written = out / "norm" / name
+        assert written.exists() == (name not in dead), name
+        if name not in dead:
+            assert written.read_bytes() == (norm / name).read_bytes(), name
+    rows = read_strict_jsonl(out / "verify.jsonl")
+    assert [row["id"] for row in rows] == [row["id"] for row in expected_rows]
+    broken = [row for row, expected in zip(rows, expected_rows) if row != expected]
+    assert [row["id"] for row in broken] == [name[:-len(".svg")] for name in dead]
+    for row in broken:
+        assert row["pass"] is False and row["error"].startswith("BrokenProcessPool: ")
 
 
 _ICONS = (

@@ -70,6 +70,35 @@ class TestPathCount:
             norm, _ = normalize_document(doc)
             assert path_count(serialize_document(norm)) == classify(norm).path_count, name
 
+    def test_counts_without_building_a_command(self, corpus, monkeypatch):
+        from svgforge.model import CubicTo, LineTo, MoveTo
+        from svgforge.normalizer import normalize_document
+        from svgforge.parser import parse_document
+
+        texts = [*corpus.values(), VALID.replace("M0 0", "m0 0"), "<nope",
+                 '<svg viewBox="0 0 10 10"><path d="M1 1" fill="#000"/></svg>']
+
+        def counted(text):
+            try:
+                return path_count(text)
+            except Unparseable as exc:
+                return str(exc)
+
+        def typed(text):
+            try:
+                return len(normalize_document(parse_document(text)[0])[0].paths)
+            except Exception as exc:
+                return str(exc)
+
+        expected = {text: typed(text) for text in texts}
+
+        def refuse(*_):
+            raise AssertionError("built a command object")
+
+        for kind in (MoveTo, LineTo, CubicTo):
+            monkeypatch.setattr(kind, "__post_init__", refuse)
+        assert {text: counted(text) for text in texts} == expected
+
 
 class TestMatchReward:
     def test_delta_zero_is_beta_exactly(self):

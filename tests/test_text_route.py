@@ -25,9 +25,11 @@ from svgforge.model import (
     PathElement,
     Point,
     Reference,
+    command_columns,
 )
 from svgforge.normalizer import normalize_document
 from svgforge.parser import (
+    canonical_columns,
     canonical_document,
     canonical_paths,
     document_slices,
@@ -67,6 +69,11 @@ def agrees(text) -> bool:
         "x", svg, c.color_category.value, c.level_name, c.command_count, c.path_count)
     assert len({fill for _, fill in paths}) == len(distinct_fills(doc))
     assert canonical_document(paths) == doc
+    # the columns that verify reads are the typed document's floats, to the bit
+    columns = [(ops, [x.hex() for x in xy]) for ops, xy in canonical_columns(paths)]
+    for typed in (canonical_document(paths), doc):
+        assert columns == [(ops, [x.hex() for x in xy])
+                           for ops, xy in map(command_columns, (p.commands for p in typed.paths))]
     return True
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,18 +26,20 @@ from svgforge.model import (
     PathElement,
     Point,
     ShapeElement,
+    command_columns,
 )
 from svgforge.normalizer import (
     KAPPA,
     arc_center,
     arc_spans,
+    canvas_transform,
     convert_element,
     iter_segments,
     normalize_document,
     shape_segments,
     shape_to_path,
 )
-from svgforge.parser import parse_document
+from svgforge.parser import parse_document, serialize_document
 from svgforge.verifier import (
     DeviationReport,
     Polyline,
@@ -761,6 +764,131 @@ class TestColumnsMatchScalarReference:
         assert [len(c.points) for c in chains] == [1, 13]
         # the public sampler keeps its Polyline contract and drops the point
         assert [len(pl) for pl in sample_outline(el, 4)] == [13]
+
+
+def _report_keys(reports):
+    return [(r.max_deviation.hex(), r.argmax_point.x.hex(), r.argmax_point.y.hex(),
+             r.samples_used) for r in reports]
+
+
+def _one_at_a_time(raw, columns):
+    """The reports of ``verify_columns(raw, columns)`` measured as verify did
+    before its document pass: each drawable sampled, flattened and measured
+    in turn."""
+    kept = [el for el in raw.paths if convert_element(el) is not None]
+    canvas = canvas_transform(raw.view_box)
+    reports = []
+    for el, path in zip(kept, columns):
+        original = verifier._transform_polys(el, canvas @ el.transform, verifier.SAMPLES_PER_SPAN)
+        flattened = verifier._flatten_document([path], 0.02)[0]
+        if original or flattened:
+            reports.append(set_deviation(original, flattened))
+    return reports
+
+
+class TestDocumentPass:
+    """Sampling or flattening a whole document at once gives each drawable
+    the chains it gets alone, to the bit."""
+
+    @staticmethod
+    def assert_sampled_alone(drawables, transforms, n):
+        together = verifier._sample_document(drawables, transforms, n)
+        assert len(together) == len(drawables)
+        for chains, el, t in zip(together, drawables, transforms):
+            assert _hex_chains(chains) == _hex_chains(verifier._transform_polys(el, t, n))
+        return together
+
+    @staticmethod
+    def assert_flattened_alone(paths, tolerance):
+        together = verifier._flatten_document([command_columns(p.commands) for p in paths],
+                                              tolerance)
+        assert len(together) == len(paths)
+        for chains, path in zip(together, paths):
+            assert _hex_chains(chains) == _hex_chains(verifier._flatten_path(path, tolerance))
+        return together
+
+    @staticmethod
+    def document(body, view_box="0 0 1024 1024"):
+        raw, _ = parse_document(f'<svg viewBox="{view_box}">{body}</svg>')
+        kept = [el for el in raw.paths if convert_element(el) is not None]
+        canvas = canvas_transform(raw.view_box)
+        return raw, kept, [canvas @ el.transform for el in kept]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6), st.lists(_transform, min_size=1, max_size=4),
+           st.sampled_from([2, 5, 64]), st.sampled_from([0.02, 1e-3, 0.3]))
+    def test_random_documents(self, seed, transforms, n, tol):
+        raw, _ = parse_document(random_raw_svg(random.Random(seed)))
+        kept = [el for el in raw.paths if convert_element(el) is not None]
+        self.assert_sampled_alone(kept, [transforms[k % len(transforms)]
+                                         for k in range(len(kept))], n)
+        norm, _ = normalize_document(raw)
+        self.assert_flattened_alone(norm.paths, tol)
+        cols = [command_columns(p.commands) for p in norm.paths]
+        assert _report_keys(verifier.verify_columns(raw, cols).reports) == _report_keys(
+            _one_at_a_time(raw, cols))
+
+    def test_no_point_is_dropped_across_drawables(self):
+        # each path starts where the one before it ends, on both sides
+        raw, kept, ts = self.document('<path d="M0 0L10 0"/><path d="M10 0L10 10"/>'
+                                      '<rect x="10" y="10" width="5" height="5"/>')
+        together = self.assert_sampled_alone(kept, ts, 4)
+        assert [[len(c.points) for c in chains] for chains in together] == [[5], [5], [17]]
+        assert together[1][0].points[0].tolist() == [10.0, 0.0]
+        flat = self.assert_flattened_alone(normalize_document(raw)[0].paths, 0.02)
+        assert [[len(c.points) for c in chains] for chains in flat] == [[2], [2], [5]]
+
+    def test_a_collapsed_subpath_stays_a_point(self):
+        raw, kept, ts = self.document('<path d="M5 5L5 5M10 10L20 20"/><path d="M20 20L20 20"/>')
+        together = self.assert_sampled_alone(kept, ts, 4)
+        assert [[len(c.points) for c in chains] for chains in together] == [[1, 5], [1]]
+        assert together[1][0].points.tolist() == [[20.0, 20.0]]
+        flat = self.assert_flattened_alone(normalize_document(raw)[0].paths, 0.02)
+        assert [[len(c.points) for c in chains] for chains in flat] == [[1, 2], [1]]
+
+    def test_an_identity_is_not_applied(self):
+        # an identity between two transformed drawables keeps its -0.0, which
+        # multiplying through would make 0.0
+        raw, kept, ts = self.document(
+            '<path d="M1 1L2 2" transform="translate(1 0)"/><path d="M-0 -0L10 -0"/>'
+            '<path d="M-0 -0L10 -0" transform="scale(2)"/>')
+        assert [t.is_identity for t in ts] == [False, True, False]
+        together = self.assert_sampled_alone(kept, ts, 4)
+        assert _hex_points(together[1][0].points[:1]) == [("-0x0.0p+0", "-0x0.0p+0")]
+        assert _hex_points(together[2][0].points[:1]) == [("0x0.0p+0", "0x0.0p+0")]
+
+    def test_an_overflowing_canvas_gives_what_one_drawable_at_a_time_gave(self):
+        # the canvas scales by about 1e153: the second path's 1e160 overflows,
+        # its M/L/C columns do not
+        raw, kept, ts = self.document(
+            '<path d="M0 0L1e-150 0"/><path d="M0 0L1e160 0L0 1e-150Z"/>', "0 0 1e-150 1e-150")
+        columns = [("ML", [0.0, 0.0, 1024.0, 0.0]), ("MLL", [0.0, 0.0, 1.0, 0.0, 0.0, 1024.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning) as together:
+                verifier.verify_columns(raw, columns)
+            with pytest.raises(RuntimeWarning) as alone:
+                _one_at_a_time(raw, columns)
+        assert str(together.value) == str(alone.value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            self.assert_sampled_alone(kept, ts, 64)
+            got = verifier.verify_columns(raw, columns)
+            want = _one_at_a_time(raw, columns)
+        assert _report_keys(got.reports) == _report_keys(want)
+        assert not math.isfinite(got.reports[1].max_deviation)
+
+    def test_verify_normalization_reads_the_paths_as_columns(self):
+        raw, _ = parse_document(random_raw_svg(random.Random(7)))
+        norm, _ = normalize_document(raw)
+        cols = [command_columns(p.commands) for p in norm.paths]
+        expected = verifier.verify_columns(raw, cols)
+        assert verify_normalization(raw, norm) == expected
+        # normalized text parsed but not normalized holds raw M/L/C commands
+        parsed, _ = parse_document(serialize_document(norm))
+        assert parsed.paths[0].is_raw
+        assert verify_normalization(raw, parsed) == verify_normalization(
+            raw, normalize_document(parsed)[0])
 
 
 def test_long_curve_verifies_in_bounded_memory():
