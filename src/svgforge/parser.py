@@ -10,17 +10,16 @@ auditable without sacrificing corpus yield.
 The canonical form is also recognized as text. :func:`canonical_paths`
 matches one whole-document pattern built from the serializer's own parts
 and returns each path's ``d`` and ``fill`` slices, which a reader of
-normalized text counts, splices, reads as coordinate columns
-(:func:`canonical_columns`) or types (:func:`canonical_document`) without
-expat or a second serialization. It declines (returns ``None``)
-whenever it cannot be sure: any number outside :func:`format_number`'s
-output with at most 13 integer digits, any separator or attribute order
-the serializer does not write, a reference id outside a conservative ASCII
-set, ``fill="none"`` or a document with no path. A reader takes a declined
-text's slices from its parsed document
+normalized text counts, splices or reads as coordinate columns
+(:func:`canonical_columns`) without expat or a second serialization. It
+declines (returns ``None``) whenever it cannot be sure: any number outside
+:func:`format_number`'s output with at most 13 integer digits, any
+separator or attribute order the serializer does not write, a reference id
+outside a conservative ASCII set, ``fill="none"`` or a document with no
+path. A reader takes a declined text's slices from its parsed document
 (:func:`~svgforge.normalizer.normalize_slices`), so declining is always
-safe. A match
-means that ``serialize_document(normalize_document(parse_document(t)))``
+safe. A match means that
+``serialize_document(normalize_document(parse_document(t)))``
 is ``t`` without its surrounding XML whitespace.
 """
 
@@ -35,7 +34,6 @@ from xml.parsers import expat
 from .errors import MalformedXml, MissingRoot, NoCanvas, NotNormalized
 from .model import (
     IDENTITY,
-    NORMALIZED_VIEW_BOX,
     AffineTransform,
     Document,
     Drawable,
@@ -50,7 +48,6 @@ from .model import (
     ShapeElement,
     command_columns,
     format_columns,
-    typed_commands,
 )
 from .pathdata import NUMBER, parse_path_data
 
@@ -71,7 +68,6 @@ _URL_RE = re.compile(rf"url\(\s*#({REF_ID})\s*\)")
 _ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 # and back: entity name -> character
 _ENTITIES = {v[1:-1]: chr(k) for k, v in _ATTR_ESCAPES.items()}
-_ENTITY_RE = re.compile(f"&({'|'.join(_ENTITIES)});")
 
 # SVG 1.1 color keywords.
 NAMED_COLORS = {
@@ -551,12 +547,6 @@ def canonical_paths(text) -> list[tuple[str, str]] | None:
     return slices.findall(text)
 
 
-def _canonical_paint(fill: str) -> Paint:
-    if fill[0] == "#":
-        return Hex(fill[1:])
-    return Reference(_ENTITY_RE.sub(lambda m: _ENTITIES[m.group(1)], fill[len("url(#"):-1]))
-
-
 def canonical_columns(paths: list[tuple[str, str]]) -> list[tuple[str, list[float]]]:
     """The M/L/C columns ``(ops, xy)`` (:mod:`svgforge.model`) of the ``d``
     of each :func:`canonical_paths` slice: the floats of its number texts,
@@ -568,14 +558,3 @@ def canonical_columns(paths: list[tuple[str, str]]) -> list[tuple[str, list[floa
         xy = [float(x) for _, numbers in found for x in numbers.split(" ")]
         columns.append(("".join(opcode for opcode, _ in found), xy))
     return columns
-
-
-def canonical_document(paths: list[tuple[str, str]]) -> Document:
-    """The normalized document of :func:`canonical_paths` slices.
-
-    It equals what parsing and normalizing their text gives: the
-    :func:`canonical_columns`, typed as M/L/C commands.
-    """
-    drawn = (PathElement(typed_commands(ops, xy), _canonical_paint(fill))
-             for (ops, xy), (_, fill) in zip(canonical_columns(paths), paths))
-    return Document(NORMALIZED_VIEW_BOX, tuple(drawn), normalized=True)

@@ -714,6 +714,8 @@ def run_verify(
     :class:`NotNormalized` error row. The paths of a NORM file reach the
     verifier as the M/L/C columns of its ``d`` slices
     (:func:`~svgforge.verifier.verify_columns`); no command is typed. A
+    file whose worst deviation is not finite is a ``FloatingPointError``
+    row, as the report is strict JSON. A
     ``tolerance`` that is not finite and positive raises
     :class:`ValidationError` before any file is read.
     Files are checked on up to ``jobs`` worker processes (:func:`_each`);
@@ -732,7 +734,10 @@ def run_verify(
         paths, canonical = _canonical((normalized_dir / rel).read_text(encoding="utf-8"))
         if not canonical:
             raise NotNormalized(f"{rel.as_posix()} differs from its normalized form")
-        return verify_columns(raw_doc, canonical_columns(paths), tolerance)
+        result = verify_columns(raw_doc, canonical_columns(paths), tolerance)
+        if not math.isfinite(result.worst):  # a strict JSON report has no NaN or inf
+            raise FloatingPointError(f"worst path deviation is {result.worst}, not finite")
+        return result
 
     rows = []
     worst_id, worst_dev = None, -1.0

@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,9 @@ import pytest
 import svgforge
 from svgforge import pipeline
 from svgforge.cli import main
-from svgforge.pipeline import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE
+from svgforge.normalizer import normalize_document
+from svgforge.parser import parse_document, serialize_document
+from svgforge.pipeline import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, EXIT_VERIFY_FAILED
 from svgforge.rewards import MatchSemantics
 
 VALID = '<svg viewBox="0 0 1024 1024"><path d="M0 0L10 10" fill="#ff0000"/></svg>'
@@ -240,6 +243,36 @@ def test_stats_with_empty_out_prints_the_summary(tmp_path, capsys):
     records.write_text(json.dumps(RECORD) + "\n")
     assert main(["stats", str(records), "--out", "", "--quiet"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["records"] == 1
+
+
+def test_a_non_finite_deviation_is_an_error_row(tmp_path):
+    # the canvas scales by about 1e153, so the long path's samples overflow and
+    # its deviation is NaN, after or before the drawable that verifies
+    short, long = '<path d="M0 0L1e-150 0"/>', '<path d="M0 0L1e160 0L0 1e-150Z"/>'
+    norm_short = '<path d="M0 0L1024 0" fill="#000000"/>'
+    norm_long = '<path d="M0 0L1 0L0 1024" fill="#000000"/>'
+    raw, norm = tmp_path / "raw", tmp_path / "norm"
+    raw.mkdir()
+    norm.mkdir()
+    for name, raw_body, norm_body in (("a", short + long, norm_short + norm_long),
+                                      ("b", long + short, norm_long + norm_short)):
+        (raw / f"{name}.svg").write_text(f'<svg viewBox="0 0 1e-150 1e-150">{raw_body}</svg>')
+        (norm / f"{name}.svg").write_text('<svg xmlns="http://www.w3.org/2000/svg" '
+                                          f'viewBox="0 0 1024 1024">{norm_body}</svg>')
+    (raw / "c.svg").write_text(VALID)
+    (norm / "c.svg").write_text(serialize_document(normalize_document(parse_document(VALID)[0])[0]))
+    out = tmp_path / "report.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["verify", str(raw), str(norm), "--out", str(out), "--quiet"])
+    assert code == EXIT_VERIFY_FAILED
+    rows = [json.loads(line, parse_constant=pytest.fail) for line in out.read_text().splitlines()]
+    error = "FloatingPointError: worst path deviation is nan, not finite"
+    assert rows[:2] == [
+        {"id": "a", "pass": False, "worst_path_deviation": None, "error": error},
+        {"id": "b", "pass": False, "worst_path_deviation": None, "error": error},
+    ]
+    assert len(rows) == 3 and rows[2]["id"] == "c" and rows[2]["pass"] is True
 
 
 @pytest.mark.parametrize("command", ["classify", "score", "augment"])

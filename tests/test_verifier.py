@@ -755,6 +755,23 @@ class TestColumnsMatchScalarReference:
         assert type(got) is Polyline and all(type(p) is Point for p in got.points)
         assert _hex_points(got.points) == _hex_points(_ref_flatten_cubic(p0, c1, c2, p1, tol).points)
 
+    @pytest.mark.parametrize("d", [
+        "M0 0M5 5L6 6",
+        "M0 0L5 5M9 9",
+        "M0 0L5 0L0 0Z",
+        "M0 0A5 5 0 0 1 0 0L1 1",
+        "M0 0A0 5 0 0 1 9 9",
+        "M17 0m-5 5e-324h-11A1 1 0 1 1 1 0",
+    ], ids=["moveto_alone", "trailing_moveto", "z_at_its_start", "arc_back_to_its_start",
+            "zero_radius_arc", "unresolvable_chord"])
+    def test_each_sampling_rule(self, d):
+        (el,) = parse_document(f'<svg viewBox="0 0 24 24"><path d="{d}"/></svg>')[0].paths
+        for n in (2, 5, 64):
+            for t in (AffineTransform(), AffineTransform(2.0, 0.5, -1.0, 3.0, 7.0, -4.0)):
+                assert (_hex_chains(verifier._transform_polys(el, t, n))
+                        == _hex_chains(_ref_transform_polys(el, t, n)))
+            assert _hex_chains(sample_outline(el, n)) == _hex_chains(_ref_sample_outline(el, n))
+
     def test_collapsed_subpath_stays_as_a_point(self):
         raw, _ = parse_document(
             '<svg viewBox="0 0 24 24"><path d="M5 5L5 5M10 10L20 20L10 20Z"/></svg>')
@@ -877,6 +894,18 @@ class TestDocumentPass:
             want = _one_at_a_time(raw, columns)
         assert _report_keys(got.reports) == _report_keys(want)
         assert not math.isfinite(got.reports[1].max_deviation)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["nan_last", "nan_first"])
+    def test_a_nan_deviation_fails_wherever_it_is(self, order):
+        bodies = ['<path d="M0 0L1e-150 0"/>', '<path d="M0 0L1e160 0L0 1e-150Z"/>']
+        columns = [("ML", [0.0, 0.0, 1024.0, 0.0]), ("MLL", [0.0, 0.0, 1.0, 0.0, 0.0, 1024.0])]
+        raw, _, _ = self.document("".join(bodies[::order]), "0 0 1e-150 1e-150")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = verifier.verify_columns(raw, columns[::order])
+        assert [math.isnan(r.max_deviation) for r in got.reports] == [False, True][::order]
+        assert not got.passed
+        assert math.isnan(got.worst)
 
     def test_verify_normalization_reads_the_paths_as_columns(self):
         raw, _ = parse_document(random_raw_svg(random.Random(7)))
