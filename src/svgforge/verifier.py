@@ -53,6 +53,15 @@ one at a time; a NaN deviation fails its drawable, as a large one does.
 Verify's sampling and the distance kernel use numpy, and both import it on
 first use, so importing svgforge, this module included, does not load it.
 
+Each drawable's two point sets are prepared once (``_Side``), and both
+directions of the measure share them: each side's points, its segments,
+which are views of the points when the side is one chain (a chain's
+segments run from ``points[:-1]`` to ``points[1:]``, and a chain of one
+point is its own zero-length segment), the segments' terms for the
+kernel, and, when the early break runs, the places below. The scale check
+runs once per drawable, over the points of both sides, which hold every
+segment's ends too.
+
 Each one-sided measure (``_one_sided``) is the largest distance from a
 point of one side to the other side's segments, and the first point that
 far. It measures exactly only the points that can be that far, an early
@@ -63,22 +72,33 @@ pass gives each point an upper bound: its distance to the ``2 * _WINDOW +
 points, jumps between chains included, as a share of the whole; a
 segment's is the length to its midpoint along the walk of segments and the
 gaps between them, as a share of that walk (the index share when a length
-is 0). The window is the segments from the first whose place is not below
-the point's, ``_WINDOW`` either way. Each pair goes through ``_min_dist2``
-with the same terms as the full kernel, so it has the same value to the
-bit, and a minimum over fewer segments is never below the minimum over all
-of them. The exact pass measures the point with the largest bound against
-every segment, which gives ``lower``, then every point whose bound is at
-least ``lower``, in index order, and returns the first farthest of them. A
-point it skips is at most its bound, below ``lower``, away, and ``lower``
-is at most the true maximum, so that point can be neither the maximum nor
-tied with it, and a tie still goes to the lowest index. Bounds and
-distances are compared after the ``sqrt``, as the maximum is taken, since
-``sqrt`` can map two distinct squares to one value. Two cases measure
+is 0). That walk only puts exact zero-length steps into the points' walk,
+so a segment's place is the mean of its ends' places, and each side's
+places are computed once, for its points in one direction and its
+segments in the other. The window is the segments from the first whose
+place is not below the point's, ``_WINDOW`` either way, clipped at either
+end. Each pair goes through ``_min_dist2`` with the same terms as the full
+kernel, so it has the same value to the bit, and a minimum over fewer
+segments is never below the minimum over all of them. The exact pass
+measures the point with the largest bound against every segment, which
+gives ``lower``, then every point whose bound is at least ``lower``, in
+index order, and returns the first farthest of them. A point it skips is
+at most its bound, below ``lower``, away, and ``lower`` is at most the
+true maximum, so that point can be neither the maximum nor tied with it,
+and a tie still goes to the lowest index. Bounds and distances are
+compared after the ``sqrt``, as the maximum is taken, since ``sqrt`` can
+map two distinct squares to one value. Two cases measure
 every point instead: calls of at most ``_FULL_PASS_PAIRS`` pairs, where
 the bound pass costs more than it saves, and coordinates that are not
 finite or lie outside ``_SAFE_SCALE``, where a pair could overflow to NaN
 and the maximum is the first NaN.
+
+``_min_dist2`` lays each pair matrix out with its longer axis inner and
+contiguous: points by segments when there are fewer points, segments by
+points otherwise, and ``(2 * _WINDOW + 1, points)`` for the bound pass,
+whose rows are short windows. Every pair is computed with the same
+operations in the same order whatever the layout, and a minimum is exact,
+so the layout changes no bit.
 
 The distance kernel (``_dist_points_to_segments``) holds at most
 ``PAIR_BUDGET`` point-segment pairs at a time, so memory stays bounded
@@ -95,9 +115,10 @@ chunk's box and ``j``'s box. Each point's nearest segment is therefore
 within ``U = min_j U_j``, and a segment whose gap exceeds ``U`` is nearest
 to no point of the chunk. The test allows a slack of ``_CULL_ULPS`` ulps
 of the coordinate scale, above the rounding of the compared distances, so
-rounding can only keep more segments. Each kept pair is computed with
-the same operations in the same order as the all-at-once call, so the
-distances, the worst one and its point are the same to the bit. Under the
+rounding can only keep more segments; the drawable's scale is at least
+the chunk's, so its slack is at least as large. Each kept pair is computed
+with the same operations in the same order as the all-at-once call, so
+the distances, the worst one and its point are the same to the bit. Under the
 early break the cull runs only when more points can be the farthest than
 one chunk holds, as on two concentric outlines, and there it bounds the
 cost.
@@ -107,6 +128,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PathCountMismatch, ValidationError
@@ -146,13 +168,16 @@ _CULL_ULPS = 64
 # point measured.
 _SAFE_SCALE = (1e-100, 1e100)
 # Segments on either side of a point's place by arclength that bound its
-# distance. At 1, 2, 4 and 8, the bench corpus's calls of 20k pairs or more
-# took 60, 68, 77 and 90 ms of kernel time; 20 dense icons took 1.9,
-# 0.9-1.3, 0.2 and 0.4 s, so they favour a wider window.
+# distance. Against 2, in paired runs of the kernel over the bench corpus
+# (about 117 ms a pass at 2), 1, 3, 4 and 8 took 0.97, 1.04, 1.07 and 1.15
+# times as long; over 20 dense icons they took 1.6, 0.12, 0.16 and 0.27 s
+# against 0.85-1.2 s at 2, where the bounds of two drawables admit 2,339
+# and 15,041 candidates.
 _WINDOW = 2
 # Calls of at most this many pairs measure every pair: the bound pass costs
-# about 130 us a call. Over one verify pass, 4k-64k pair limits took
-# 141-247 ms of kernel time, least near 16k.
+# about 90 us a call. Against 16k, in paired runs of the kernel over the
+# bench corpus, 4k, 8k, 32k and 64k took 1.05, 1.00, 1.37 and 2.05 times
+# as long.
 _FULL_PASS_PAIRS = 1 << 14
 
 
@@ -422,85 +447,151 @@ def sample_outline(source: Drawable, n_per_segment: int = 16) -> list[Polyline]:
 # --- deviation measurement -----------------------------------------------------
 
 
-def _arrays(polys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points of ``polys`` in order, and their segments' starts and ends.
+class _Segments(NamedTuple):
+    """Segments ``[a_j, b_j]`` as :func:`_min_dist2`'s terms (a zero length
+    taken as 1), and their ends, which bound them for the cull."""
 
-    A chain of one point (verify keeps a subpath that collapses to a point)
-    is one zero-length segment.
+    ax: np.ndarray
+    ay: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    len2: np.ndarray
+    bx: np.ndarray
+    by: np.ndarray
+
+
+def _segment_terms(a: np.ndarray, b: np.ndarray) -> _Segments:
+    """The segments from the rows of ``a`` to those of ``b``, ``(m, 2)`` each."""
+    ax, ay = a[:, 0], a[:, 1]
+    bx, by = b[:, 0], b[:, 1]
+    dx, dy = bx - ax, by - ay
+    len2 = dx * dx + dy * dy
+    len2[len2 < 1e-30] = 1.0
+    return _Segments(ax, ay, dx, dy, len2, bx, by)
+
+
+class _Side:
+    """One polyline set of :func:`set_deviation`, prepared once for both
+    directions: its points in order, its segments, and where each lies.
+
+    A chain's segments run from ``points[:-1]`` to ``points[1:]``, and a
+    chain of one point (verify keeps a subpath that collapses to a point)
+    is one zero-length segment; no segment joins two chains. ``first`` and
+    ``last`` pick each segment's ends from the points: slices when the set
+    is one chain, which takes no copy.
     """
-    import numpy as np
 
-    chains = [np.asarray(pl.points, dtype=np.float64) for pl in polys]
-    points = np.concatenate(chains)
-    lengths = np.array([len(c) for c in chains])
-    last = np.cumsum(lengths) - 1
-    starts = np.ones(len(points), dtype=bool)
-    starts[last] = lengths == 1
-    follow = np.arange(1, len(points) + 1)
-    follow[last] = last
-    i = np.flatnonzero(starts)
-    return points, points[i], points[follow[i]]
+    def __init__(self, polys) -> None:
+        import numpy as np
+
+        chains = [np.asarray(pl.points, dtype=np.float64) for pl in polys]
+        if len(chains) == 1:
+            points = chains[0]
+            one = len(points) == 1
+            self.first = slice(None) if one else slice(None, -1)
+            self.last = slice(None) if one else slice(1, None)
+        else:
+            points = np.concatenate(chains)
+            lengths = np.array([len(c) for c in chains])
+            tail = np.cumsum(lengths) - 1  # each chain's last point
+            starts = np.ones(len(points), dtype=bool)
+            starts[tail] = lengths == 1
+            follow = np.arange(1, len(points) + 1)
+            follow[tail] = tail
+            self.first = np.flatnonzero(starts)
+            self.last = follow[self.first]
+        self.points = points
+        self.segments = _segment_terms(points[self.first], points[self.last])
+
+    @cached_property
+    def places(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's place and each segment's (see the module docstring).
+
+        A segment's place is the mean of its ends' places: the walk of
+        segments and the gaps between them steps the points' walk with
+        zero-length steps put in, exact ``+0.0`` terms of the same sum.
+        When the whole length is 0, each takes its index share of its walk.
+        """
+        import numpy as np
+
+        n, m = len(self.points), len(self.segments.ax)
+        place = np.zeros(n)
+        step = self.points[1:] - self.points[:-1]
+        np.cumsum(np.hypot(step[:, 0], step[:, 1]), out=place[1:])
+        if place[-1] > 0:
+            place /= place[-1]
+            return place, (place[self.first] + place[self.last]) / 2
+        walk = np.arange(2 * m) / max(2 * m - 1, 1)
+        return np.arange(n) / max(n - 1, 1), (walk[0::2] + walk[1::2]) / 2
 
 
 def _min_dist2(x, y, ax, ay, dx, dy, len2) -> np.ndarray:
     """Min squared distance from each point (x_i, y_i) to any segment a_j + t d_j.
 
-    The segment terms are either one row for every point or one row per point.
-    Each pair is computed on separate x and y planes, with the same
-    operations in the same order as a dot product over (x, y) followed by a
-    two-term norm, so squared distances round the same either way.
+    The segment terms are one value per segment, or a ``(k, n)`` matrix
+    whose row r holds each point's r-th segment. One value per segment
+    runs along whichever axis of the pair matrix is longer, the points or
+    the segments, so the inner, contiguous axis is the long one. Each pair
+    is computed on separate x and y planes, with the same operations in the
+    same order as a dot product over (x, y) followed by a two-term norm, so
+    squared distances round the same either way, and the minimum is exact
+    along either axis.
     """
-    px, py = x[:, None], y[:, None]
-    t = (px - ax) * dx
-    t += (py - ay) * dy
+    import numpy as np
+
+    if ax.ndim == 2:
+        axis = 0
+    elif len(x) < len(ax):
+        x, y = x[:, None], y[:, None]
+        axis = 1
+    else:
+        ax, ay, dx, dy, len2 = (v[:, None] for v in (ax, ay, dx, dy, len2))
+        axis = 0
+    t = (x - ax) * dx
+    t += (y - ay) * dy
     t /= len2
-    t.clip(0.0, 1.0, out=t)
-    ex = px - (ax + t * dx)
-    ey = py - (ay + t * dy)
+    # t.clip(0.0, 1.0) as two ufunc calls, without clip's Python-level wrapper;
+    # a -0.0 may become 0.0, which moves no squared distance
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, 1.0, out=t)
+    ex = x - (ax + t * dx)
+    ey = y - (ay + t * dy)
     ex *= ex
     ey *= ey
     ex += ey
-    return ex.min(axis=1)
-
-
-def _segment_terms(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_min_dist2`'s terms of the segments [a_j, b_j]; a zero length is taken as 1."""
-    ax, ay = a[:, 0], a[:, 1]
-    dx, dy = b[:, 0] - ax, b[:, 1] - ay
-    len2 = dx * dx + dy * dy
-    len2[len2 < 1e-30] = 1.0
-    return ax, ay, dx, dy, len2
+    return ex.min(axis=axis)
 
 
 def _safe_scale(*coords: np.ndarray) -> float | None:
-    """The largest magnitude in ``coords``; ``None`` outside ``_SAFE_SCALE``, inf and NaN too."""
+    """The largest magnitude in ``coords``; ``None`` outside ``_SAFE_SCALE``,
+    and when any coordinate is inf or NaN."""
     import numpy as np
 
     scale = np.abs(np.concatenate(coords)).max()
     return scale if _SAFE_SCALE[0] <= scale <= _SAFE_SCALE[1] else None
 
 
-def _dist_points_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min distance from each point to any segment [a_j, b_j].
+def _dist_points_to_segments(points: np.ndarray, segs: _Segments, scale: float | None) -> np.ndarray:
+    """Min distance from each point to any of ``segs``.
 
     At most ``PAIR_BUDGET`` point-segment pairs are held at a time: the
     points are split into even contiguous chunks, and each chunk is measured
     only against the segments that may hold one of its points' nearest (see
-    the module docstring for why that loses nothing).
+    the module docstring for why that loses nothing). ``scale`` is
+    :func:`_safe_scale` over the points and the segments' ends, or over
+    more; without one, every segment is kept.
     """
     import numpy as np
 
-    n, m = len(points), len(a)
+    n, m = len(points), len(segs.ax)
     x, y = points[:, 0], points[:, 1]
-    ax, ay, dx, dy, len2 = _segment_terms(a, b)
+    ax, ay, dx, dy, len2, bx, by = segs
     rows = max(1, PAIR_BUDGET // m)
     if n <= rows:
         return np.sqrt(_min_dist2(x, y, ax, ay, dx, dy, len2))
 
-    scale = _safe_scale(points, a, b)
     if scale is not None:
         slack = _CULL_ULPS * np.finfo(np.float64).eps * scale
-        bx, by = b[:, 0], b[:, 1]
         lo_x, hi_x = np.minimum(ax, bx), np.maximum(ax, bx)
         lo_y, hi_y = np.minimum(ay, by), np.maximum(ay, by)
     out = np.empty(n)
@@ -524,55 +615,38 @@ def _dist_points_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) -
     return np.sqrt(out)
 
 
-def _arclength_places(points: np.ndarray) -> np.ndarray:
-    """Each point's length along ``points`` in order, as a share of the whole;
-    the index share when the whole length is 0."""
+def _window_bounds(p: _Side, s: _Side) -> np.ndarray:
+    """An upper bound on each point of ``p``'s distance to the segments of
+    ``s``: its distance to the ``2 * _WINDOW + 1`` segments around its place
+    (see the module docstring)."""
     import numpy as np
 
-    place = np.zeros(len(points))
-    np.cumsum(np.hypot(*np.diff(points, axis=0).T), out=place[1:])
-    if place[-1] > 0:
-        return place / place[-1]
-    return np.arange(len(points)) / max(len(points) - 1, 1)
-
-
-def _window_bounds(pts: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """An upper bound on each point's distance to the segments: its distance
-    to the ``2 * _WINDOW + 1`` segments around its place by arclength (see
-    the module docstring)."""
-    import numpy as np
-
-    m = len(starts)
-    walk = np.empty((2 * m, 2))
-    walk[0::2], walk[1::2] = starts, ends
-    seg_place = _arclength_places(walk)
-    seg_place = (seg_place[0::2] + seg_place[1::2]) / 2
-    j0 = np.searchsorted(seg_place, _arclength_places(pts))
-    offsets = np.arange(-_WINDOW, _WINDOW + 1)
-    x, y = pts[:, 0], pts[:, 1]
-    ax, ay, dx, dy, len2 = _segment_terms(starts, ends)
-    out = np.empty(len(pts))
-    rows = max(1, PAIR_BUDGET // len(offsets))
-    for lo in range(0, len(pts), rows):
-        k = np.clip(j0[lo:lo + rows, None] + offsets, 0, m - 1)
-        out[lo:lo + rows] = _min_dist2(x[lo:lo + rows], y[lo:lo + rows],
-                                       ax[k], ay[k], dx[k], dy[k], len2[k])
+    j0 = np.searchsorted(s.places[1], p.places[0])
+    offsets = np.arange(-_WINDOW, _WINDOW + 1)[:, None]
+    x, y = p.points[:, 0], p.points[:, 1]
+    out = np.empty(len(x))
+    cols = max(1, PAIR_BUDGET // len(offsets))
+    for lo in range(0, len(x), cols):
+        k = j0[lo:lo + cols] + offsets  # a window past either end is clipped to it
+        terms = (v.take(k, mode="clip") for v in s.segments[:5])  # ax, ay, dx, dy, len2
+        out[lo:lo + cols] = _min_dist2(x[lo:lo + cols], y[lo:lo + cols], *terms)
     return np.sqrt(out)
 
 
-def _one_sided(pts: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[float, Point]:
-    """The farthest any point lies from the segments, and the first point that far.
+def _one_sided(p: _Side, s: _Side, scale: float | None) -> tuple[float, Point]:
+    """The farthest any point of ``p`` lies from the segments of ``s``, and
+    the first point that far; ``scale`` is :func:`_safe_scale` over both.
 
     Large calls measure exactly only the points that can be the farthest
     (see the module docstring); the rest measure every point.
     """
-    candidates = pts
-    if len(pts) * len(starts) > _FULL_PASS_PAIRS and _safe_scale(pts, starts, ends) is not None:
-        bound = _window_bounds(pts, starts, ends)
+    candidates = p.points
+    if len(candidates) * len(s.segments.ax) > _FULL_PASS_PAIRS and scale is not None:
+        bound = _window_bounds(p, s)
         top = int(bound.argmax())
-        lower = _dist_points_to_segments(pts[top:top + 1], starts, ends)[0]
-        candidates = pts[bound >= lower]
-    dists = _dist_points_to_segments(candidates, starts, ends)
+        lower = _dist_points_to_segments(candidates[top:top + 1], s.segments, scale)[0]
+        candidates = candidates[bound >= lower]
+    dists = _dist_points_to_segments(candidates, s.segments, scale)
     k = int(dists.argmax())
     return float(dists[k]), Point(float(candidates[k, 0]), float(candidates[k, 1]))
 
@@ -582,16 +656,16 @@ def set_deviation(polys_a: list[Polyline], polys_b: list[Polyline]) -> Deviation
 
     Reports the larger one-sided measure (the farthest any point of one set
     lies from the other set's segments, ``polys_a`` first on a tie), the
-    point where it occurs, and the points compared. Each set becomes arrays
-    once, shared by both directions.
+    point where it occurs, and the points compared. Each set is prepared
+    once (:class:`_Side`), and shared by both directions, as is the scale.
     """
     if not polys_a or not polys_b:
         raise ValidationError("deviation needs non-empty polyline sets")
-    pts_a, *segs_a = _arrays(polys_a)
-    pts_b, *segs_b = _arrays(polys_b)
-    d_ab, w_ab = _one_sided(pts_a, *segs_b)
-    d_ba, w_ba = _one_sided(pts_b, *segs_a)
-    samples = len(pts_a) + len(pts_b)
+    a, b = _Side(polys_a), _Side(polys_b)
+    scale = _safe_scale(a.points, b.points)
+    d_ab, w_ab = _one_sided(a, b, scale)
+    d_ba, w_ba = _one_sided(b, a, scale)
+    samples = len(a.points) + len(b.points)
     if d_ab >= d_ba:
         return DeviationReport(d_ab, w_ab, samples)
     return DeviationReport(d_ba, w_ba, samples)

@@ -395,6 +395,25 @@ def _chain_arrays(chains):
     return np.array(points), np.array(starts), np.array(ends)
 
 
+def _moved(chains):
+    """Each ``_chain`` value as an ``(n, 2)`` array, moved by its offset."""
+    return [np.array([(x + ox, y + oy) for x, y in pts]) for pts, (ox, oy) in chains]
+
+
+def _kernel(points, a, b):
+    """``_dist_points_to_segments`` from ``points`` to the segments [a_j, b_j]."""
+    return verifier._dist_points_to_segments(points, verifier._segment_terms(a, b),
+                                             verifier._safe_scale(points, a, b))
+
+
+def _one_sided(point_chains, segment_chains):
+    """``_one_sided`` from the points of one list of ``(n, 2)`` chains to the
+    segments of another, each prepared as ``set_deviation`` prepares a side."""
+    p, s = (verifier._Side([verifier._Chain(c) for c in chains])
+            for chains in (point_chains, segment_chains))
+    return verifier._one_sided(p, s, verifier._safe_scale(p.points, s.points))
+
+
 class TestDistanceKernel:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_chain, min_size=1, max_size=4), st.lists(_chain, min_size=1, max_size=4),
@@ -405,8 +424,8 @@ class TestDistanceKernel:
         want = _dense_reference(points, a, b)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verifier, "PAIR_BUDGET", budget)
-            got = verifier._dist_points_to_segments(points, a, b)
-            worst, where = verifier._one_sided(points, a, b)
+            got = _kernel(points, a, b)
+            worst, where = _one_sided(_moved(chains_p), _moved(chains_s))
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
         i = int(np.argmax(want))
         assert int(np.argmax(got)) == i
@@ -426,7 +445,7 @@ class TestDistanceKernel:
         monkeypatch.setattr(verifier, "_min_dist2", spy)
         monkeypatch.setattr(verifier, "PAIR_BUDGET", 256 * 256)
         t = np.linspace(0.0, 1.0, 257)
-        verifier._dist_points_to_segments(np.c_[t, t], np.c_[t[:-1], 0 * t[:-1]], np.c_[t[1:], 0 * t[1:]])
+        _kernel(np.c_[t, t], np.c_[t[:-1], 0 * t[:-1]], np.c_[t[1:], 0 * t[1:]])
         assert seen == [128, 129]
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 1e300])
@@ -436,7 +455,7 @@ class TestDistanceKernel:
         chain = np.array([[0.0, 1.0], [4.0, 4.0], [bad, 2.0], [8.0, 8.0], [2.0, 0.0]])
         with np.errstate(invalid="ignore", over="ignore"):
             want = _dense_reference(points, chain[:-1], chain[1:])
-            got = verifier._dist_points_to_segments(points, chain[:-1], chain[1:])
+            got = _kernel(points, chain[:-1], chain[1:])
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
     def test_one_chunk_is_not_culled(self, monkeypatch):
@@ -444,7 +463,7 @@ class TestDistanceKernel:
         real = verifier._min_dist2
         monkeypatch.setattr(verifier, "_min_dist2", lambda *a: seen.append(len(a[2])) or real(*a))
         a = np.array([[0.0, 0.0], [100.0, 0.0]])
-        verifier._dist_points_to_segments(np.array([[0.0, 1.0], [1.0, 1.0]]), a, a + 1.0)
+        _kernel(np.array([[0.0, 1.0], [1.0, 1.0]]), a, a + 1.0)
         assert seen == [2]
 
 
@@ -486,7 +505,7 @@ class TestEarlyBreak:
             mp.setattr(verifier, "_FULL_PASS_PAIRS", 0)
             mp.setattr(verifier, "_WINDOW", window)
             mp.setattr(verifier, "PAIR_BUDGET", budget)
-            worst, where = verifier._one_sided(points, a, b)
+            worst, where = _one_sided(_moved(chains_p), _moved(chains_s))
         i = int(np.argmax(want))
         assert worst.hex() == float(want[i]).hex()
         assert where == Point(float(points[i, 0]), float(points[i, 1]))
@@ -501,7 +520,7 @@ class TestEarlyBreak:
         (points if side == "points" else chain)[2, 0] = bad
         with np.errstate(invalid="ignore", over="ignore"):
             want = _dense_reference(points, chain[:-1], chain[1:])
-            worst, where = verifier._one_sided(points, chain[:-1], chain[1:])
+            worst, where = _one_sided([points], [chain])
         i = int(np.argmax(want))
         assert worst.hex() == float(want[i]).hex()
         assert _hex_points([where]) == _hex_points([points[i]])
@@ -528,6 +547,98 @@ class TestEarlyBreak:
         samples = sum(r.samples_used for r in got.reports)
         assert samples > 5000
         assert early < 0.05 * samples, (measured, samples)
+
+
+def _reference_deviation(chains_a, chains_b):
+    """``set_deviation`` measured naively: every point of each side against
+    every segment of the other, a one-point chain being its own segment."""
+    def side(chains):
+        starts = [c if len(c) == 1 else c[:-1] for c in chains]
+        ends = [c if len(c) == 1 else c[1:] for c in chains]
+        return np.concatenate(chains), np.concatenate(starts), np.concatenate(ends)
+
+    points_a, *segs_a = side(chains_a)
+    points_b, *segs_b = side(chains_b)
+    d_ab = _dense_reference(points_a, *segs_b)
+    d_ba = _dense_reference(points_b, *segs_a)
+    i, j = int(np.argmax(d_ab)), int(np.argmax(d_ba))
+    worst, where = (d_ab[i], points_a[i]) if d_ab[i] >= d_ba[j] else (d_ba[j], points_b[j])
+    return DeviationReport(float(worst), Point(*map(float, where)), len(points_a) + len(points_b))
+
+
+def _report_key(report):
+    return report.max_deviation.hex(), _hex_points([report.argmax_point]), report.samples_used
+
+
+def _set_deviation(chains_a, chains_b):
+    """``set_deviation`` between two lists of ``(n, 2)`` chains, as verify passes them."""
+    return set_deviation([verifier._Chain(c) for c in chains_a], [verifier._Chain(c) for c in chains_b])
+
+
+# one-point chains and duplicate points; far-apart chains
+_any_chain = st.tuples(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=30),
+                       st.sampled_from([(0.0, 0.0), (1e3, 0.0), (-2e5, 7e5)]))
+# a side whose total length is 0: one point, repeated, in one chain or several
+_still_side = st.builds(lambda p, sizes: [([p] * k, (0.0, 0.0)) for k in sizes],
+                        st.tuples(_coord, _coord),
+                        st.lists(st.integers(1, 4), min_size=1, max_size=3))
+_deviation_side = st.one_of(st.lists(_any_chain, min_size=1, max_size=4), _still_side, _rings)
+
+
+class TestSetDeviation:
+    """``set_deviation`` prepares each side once; its report equals the naive all-pairs one."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_deviation_side, _deviation_side, st.sampled_from([0, 8, 64, 1 << 14]),
+           st.sampled_from([0, 1, 2, 4]), st.integers(1, 60))
+    def test_matches_all_pairs_reference(self, side_a, side_b, full_pass, window, budget):
+        chains_a, chains_b = _moved(side_a), _moved(side_b)
+        want = _reference_deviation(chains_a, chains_b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verifier, "_FULL_PASS_PAIRS", full_pass)
+            mp.setattr(verifier, "_WINDOW", window)
+            mp.setattr(verifier, "PAIR_BUDGET", budget)
+            got = _set_deviation(chains_a, chains_b)
+        assert _report_key(got) == _report_key(want)
+
+    def test_each_path_runs(self, monkeypatch):
+        """On two concentric rings of 41 and 161 points, with small knobs, one
+        direction takes the full pass and the other the early break, and the
+        points are measured in chunks; the report is still the reference's."""
+        # 41 x 160 pairs one way, 161 x 40 the other
+        monkeypatch.setattr(verifier, "_FULL_PASS_PAIRS", 6500)
+        monkeypatch.setattr(verifier, "_WINDOW", 1)
+        monkeypatch.setattr(verifier, "PAIR_BUDGET", 64)
+        inner = _moved(_ring("circle", 40, 3, 0.1, 0))
+        outer = _moved(_ring("circle", 160, 5, 0.0, 7))
+        calls = {}
+        for name in ("_window_bounds", "_min_dist2"):
+            real = getattr(verifier, name)
+            monkeypatch.setattr(verifier, name, lambda *a, _real=real, _name=name:
+                                calls.__setitem__(_name, calls.get(_name, 0) + 1) or _real(*a))
+        got = _set_deviation(inner, outer)
+        assert calls["_window_bounds"] == 1
+        assert calls["_min_dist2"] > 4
+        assert _report_key(got) == _report_key(_reference_deviation(inner, outer))
+
+    @pytest.mark.parametrize("at", [0, 7, 19])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_bad_coordinate_on_the_second_side_only(self, monkeypatch, bad, at):
+        """A NaN or inf on the second side alone still makes the drawable
+        unsafe: every point is measured, none culled, and the report is the
+        reference's."""
+        monkeypatch.setattr(verifier, "_FULL_PASS_PAIRS", 0)
+        monkeypatch.setattr(verifier, "_WINDOW", 0)
+        monkeypatch.setattr(verifier, "PAIR_BUDGET", 8)
+        t = np.linspace(0.0, 1.0, 20)
+        first = [np.c_[t, t * t]]
+        second = np.c_[t, 0.5 + 0 * t]
+        second[at, 1] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _reference_deviation(first, [second])
+            got = _set_deviation(first, [second])
+        assert _report_key(got) == _report_key(want)
+        assert not math.isfinite(got.max_deviation)
 
 
 # --- the scalar reference ----------------------------------------------------

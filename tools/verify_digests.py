@@ -13,8 +13,9 @@ prints one sha256 per corpus over its documents' lines, in order. The
 corpora are ``verify_corpus(601)``, ``full_corpus()``,
 ``colored_icons(400, seed=5)``, 600 draws of
 ``random_raw_svg(random.Random(3))`` and ``build_corpus(601)`` without its
-dense tier. The dense tier takes minutes to verify and runs only with
-``--dense``; without it, its line says it was skipped. ``--list FILE``
+dense tier. The dense tier, 300 icons of 20-260 commands, takes about 45 s
+to verify on one core and runs only with ``--dense``; without it, its line
+says it was skipped. ``--list FILE``
 writes one line per document. ``--check FILE`` compares those lines with
 a listing that ``--list`` saved from another checkout, prints the first
 line that differs, and exits 1 if any does.
@@ -133,7 +134,7 @@ def save_and_check(args, listing: io.StringIO) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--dense", action="store_true",
-                        help=f"also verify the {DENSE} tier (minutes)")
+                        help=f"also verify the {DENSE} tier (about 45 s)")
     add_listing_options(parser, "document")
     args = parser.parse_args(argv)
     listing = io.StringIO()
