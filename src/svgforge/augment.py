@@ -18,7 +18,7 @@ document those slices type to, so both give the same variant.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import PaletteTooSmall, TooFewPaths, ValidationError
 from .model import Document, Hex, PathElement
@@ -72,12 +72,7 @@ def path_bbox(path: PathElement) -> tuple[float, float, float, float]:
     Control points are a conservative superset of the true curve extent,
     so disjoint boxes guarantee disjoint geometry.
     """
-    xs: list[float] = []
-    ys: list[float] = []
-    for cmd in path.commands:
-        for p in cmd.points:
-            xs.append(p.x)
-            ys.append(p.y)
+    xs, ys = path.args[0::2], path.args[1::2]
     return min(xs), min(ys), max(xs), max(ys)
 
 
@@ -176,10 +171,7 @@ def replace_colors(doc: Document, spec: AugmentSpec) -> Document:
     if not fills:
         return doc
     mapping = _color_map(fills, spec)
-    paths = tuple(
-        PathElement(p.commands, mapping.get(p.fill, p.fill), p.transform)
-        for p in doc.paths
-    )
+    paths = tuple(replace(p, fill=mapping.get(p.fill, p.fill)) for p in doc.paths)
     return Document(doc.view_box, paths, doc.normalized)
 
 

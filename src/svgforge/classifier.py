@@ -47,7 +47,7 @@ class Classification:
 
 def count_commands(doc: Document) -> int:
     """Total M/L/C commands summed over all paths of a normalized document."""
-    return sum(len(p.commands) for p in doc.paths)
+    return sum(len(p.ops) for p in doc.paths)
 
 
 def distinct_fills(doc: Document) -> set:

@@ -10,11 +10,12 @@ The M/L/C commands carry their own layout: a class-level ``opcode`` and
 ``points`` (control points, then the endpoint, in constructor order, so
 ``type(c)(*c.points) == c``). Other modules read those, not the type.
 
-A run of M/L/C commands can also be carried as columns: an opcode string
-such as ``"MLCC"`` and one flat float list of 2 numbers per M or L and 6
-per C, in the order of ``points``. The normalizer works on columns, and
-:func:`typed_commands` and :func:`command_columns` convert between the
-two forms.
+A path is carried as columns: one opcode letter per argument group, such as
+``"MLCC"``, and one flat list of the groups' numbers; M/L/C take 2, 2 and 6,
+in the order of ``points``. Raw columns hold any SVG letter, implicit
+repeats materialized (:data:`REPEAT`). :class:`PathElement` stores columns;
+:func:`raw_commands`, :func:`typed_commands` and :func:`command_columns`
+convert.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, repeat
+from itertools import islice
 from operator import itemgetter
 from typing import ClassVar, NamedTuple, Union
 
@@ -40,6 +41,10 @@ PARAM_COUNTS = {
 
 #: Indices of the large-arc / sweep flags inside one arc parameter group.
 ARC_FLAG_INDICES = (3, 4)
+
+#: The letter of a command's repeated argument groups, where it is not its own:
+#: a moveto's extra groups are linetos.
+REPEAT = {"M": "L", "m": "l"}
 
 
 class Point(NamedTuple):
@@ -126,28 +131,9 @@ class RawCommand:
     def is_relative(self) -> bool:
         return self.opcode.islower()
 
-    def groups(self) -> list[tuple[float, ...]]:
-        """Split repeated argument groups into single-arity tuples."""
-        n = PARAM_COUNTS[self.opcode.upper()]
-        if n == 0:
-            return [()]
-        return [self.args[i : i + n] for i in range(0, len(self.args), n)]
-
 
 @dataclass(frozen=True, slots=True)
-class _Absolute:
-    """What MoveTo, LineTo and CubicTo share with an absolute :class:`RawCommand`
-    of their opcode: no relativity and one argument group, so the one raw
-    command walk reads either kind."""
-
-    is_relative: ClassVar[bool] = False
-
-    def groups(self) -> list[tuple[float, ...]]:
-        return [tuple(v for p in self.points for v in p)]
-
-
-@dataclass(frozen=True, slots=True)
-class _EndOnly(_Absolute):
+class _EndOnly:
     """The shared layout of MoveTo and LineTo: an endpoint and nothing else."""
 
     end: Point
@@ -171,7 +157,7 @@ class LineTo(_EndOnly):
 
 
 @dataclass(frozen=True, slots=True)
-class CubicTo(_Absolute):
+class CubicTo:
     opcode: ClassVar[str] = "C"
     c1: Point
     c2: Point
@@ -202,8 +188,27 @@ def typed_commands(ops: str, xy) -> tuple[PathCommand, ...]:
 
 
 def command_columns(commands) -> tuple[str, list[float]]:
-    """The columns (module docstring) of M/L/C commands."""
-    return "".join(c.opcode for c in commands), [v for c in commands for p in c.points for v in p]
+    """The columns (module docstring) of M/L/C or raw commands, one letter per
+    argument group of a raw one."""
+    ops = []
+    args: list[float] = []
+    for c in commands:
+        if isinstance(c, RawCommand):
+            n = PARAM_COUNTS[c.opcode.upper()]
+            repeats = len(c.args) // n - 1 if n else 0
+            ops.append(c.opcode + REPEAT.get(c.opcode, c.opcode) * repeats)
+            args += c.args
+        else:
+            ops.append(c.opcode)
+            for p in c.points:
+                args += p
+    return "".join(ops), args
+
+
+def raw_commands(ops: str, args) -> tuple[RawCommand, ...]:
+    """One :class:`RawCommand` per letter of raw columns (module docstring)."""
+    it = iter(args)
+    return tuple(RawCommand(op, tuple(islice(it, PARAM_COUNTS[op.upper()]))) for op in ops)
 
 
 # --- paint ---------------------------------------------------------------
@@ -335,38 +340,47 @@ IDENTITY = AffineTransform()
 SHAPE_TAGS = frozenset({"rect", "circle", "ellipse", "line", "polyline", "polygon"})
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PathElement:
-    """An ordered command list plus its fill.
+    """A path's columns (module docstring), fill and transform.
 
-    Normalized path elements hold only :data:`PathCommand` commands; raw
-    documents may instead carry :class:`RawCommand` lists (full command
-    alphabet, relative opcodes allowed) along with an unflattened
-    ``transform``. ``fill=None`` means the attribute was absent, which is
-    distinct from an explicit ``fill="none"`` (:data:`NO_FILL`).
+    Raw paths (``is_raw``) hold any SVG letter and an unflattened
+    ``transform``; normalized ones only M/L/C. ``fill=None`` means the
+    attribute was absent, unlike an explicit ``fill="none"``
+    (:data:`NO_FILL`). It is built from :class:`RawCommand` or M/L/C
+    commands, or from ``ops`` and ``args`` by keyword, raw unless
+    ``is_raw`` is false, with only the MoveTo rules checked. ``commands``
+    types the columns, one command per letter.
     """
 
-    commands: tuple[RawCommand, ...] | tuple[PathCommand, ...]
-    fill: Paint | None = None
-    transform: AffineTransform = IDENTITY
+    ops: str
+    args: tuple[float, ...]
+    fill: Paint | None
+    transform: AffineTransform
+    is_raw: bool
 
-    def __post_init__(self) -> None:
-        if not self.commands:
-            return
-        # one pass in C per check: every path is built several times per run
-        kinds = {issubclass(t, RawCommand) for t in set(map(type, self.commands))}
-        if len(kinds) > 1:
-            raise ValidationError("cannot mix raw and normalized commands")
-        if not kinds.pop():
-            moves = bytes(map(isinstance, self.commands, repeat(MoveTo)))  # 1 per MoveTo
-            if not moves[0]:
+    def __init__(self, commands: tuple[RawCommand, ...] | tuple[PathCommand, ...] = (),
+                 fill: Paint | None = None, transform: AffineTransform = IDENTITY, *,
+                 ops: str | None = None, args=(), is_raw: bool = True) -> None:
+        if ops is None:
+            # one pass in C per check
+            kinds = {issubclass(t, RawCommand) for t in set(map(type, commands))}
+            if len(kinds) > 1:
+                raise ValidationError("cannot mix raw and normalized commands")
+            ops, args = command_columns(commands)
+            is_raw = kinds == {True}
+        if ops and not is_raw:
+            if ops[0] != "M":
                 raise ValidationError("first command must be MoveTo")
-            if b"\x01\x01" in moves:
+            if "MM" in ops:
                 raise ValidationError("consecutive MoveTo commands")
+        for name, value in (("ops", ops), ("args", tuple(args)), ("fill", fill),
+                            ("transform", transform), ("is_raw", is_raw and bool(ops))):
+            object.__setattr__(self, name, value)
 
     @property
-    def is_raw(self) -> bool:
-        return bool(self.commands) and isinstance(self.commands[0], RawCommand)
+    def commands(self) -> tuple[RawCommand, ...] | tuple[PathCommand, ...]:
+        return (raw_commands if self.is_raw else typed_commands)(self.ops, self.args)
 
 
 @dataclass(frozen=True, slots=True)
@@ -448,17 +462,12 @@ class DifficultyLevel(Enum):
 # --- equality ------------------------------------------------------------
 
 
-def _command_keys(commands) -> list[tuple]:
-    return [(cmd.opcode, tuple(map(format_number, group)))
-            for cmd in commands for group in cmd.groups()]
-
-
 def _element_key(el: Drawable) -> tuple:
     t = tuple(format_number(v) for v in
               (el.transform.a, el.transform.b, el.transform.c,
                el.transform.d, el.transform.e, el.transform.f))
     if isinstance(el, PathElement):
-        return ("path", tuple(_command_keys(el.commands)), el.fill, t)
+        return ("path", el.ops, tuple(map(format_number, el.args)), el.fill, t)
     params = tuple(
         (k, tuple((format_number(p.x), format_number(p.y)) for p in v)
          if isinstance(v, tuple) else format_number(v))

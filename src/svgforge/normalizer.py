@@ -9,26 +9,27 @@ endpoints exactly; curved conversions stay within a tight analytic error
 bound (arcs are split at 90 degrees, worst-case radial error about
 2.7e-4 of the radius).
 
-From the segment walk on, a path is carried as columns: one opcode string
-such as ``"MLCC"`` and one flat float list, 2 numbers per M or L and 6 per
-C (:mod:`svgforge.model`). The command mapping (``_to_mlc``), the element
-transform and the canvas map (both ``_map_columns``) all work on them, and
-each raises :class:`ValidationError` for the first non-finite coordinate
-in coordinate order, as building M/L/C commands one by one would.
-:func:`normalize_slices` formats the columns into ``(d, fill)`` text, which
-is what the CLI writes, and builds no command object;
-:func:`normalize_document` types them as MoveTo/LineTo/CubicTo once, for
-library callers. The typed public functions (:func:`convert_element`,
-:func:`simplify_commands`, :func:`apply_transform`,
-:func:`normalize_canvas`, :func:`shape_to_path` and
-:func:`arc_to_cubics`) are thin wrappers over the same column code.
+A path arrives as the columns of the path-data scan (:mod:`svgforge.model`).
+One walk, :func:`resolve_path`, resolves them into an :class:`Outline` of
+absolute segments, which a basic shape also gives (:func:`shape_outline`)
+and the verifier samples. ``_to_mlc`` maps an outline to M/L/C columns, on
+which the element transform and the canvas map (``_map_columns``) work;
+each step raises :class:`ValidationError` for the first non-finite
+coordinate, as building M/L/C commands one by one would.
+:func:`normalize_slices` formats the columns as ``(d, fill)`` text, which
+the CLI writes, and :func:`normalize_document` stores them in its paths,
+with no command object on either route. The typed public functions are
+thin views of the same column code.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import islice
+from operator import add
+from typing import NamedTuple
 
 from .errors import (
     DegenerateShape,
@@ -40,8 +41,6 @@ from .errors import (
 from .model import (
     BLACK,
     CANVAS_SIZE,
-    COMMAND_TYPES,
-    IDENTITY,
     AffineTransform,
     CubicTo,
     Document,
@@ -104,105 +103,135 @@ class NormalizeReport:
                 for name, v in asdict(self).items()}
 
 
-# --- raw command walk -------------------------------------------------------
+# --- the walk ----------------------------------------------------------------
+
+#: The segment kind of each upper-case path-data letter that is not its own.
+_KINDS = str.maketrans("HVST", "LLCQ")
+#: Each path-data letter's argument count.
+_ARITY = {op: PARAM_COUNTS[op.upper()] for op in "MmLlHhVvCcSsQqTtAaZz"}
+#: Numbers per segment in an outline's columns, by segment kind.
+SEGMENT_SIZES = {"M": 2, "L": 2, "C": 6, "Q": 4, "A": 7, "Z": 2}
 
 
-def _walk(cmds: Iterable[RawCommand | PathCommand]):
-    """Resolve raw or typed M/L/C commands, one argument group at a time.
+class Outline(NamedTuple):
+    """A drawable's absolute segments: one kind per segment and their numbers.
 
-    Yields ``(opcode, args, p0, p1)``: the uppercase opcode, its absolute
-    argument group, and the current point before and after it (``p0`` is
-    ``None`` for the leading moveto). A typed command reads as the absolute
-    raw command of its opcode. This is the one place that tracks a current
-    point: relative offsets, a leading ``m`` read as absolute, repeated
-    moveto groups as linetos, and Z's return to the subpath start. Raises
-    :class:`NoCurrentPoint` for a command before any moveto and
-    :class:`ValidationError` when an offset overflows.
+    Each segment ends with its end point, where the next one starts: M and L
+    ``x y``, C ``x1 y1 x2 y2 x y``, Q ``qx qy x y``, A ``rx ry rotation
+    large_arc sweep x y``, Z its subpath's start. When the walk overflowed,
+    the columns stop before that segment and ``error`` is raised by their
+    reader after its own errors.
     """
-    cur = start = None
-    for cmd in cmds:
-        op, rel = cmd.opcode.upper(), cmd.is_relative
-        for group in cmd.groups():
-            p0 = cur
-            if p0 is None:
-                if op != "M":
-                    where = f"relative {cmd.opcode!r}" if rel else op
-                    raise NoCurrentPoint(f"{where} before any MoveTo")
-            elif op != "Z" and (rel or op in ("H", "V")):
-                # an absolute H/V adds 0.0 too, so -0 comes out as 0
-                dx, dy = (p0.x, p0.y) if rel else (0.0, 0.0)
-                if op == "V":
-                    group = (group[0] + dy,)
-                else:
-                    k = 5 if op == "A" else 0  # an arc offsets its endpoint only
-                    group = group[:k] + tuple(
-                        v + (dy if i % 2 else dx) for i, v in enumerate(group[k:])
-                    )
-                _require_finite(*group)
-            if op == "H":
-                cur = Point(group[0], p0.y)
-            elif op == "V":
-                cur = Point(p0.x, group[0])
-            elif op == "Z":
-                cur = start
-            else:
-                cur = Point(group[-2], group[-1])
-            yield op, group, p0, cur
-            if op == "M":
-                start = cur
-                op = "L"  # repeated moveto groups are implicit linetos
+
+    kinds: str
+    coords: list
+    error: ValidationError | None = None
+
+
+def resolve_path(ops: str, args) -> Outline:
+    """The one walk, the one place that tracks a current point: a path's
+    columns (:mod:`svgforge.model`) as its :class:`Outline`.
+
+    It applies relative offsets (an arc's to its endpoint only; a leading
+    ``m`` is absolute), H/V projection (an absolute one adds ``0.0``, so
+    ``-0`` becomes ``0``), S/T reflection and Z's return, and checks
+    finiteness once. Raises :class:`NoCurrentPoint` unless the path starts
+    with a moveto.
+    """
+    if not ops:
+        return Outline("", [])
+    if ops[0] not in "Mm":
+        where = f"relative {ops[0]!r}" if ops[0].islower() else ops[0].upper()
+        raise NoCurrentPoint(f"{where} before any MoveTo")
+    x, y = sx, sy = args[0], args[1]  # the current point and the subpath start
+    out = [x, y]
+    k = 2
+    smooth = ""  # "C" or "Q" after a segment of that kind, whose control is px, py
+    px = py = 0.0
+    kinds = ops.upper().translate(_KINDS)
+    for op, kind in zip(ops[1:], kinds[1:]):
+        n = _ARITY[op]
+        g = args[k:k + n]
+        k += n
+        if op in "lcmqst":
+            g = list(map(add, g, (x, y, x, y, x, y)))
+        elif op in "hH":
+            g = (g[0] + (x if op == "h" else 0.0), y)
+        elif op in "vV":
+            g = (x, g[0] + (y if op == "v" else 0.0))
+        elif op in "zZ":
+            g = (sx, sy)
+        elif op == "a":  # an arc offsets its endpoint only
+            g = (*g[:5], g[5] + x, g[6] + y)
+        if op in "SsTt":
+            g = ((2.0 * x - px, 2.0 * y - py) if smooth == kind else (x, y)) + tuple(g)
+        out += g
+        x, y = g[-2], g[-1]
+        if kind == "M":
+            sx, sy = x, y
+        if kind in "CQ":
+            smooth, px, py = kind, g[-4], g[-3]
+        else:
+            smooth = ""
+    if all(map(math.isfinite, out)):
+        return Outline(kinds, out)
+    # cut before the first segment whose own numbers are not all finite; a
+    # reflected S/T control is not its own, and the conversion checks it
+    k = 0
+    for i, (op, kind) in enumerate(zip(ops, kinds)):
+        n = SEGMENT_SIZES[kind]
+        own = out[k + 2 if op in "SsTt" else k:k + n]
+        bad = [v for v in own if not math.isfinite(v)]
+        if bad:
+            error = ValidationError(f"non-finite coordinate {bad[0]!r}")
+            return Outline(kinds[:i], out[:k], error)
+        k += n
+    return Outline(kinds, out)
+
+
+def segment_tuples(outline: Outline):
+    """Yield an outline's segments as ``("M", p)``, ``("L", p0, p1)``,
+    ``("C", p0, c1, c2, p1)``, ``("Q", p0, q, p1)``, ``("A", p0, rx, ry, rot,
+    large_arc, sweep, p1)`` and ``("Z", cur, start)``, then raise its error."""
+    p0, k, v = None, 0, outline.coords
+    for kind in outline.kinds:
+        j, k = k, k + SEGMENT_SIZES[kind]
+        if kind == "A":
+            seg = (*v[j:k - 2], Point(*v[k - 2:k]))
+        else:
+            seg = tuple(map(Point, v[j:k:2], v[j + 1:k:2]))
+        yield (kind, *seg) if kind == "M" else (kind, p0, *seg)
+        p0 = seg[-1]
+    if outline.error is not None:
+        raise outline.error
+
+
+def iter_segments(cmds: Iterable[RawCommand | PathCommand]):
+    """Walk raw commands of either relativity, or typed M/L/C, as the
+    :func:`segment_tuples` of :func:`resolve_path`."""
+    return segment_tuples(resolve_path(*command_columns(cmds)))
+
+
+#: The numbers of an outline segment that are its letter's group, where not all.
+_GROUPS = {"H": slice(0, 1), "V": slice(1, 2), "S": slice(2, None), "T": slice(2, None),
+           "Z": slice(0, 0)}
 
 
 def to_absolute(cmds: Iterable[RawCommand | PathCommand]) -> list[RawCommand]:
     """Rewrite raw or typed M/L/C commands as absolute raw ones, one group each.
 
-    Current-point bookkeeping follows SVG semantics: Z returns the current
-    point to the subpath start, and a leading ``m`` is absolute. H/V/S/T
-    keep their opcodes. Raises :class:`NoCurrentPoint` when a command
-    requires a current point that does not exist yet.
+    Current-point bookkeeping is :func:`resolve_path`'s: Z returns the
+    current point to the subpath start, and a leading ``m`` is absolute.
+    H/V/S/T keep their opcodes. Raises :class:`NoCurrentPoint` when a
+    command requires a current point that does not exist yet.
     """
-    return [RawCommand(op, args) for op, args, _, _ in _walk(cmds)]
-
-
-# --- segment walk -----------------------------------------------------------
-
-
-def _reflect(ctrl: Point | None, cur: Point) -> Point:
-    # S/T implicit control point: the previous one mirrored about cur, else cur
-    if ctrl is None:
-        return cur
-    return Point(2.0 * cur.x - ctrl.x, 2.0 * cur.y - ctrl.y)
-
-
-def iter_segments(cmds: Iterable[RawCommand | PathCommand]):
-    """Walk raw commands of either relativity, or typed M/L/C, as segments.
-
-    Yields ``("M", p)``, ``("L", p0, p1)``, ``("C", p0, c1, c2, p1)``,
-    ``("Q", p0, q, p1)``, ``("A", p0, rx, ry, rot, large_arc, sweep, p1)``
-    and ``("Z", cur, start)``. On top of the current-point rules of the
-    shared walk (the same one behind :func:`to_absolute`), H/V are
-    projected onto lines and S/T get their reflected control point.
-    """
-    last_c2: Point | None = None
-    last_q: Point | None = None
-    for op, args, p0, p1 in _walk(cmds):
-        next_c2 = next_q = None
-        if op in ("L", "H", "V"):
-            yield ("L", p0, p1)
-        elif op in ("C", "S"):
-            c1 = Point(args[0], args[1]) if op == "C" else _reflect(last_c2, p0)
-            next_c2 = Point(args[-4], args[-3])
-            yield ("C", p0, c1, next_c2, p1)
-        elif op in ("Q", "T"):
-            next_q = Point(args[0], args[1]) if op == "Q" else _reflect(last_q, p0)
-            yield ("Q", p0, next_q, p1)
-        elif op == "M":
-            yield ("M", p1)
-        elif op == "A":
-            yield ("A", p0, *args[:5], p1)
-        else:  # Z
-            yield ("Z", p0, p1)
-        last_c2, last_q = next_c2, next_q
+    ops, args = command_columns(cmds)
+    outline = resolve_path(ops, args)
+    if outline.error is not None:
+        raise outline.error
+    it = iter(outline.coords)
+    return [RawCommand(op, tuple(islice(it, SEGMENT_SIZES[kind]))[_GROUPS.get(op, slice(None))])
+            for op, kind in zip(ops.upper(), outline.kinds)]
 
 
 # --- arc conversion -------------------------------------------------------
@@ -346,63 +375,62 @@ def arc_to_cubics(
 # --- command simplification ------------------------------------------------
 
 
-def _require_finite_columns(xy: list[float]) -> None:
+def _require_finite_columns(xy) -> None:
     # the first non-finite value raises, as the typed constructors would
     if not all(map(math.isfinite, xy)):
         _require_finite(*xy)
 
 
-def _to_mlc(segments, report: NormalizeReport) -> tuple[str, list[float]]:
-    """Map typed segments (those of :func:`iter_segments`) to M/L/C columns.
+def _to_mlc(outline: Outline, report: NormalizeReport) -> tuple[str, list[float]]:
+    """Map an outline to M/L/C columns.
 
     Q is degree-elevated exactly, arcs become the cubics of
-    :func:`arc_to_cubics`, and Z materializes as a LineTo back to the subpath start unless the
-    current point is already there. Runs of MoveTo collapse to the last
-    one and a trailing MoveTo is dropped, so empty subpaths leave no
-    residue.
+    :func:`arc_to_cubics`, and Z a LineTo back to the subpath start unless
+    the current point is already there. Runs of MoveTo collapse to the last
+    one and a trailing MoveTo is dropped, so empty subpaths leave no residue.
 
     Raises :class:`ValidationError` for the first non-finite coordinate,
-    ahead of any error that a later segment raises, as building the
-    commands one by one would; values are checked once, at the end or on
-    that error.
+    ahead of any error that a later segment raises, as building the commands
+    one by one would; values are checked once, at the end or on that error.
+    The outline's own error comes last.
     """
     ops: list[str] = []
     xy: list[float] = []
+    v = outline.coords
+    k = 0
     try:
-        for seg in segments:
-            kind = seg[0]
-            if kind == "L":
-                ops.append("L")
-                xy += seg[2]
-            elif kind == "C":
-                ops.append("C")
-                xy += (*seg[2], *seg[3], *seg[4])
-            elif kind == "Q":
-                # exact degree elevation: c = p + (2/3)(q - p)
-                _, p0, q, p1 = seg
-                ops.append("C")
-                xy += (p0.x + 2.0 * (q.x - p0.x) / 3.0, p0.y + 2.0 * (q.y - p0.y) / 3.0,
-                       p1.x + 2.0 * (q.x - p1.x) / 3.0, p1.y + 2.0 * (q.y - p1.y) / 3.0,
-                       p1.x, p1.y)
+        for kind in outline.kinds:
+            j, k = k, k + SEGMENT_SIZES[kind]  # the segment's numbers are v[j:k]
+            if kind == "C" or kind == "L":
+                ops.append(kind)
+                xy += v[j:k]
             elif kind == "M":
                 if ops and ops[-1] == "M":
                     ops.pop()
                     del xy[-2:]
                 ops.append("M")
-                xy += seg[1]
-            elif kind == "A":
-                _arc_columns(ops, xy, *seg[1:])
-                report.arcs_converted += 1
-            else:  # Z
-                _, cur, start = seg
-                if max(abs(cur.x - start.x), abs(cur.y - start.y)) > _CLOSE_EPS:
+                xy += v[j:k]
+            elif kind == "Z":
+                x0, y0, sx, sy = v[j - 2:k]
+                if max(abs(x0 - sx), abs(y0 - sy)) > _CLOSE_EPS:
                     ops.append("L")
-                    xy += start
+                    xy += (sx, sy)
                     report.closures_materialized += 1
+            elif kind == "Q":
+                # exact degree elevation: c = p + (2/3)(q - p)
+                x0, y0, qx, qy, x1, y1 = v[j - 2:k]
+                ops.append("C")
+                xy += (x0 + 2.0 * (qx - x0) / 3.0, y0 + 2.0 * (qy - y0) / 3.0,
+                       x1 + 2.0 * (qx - x1) / 3.0, y1 + 2.0 * (qy - y1) / 3.0, x1, y1)
+            else:  # A
+                _arc_columns(ops, xy, Point(*v[j - 2:j]), *v[j:k - 2], Point(*v[k - 2:k]))
+                report.arcs_converted += 1
     except Exception:
         _require_finite_columns(xy)
         raise
     _require_finite_columns(xy)
+    if outline.error is not None:
+        raise outline.error
 
     if ops and ops[-1] == "M":
         ops.pop()
@@ -416,27 +444,26 @@ def simplify_commands(
 ) -> list[PathCommand]:
     """Reduce raw commands of either relativity, or typed M/L/C, to M/L/C.
 
-    The segments of :func:`iter_segments`, mapped by the one segment to
+    The outline of :func:`resolve_path`, mapped by the one outline to
     M/L/C rule that :func:`shape_to_path` uses too.
     """
     report = NormalizeReport() if report is None else report
-    return list(typed_commands(*_to_mlc(iter_segments(cmds), report)))
+    return list(typed_commands(*_to_mlc(resolve_path(*command_columns(cmds)), report)))
 
 
 # --- shape conversion -------------------------------------------------------
 
 
-def shape_segments(element: ShapeElement) -> list[tuple]:
-    """A basic shape as the typed segments of :func:`iter_segments`.
+def shape_outline(element: ShapeElement) -> Outline:
+    """A basic shape as an :class:`Outline`.
 
     SVG defines every basic shape as an equivalent path (SVG 1.1, 9.1), so
-    a shape is ``("M", p)``, ``("L", p0, p1)`` lines and ``("A", p0, rx, ry,
-    0.0, False, True, p1)`` quarter arcs: a rect runs clockwise from its
-    top edge, with an arc per rounded corner and no line where a pill's
-    corners meet; an ellipse is four arcs from its rightmost point; a
-    polygon closes with a line to its first point unless it is already
-    there. A missing rect radius takes the value of the other (both
-    missing is a sharp corner), then each is clamped to half its side.
+    a shape is a moveto, lines and quarter arcs (``rx ry 0 0 1``): a rect
+    runs clockwise from its top edge, with an arc per rounded corner and no
+    line where a pill's corners meet; an ellipse is four arcs from its
+    rightmost point; a polygon closes with a line to its first point unless
+    it is already there. A missing rect radius takes the value of the other
+    (both missing is a sharp corner), then each is clamped to half its side.
 
     Raises :class:`DegenerateShape` for non-positive dimensions or a
     polyline or polygon of fewer than 2 points: such shapes render
@@ -458,44 +485,50 @@ def shape_segments(element: ShapeElement) -> list[tuple]:
         if rx > 0 and ry > 0:
             # edge start, edge end (= corner start), corner end, four times
             ring = (
-                Point(x + rx, y), Point(x + w - rx, y), Point(x + w, y + ry),
-                Point(x + w, y + h - ry), Point(x + w - rx, y + h), Point(x + rx, y + h),
-                Point(x, y + h - ry), Point(x, y + ry), Point(x + rx, y),
+                (x + rx, y), (x + w - rx, y), (x + w, y + ry),
+                (x + w, y + h - ry), (x + w - rx, y + h), (x + rx, y + h),
+                (x, y + h - ry), (x, y + ry), (x + rx, y),
             )
-            segs: list[tuple] = [("M", ring[0])]
+            kinds = ["M"]
+            coords = [*ring[0]]
             for a, b, c in zip(ring[0:8:2], ring[1::2], ring[2::2]):
                 if a != b:
-                    segs.append(("L", a, b))
-                segs.append(("A", b, rx, ry, 0.0, False, True, c))
-            return segs
-        points = (Point(x, y), Point(x + w, y), Point(x + w, y + h), Point(x, y + h), Point(x, y))
+                    kinds.append("L")
+                    coords += b
+                kinds.append("A")
+                coords += (rx, ry, 0.0, 0.0, 1.0, *c)
+            return Outline("".join(kinds), coords)
+        points = ((x, y), (x + w, y), (x + w, y + h), (x, y + h), (x, y))
     elif tag in ("circle", "ellipse"):
         rx, ry = (get("r"), get("r")) if tag == "circle" else (get("rx"), get("ry"))
         if rx <= 0 or ry <= 0:
             raise DegenerateShape(f"{tag} {rx}x{ry}")
         cx, cy = get("cx"), get("cy")
-        ring = (Point(cx + rx, cy), Point(cx, cy + ry), Point(cx - rx, cy),
-                Point(cx, cy - ry), Point(cx + rx, cy))
-        return [("M", ring[0])] + [
-            ("A", a, rx, ry, 0.0, False, True, b) for a, b in zip(ring, ring[1:])
-        ]
+        coords = [cx + rx, cy]
+        for end in ((cx, cy + ry), (cx - rx, cy), (cx, cy - ry), (cx + rx, cy)):
+            coords += (rx, ry, 0.0, 0.0, 1.0, *end)
+        return Outline("MAAAA", coords)
     elif tag == "line":
-        points = (Point(get("x1"), get("y1")), Point(get("x2"), get("y2")))
+        points = ((get("x1"), get("y1")), (get("x2"), get("y2")))
     else:  # polyline / polygon
         points = get("points", ())
         if not isinstance(points, tuple) or len(points) < 2:
             raise DegenerateShape(f"{tag} with fewer than 2 points")
         if tag == "polygon" and points[-1] != points[0]:
             points += (points[0],)
-    return [("M", points[0])] + [("L", a, b) for a, b in zip(points, points[1:])]
+    return Outline("M" + "L" * (len(points) - 1), [v for p in points for v in p])
 
 
-def _shape_columns(element: ShapeElement) -> tuple[str, list[float]]:
-    """The M/L/C columns of :func:`shape_to_path`."""
-    segments = shape_segments(element)
+def shape_segments(element: ShapeElement) -> list[tuple]:
+    """The :func:`segment_tuples` of :func:`shape_outline`."""
+    return list(segment_tuples(shape_outline(element)))
+
+
+def _shape_columns(element: ShapeElement, outline: Outline) -> tuple[str, list[float]]:
+    """The M/L/C columns of :func:`shape_to_path`, from the shape's outline."""
     if element.tag not in ("circle", "ellipse"):
-        return _to_mlc(segments, NormalizeReport())
-    _, _, rx, ry, *_ = segments[1]
+        return _to_mlc(outline, NormalizeReport())
+    rx, ry = outline.coords[2:4]
     cx, cy = element.get("cx"), element.get("cy")
     kx, ky = KAPPA * rx, KAPPA * ry
     xy = [
@@ -512,16 +545,18 @@ def _shape_columns(element: ShapeElement) -> tuple[str, list[float]]:
 def shape_to_path(element: ShapeElement) -> PathElement:
     """Rewrite a basic shape as an equivalent M/L/C path element.
 
-    Maps :func:`shape_segments` to M/L/C as :func:`simplify_commands` maps
+    Maps :func:`shape_outline` to M/L/C as :func:`simplify_commands` maps
     raw path data, so rect corners become 90-degree arc cubics. Circles
     and ellipses instead take four cubics with the handle ``KAPPA`` times
     each radius, written directly from the center: for an axis-aligned
     quarter this is what :func:`arc_to_cubics` computes, without the
     rounding of a center recovered from the endpoints, so every control
     point is exact. Raises :class:`DegenerateShape` as
-    :func:`shape_segments` does.
+    :func:`shape_outline` does.
     """
-    return PathElement(typed_commands(*_shape_columns(element)), element.fill, element.transform)
+    ops, xy = _shape_columns(element, shape_outline(element))
+    return PathElement(fill=element.fill, transform=element.transform, ops=ops, args=xy,
+                       is_raw=False)
 
 
 # --- transforms and canvas ---------------------------------------------------
@@ -557,8 +592,7 @@ def apply_transform(path: PathElement, m: AffineTransform) -> PathElement:
         raise ValidationError("apply_transform needs a simplified M/L/C path")
     if m.is_identity:
         return path
-    ops, xy = command_columns(path.commands)
-    return PathElement(typed_commands(ops, _map_columns(m, xy)), path.fill, path.transform)
+    return replace(path, args=_map_columns(m, path.args))
 
 
 def canvas_transform(view_box: tuple[float, float, float, float]) -> AffineTransform:
@@ -592,13 +626,22 @@ def normalize_canvas(doc: Document) -> Document:
 # --- full pipeline ------------------------------------------------------------
 
 
+#: Deletes the relative letters of path data.
+_RELATIVE = str.maketrans("", "", "mlhvcsqtaz")
+
+
+def drawable_outline(el: Drawable) -> Outline:
+    """The outline of a path (:func:`resolve_path`) or a basic shape (:func:`shape_outline`)."""
+    return shape_outline(el) if isinstance(el, ShapeElement) else resolve_path(el.ops, el.args)
+
+
 def element_columns(
     el: Drawable, report: NormalizeReport | None = None
-) -> tuple[str, list[float]] | None:
-    """The M/L/C columns of :func:`convert_element`, or ``None`` when it
-    drops ``el``; it counts in ``report`` and raises as that does."""
-    if report is None:
-        report = NormalizeReport()
+) -> tuple[Outline, tuple[str, list[float]]] | None:
+    """The outline of ``el`` and the M/L/C columns of :func:`convert_element`,
+    or ``None`` when it drops ``el``; it counts in ``report`` and raises as
+    that does."""
+    report = NormalizeReport() if report is None else report
     if el.fill == NO_FILL:
         report.count_drop("fill_none")
         return None
@@ -606,19 +649,18 @@ def element_columns(
         report.count_drop("singular_transform")
         return None
 
+    try:
+        outline = drawable_outline(el)
+    except DegenerateShape:
+        report.count_drop("degenerate_shape")
+        return None
     if isinstance(el, ShapeElement):
-        try:
-            ops, xy = _shape_columns(el)
-        except DegenerateShape:
-            report.count_drop("degenerate_shape")
-            return None
+        ops, xy = _shape_columns(el, outline)
         report.count_shape(el.tag)
     else:
-        # one per argument group of each relative command; a z has none and counts once
-        report.relative_resolved += sum(
-            len(c.args) // PARAM_COUNTS[c.opcode.upper()] if c.args else 1
-            for c in el.commands if c.opcode.islower())
-        ops, xy = _to_mlc(iter_segments(el.commands), report)
+        # one per relative argument group; a z has none and counts once
+        report.relative_resolved += len(el.ops) - len(el.ops.translate(_RELATIVE))
+        ops, xy = _to_mlc(outline, report)
 
     if not ops.strip("M"):
         report.count_drop("no_geometry")
@@ -626,7 +668,7 @@ def element_columns(
     if not el.transform.is_identity:
         xy = _map_columns(el.transform, xy)
         report.transforms_flattened += 1
-    return ops, xy
+    return outline, (ops, xy)
 
 
 def convert_element(
@@ -639,10 +681,11 @@ def convert_element(
     or no drawing commands after simplification. The same predicate drives
     both normalization and geometric verification.
     """
-    columns = element_columns(el, report)
-    if columns is None:
+    kept = element_columns(el, report)
+    if kept is None:
         return None
-    return PathElement(typed_commands(*columns), _resolved(el.fill), IDENTITY)
+    ops, xy = kept[1]
+    return PathElement(fill=_resolved(el.fill), ops=ops, args=xy, is_raw=False)
 
 
 def _resolved(fill: Paint | None) -> Paint:
@@ -651,6 +694,7 @@ def _resolved(fill: Paint | None) -> Paint:
 
 #: One normalized path: its M/L/C columns and its fill.
 _ColumnPath = tuple[str, list[float], Paint]
+_MLC = frozenset("MLC")
 
 
 def _as_is(doc: Document) -> list[_ColumnPath] | None:
@@ -658,32 +702,23 @@ def _as_is(doc: Document) -> list[_ColumnPath] | None:
     already is in normalized form, or ``None``.
 
     That holds for the view box 0 0 1024 1024, at least one path and no
-    shape, every path with an identity transform, a fill that is present
-    and not ``none``, and only absolute M/L/C raw commands of one argument
-    group each that start with M and hold no consecutive or trailing M.
-    The full pipeline then adds no offset, fires no Z, collapse or drop
-    rule, maps the canvas by the identity and counts nothing, so the same
-    floats are its result.
+    shape, every path raw with an identity transform, a fill that is
+    present and not ``none``, and only absolute M/L/C letters that start
+    with M and hold no consecutive or trailing M. The full pipeline then
+    adds no offset, fires no Z, collapse or drop rule, maps the canvas by
+    the identity and counts nothing, so the same floats are its result.
     """
     if doc.view_box != NORMALIZED_VIEW_BOX or not doc.paths:
         return None
     paths = []
     for el in doc.paths:
-        if (not isinstance(el, PathElement) or el.fill is None or el.fill == NO_FILL
-                or not el.transform.is_identity):
+        if (not isinstance(el, PathElement) or not el.is_raw or el.fill is None
+                or el.fill == NO_FILL or not el.transform.is_identity):
             return None
-        opcodes: list[str] = []
-        xy: list[float] = []
-        for cmd in el.commands:
-            if (not isinstance(cmd, RawCommand) or cmd.opcode not in COMMAND_TYPES
-                    or len(cmd.args) != PARAM_COUNTS[cmd.opcode]):
-                return None
-            opcodes.append(cmd.opcode)
-            xy += cmd.args
-        ops = "".join(opcodes)
-        if not ops.startswith("M") or ops.endswith("M") or "MM" in ops:
+        ops = el.ops
+        if not _MLC.issuperset(ops) or ops[0] != "M" or ops[-1] == "M" or "MM" in ops:
             return None
-        paths.append((ops, xy, el.fill))
+        paths.append((ops, el.args, el.fill))
     return paths
 
 
@@ -701,9 +736,9 @@ def _normalized_columns(doc: Document) -> tuple[list[_ColumnPath], NormalizeRepo
     report = NormalizeReport()
     paths = []
     for el in doc.paths:
-        columns = element_columns(el, report)
-        if columns is not None:
-            paths.append((*columns, _resolved(el.fill)))
+        kept = element_columns(el, report)
+        if kept is not None:
+            paths.append((*kept[1], _resolved(el.fill)))
     if not paths:
         raise EmptyDocument("no drawable path survived normalization")
 
@@ -723,20 +758,19 @@ def normalize_document(doc: Document) -> tuple[Document, NormalizeReport]:
     when no drawable path survives.
 
     A document that already is in normalized form (say, a parsed
-    ``serialize_document`` output) skips the pipeline: its M/L/C commands
-    are typed from the same floats, which is what the pipeline would give,
-    and its report is empty. The commands are typed once, from the
-    columns the pipeline works on (module docstring).
+    ``serialize_document`` output) skips the pipeline: its columns are what
+    the pipeline would give, and its report is empty. The paths hold the
+    M/L/C columns; their ``commands`` are typed only when read.
     """
     paths, report = _normalized_columns(doc)
-    typed = tuple(PathElement(typed_commands(ops, xy), fill) for ops, xy, fill in paths)
-    return Document(NORMALIZED_VIEW_BOX, typed, normalized=True), report
+    elements = tuple(PathElement(fill=f, ops=ops, args=xy, is_raw=False) for ops, xy, f in paths)
+    return Document(NORMALIZED_VIEW_BOX, elements, normalized=True), report
 
 
 def normalize_slices(doc: Document) -> tuple[list[tuple[str, str]], NormalizeReport]:
     """The ``(d, fill)`` attribute texts that
     ``serialize_document(normalize_document(doc)[0])`` writes for each path,
-    and the report, without typing a command.
+    and the report, without building a path element.
 
     It raises what :func:`normalize_document` raises, in the same order.
     """

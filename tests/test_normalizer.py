@@ -645,7 +645,7 @@ class TestNormalizeDocument:
             'c1 1 2 2 3 3 1 1 2 2 3 3s1 1 2 2q1 1 2 2t1 1 2 2a3 3 0 0 1 2 2 3 3 0 0 0 2 2v5z'
             'M50 50L60 60l1 1zM70 70h1 2 3"/></svg>')
         el = doc.paths[0]
-        expected = sum(len(c.groups()) for c in el.commands if c.is_relative)
+        expected = sum(c.is_relative for c in el.commands)
         assert expected == 22
         _, report = normalize_document(doc)
         assert report.relative_resolved == expected
@@ -751,8 +751,6 @@ class TestAlreadyNormalized:
         _icon('<path d="M0 0L8 8" fill="#f00" transform="translate(1 2)"/>'),
         _icon('<path d="M0 0L8 8" fill="#f00"/><rect x="1" y="1" width="4" height="4"/>'),
         Document(NORMALIZED_VIEW_BOX, (PathElement(
-            (RawCommand("M", (0.0, 0.0)), RawCommand("L", (1.0, 1.0, 2.0, 2.0))), BLACK),)),
-        Document(NORMALIZED_VIEW_BOX, (PathElement(
             (MoveTo(Point(0, 0)), LineTo(Point(8, 8))), BLACK),)),
         Document(NORMALIZED_VIEW_BOX, (PathElement(_TWO, BLACK),
                                        PathElement(_TWO, BLACK, AffineTransform.scale(2)))),
@@ -760,13 +758,24 @@ class TestAlreadyNormalized:
     ], ids=[
         "trailing_m", "m_after_m", "missing_fill", "fill_none", "only_fill_none", "z",
         "relative_l", "view_box_1024x512", "empty_d", "transform", "rect",
-        "two_groups_in_one_command", "typed_commands", "second_path_transformed",
+        "typed_commands", "second_path_transformed",
         "no_paths",
     ])
     def test_near_misses_take_the_full_path(self, doc, monkeypatch):
         assert normalizer._as_is(doc) is None
         direct, full = _both_ways(doc, monkeypatch)
         assert direct == full
+
+    def test_a_command_of_two_groups_takes_the_direct_path(self, monkeypatch):
+        # a path stores one letter per argument group, so L with two groups is
+        # the L L that parsing "L1 1 2 2" gives
+        doc = Document(NORMALIZED_VIEW_BOX, (PathElement(
+            (RawCommand("M", (0.0, 0.0)), RawCommand("L", (1.0, 1.0, 2.0, 2.0))), BLACK),))
+        assert doc.paths[0].ops == "MLL"
+        assert normalizer._as_is(doc) is not None
+        direct, full = _both_ways(doc, monkeypatch)
+        assert direct == full
+        assert direct[1] == NormalizeReport().as_dict()
 
 
 class TestUnresolvableChord:

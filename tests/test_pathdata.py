@@ -1,13 +1,11 @@
-import math
-import re
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference_walk import reference_parse
 from svgforge.errors import PathSyntax, UnexpectedEnd
-from svgforge.model import ARC_FLAG_INDICES, PARAM_COUNTS, RawCommand
-from svgforge.pathdata import NUMBER, parse_path_data
+from svgforge.model import RawCommand
+from svgforge.pathdata import parse_path_data
 
 
 def ops(commands):
@@ -136,71 +134,7 @@ class TestTotality:
             pass
 
 
-# --- the per-token scanner that group patterns replaced, kept as a reference ---
-
-_REF_WSP = re.compile(r"[ \t\r\n\f,]*")
-
-
-def _ref_skip(d, pos):
-    return _REF_WSP.match(d, pos).end()
-
-
-def _ref_number(d, pos, opcode):
-    pos = _ref_skip(d, pos)
-    if pos >= len(d):
-        raise UnexpectedEnd(pos, f"missing arguments for {opcode!r}")
-    m = NUMBER.match(d, pos)
-    if m is None:
-        raise PathSyntax(pos, f"expected number for {opcode!r}, got {d[pos]!r}")
-    value = float(m.group())
-    if not math.isfinite(value):
-        raise PathSyntax(pos, f"number out of range: {m.group()!r}")
-    return value, m.end()
-
-
-def _ref_flag(d, pos, opcode):
-    pos = _ref_skip(d, pos)
-    if pos >= len(d):
-        raise UnexpectedEnd(pos, f"missing arc flag for {opcode!r}")
-    if d[pos] not in "01":
-        raise PathSyntax(pos, f"arc flag must be 0 or 1, got {d[pos]!r}")
-    return float(d[pos]), pos + 1
-
-
-def _ref_group(d, pos, opcode):
-    args = []
-    for i in range(PARAM_COUNTS[opcode.upper()]):
-        scan = _ref_flag if opcode in "Aa" and i in ARC_FLAG_INDICES else _ref_number
-        value, pos = scan(d, pos, opcode)
-        args.append(value)
-    return tuple(args), pos
-
-
-def reference_parse(d):
-    commands = []
-    pos = _ref_skip(d, 0)
-    if pos >= len(d):
-        return commands
-    if d[pos] not in "Mm":
-        raise PathSyntax(pos, f"path must start with a moveto, got {d[pos]!r}")
-    while pos < len(d):
-        opcode = d[pos]
-        if opcode not in "MmLlHhVvCcSsQqTtAaZz":
-            raise PathSyntax(pos, f"expected command letter, got {opcode!r}")
-        pos += 1
-        if opcode in "Zz":
-            commands.append(RawCommand(opcode))
-            pos = _ref_skip(d, pos)
-            continue
-        group, pos = _ref_group(d, pos, opcode)
-        commands.append(RawCommand(opcode, group))
-        repeat = {"M": "L", "m": "l"}.get(opcode, opcode)
-        pos = _ref_skip(d, pos)
-        while pos < len(d) and d[pos] in "+-.0123456789":
-            group, pos = _ref_group(d, pos, repeat)
-            commands.append(RawCommand(repeat, group))
-            pos = _ref_skip(d, pos)
-    return commands
+# --- the per-token scanner that group patterns replaced (reference_walk.py) ---
 
 
 def outcome(parse, d):

@@ -34,6 +34,7 @@ from svgforge.normalizer import (
     arc_spans,
     canvas_transform,
     convert_element,
+    drawable_outline,
     iter_segments,
     normalize_document,
     shape_segments,
@@ -920,7 +921,7 @@ class TestDocumentPass:
 
     @staticmethod
     def assert_sampled_alone(drawables, transforms, n):
-        together = verifier._sample_document(drawables, transforms, n)
+        together = verifier._sample_document(list(map(drawable_outline, drawables)), transforms, n)
         assert len(together) == len(drawables)
         for chains, el, t in zip(together, drawables, transforms):
             assert _hex_chains(chains) == _hex_chains(verifier._transform_polys(el, t, n))
