@@ -8,11 +8,13 @@ with it the color category, cannot change. Equal (document, seed, spec)
 inputs always yield equal outputs.
 
 Each operation also works on the ``(d, fill)`` slices of normalized text
-(:func:`~svgforge.parser.canonical_paths`,
+(:func:`~svgforge.normalizer.normalize_text`,
 :func:`~svgforge.parser.document_slices`): :func:`recolor_slices` and
 :func:`swap_slices` splice the slices, drawing from the seeded generators
 exactly as :func:`replace_colors` and :func:`swap_paths` do on the
-document those slices type to, so both give the same variant.
+document those slices type to, so both give the same variant. The swap
+guard reads a slice's numbers as verify does
+(:func:`~svgforge.parser.slice_columns`).
 """
 
 from __future__ import annotations
@@ -22,14 +24,12 @@ from dataclasses import dataclass, replace
 
 from .errors import PaletteTooSmall, TooFewPaths, ValidationError
 from .model import Document, Hex, PathElement
-from .parser import parse_paint
+from .parser import parse_paint, slice_columns
 
 #: Note attached when no safe swap pair exists and overlap swaps are off.
 NO_SWAP_AVAILABLE = "NoSwapAvailable"
 #: Note for a recolor of a document that has no flat fill.
 NO_FLAT_FILL = "no flat fill to recolor"
-
-_COMMAND_LETTERS = str.maketrans("MLC", "   ")
 
 
 def _canonical_palette(palette) -> tuple[Hex, ...]:
@@ -78,7 +78,7 @@ def path_bbox(path: PathElement) -> tuple[float, float, float, float]:
 
 def _slice_bbox(d: str) -> tuple[float, float, float, float]:
     """:func:`path_bbox` of canonical path data ``d``, from the same floats."""
-    v = [float(x) for x in d.translate(_COMMAND_LETTERS).split()]
+    v = slice_columns(d)[1]
     xs, ys = v[::2], v[1::2]
     return min(xs), min(ys), max(xs), max(ys)
 

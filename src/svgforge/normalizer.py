@@ -20,6 +20,11 @@ coordinate, as building M/L/C commands one by one would.
 the CLI writes, and :func:`normalize_document` stores them in its paths,
 with no command object on either route. The typed public functions are
 thin views of the same column code.
+
+:func:`normalize_text` is the one route from SVG text to those slices for
+every reader of text (``normalize``, ``classify``, ``augment``, ``verify``'s
+NORM files and ``score``): canonical text is recognized as text
+(:func:`~svgforge.parser.canonical_paths`) and other text parsed first.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from .model import (
     command_columns,
     typed_commands,
 )
-from .parser import path_slice
+from .parser import canonical_paths, parse_document, path_slice, serialize_paths
 
 #: Cubic handle length approximating a unit quarter circle: 4/3 * tan(pi/8).
 KAPPA = 4.0 / 3.0 * math.tan(math.pi / 8.0)
@@ -776,3 +781,20 @@ def normalize_slices(doc: Document) -> tuple[list[tuple[str, str]], NormalizeRep
     """
     paths, report = _normalized_columns(doc)
     return [path_slice(ops, xy, fill) for ops, xy, fill in paths], report
+
+
+def normalize_text(text) -> tuple[list[tuple[str, str]], NormalizeReport, bool]:
+    """The ``(d, fill)`` slices that ``normalize`` writes for SVG ``text``,
+    the report, and whether ``text`` already is their canonical
+    serialization up to surrounding whitespace.
+
+    Canonical text (:func:`~svgforge.parser.canonical_paths`) gives its own
+    slices and an empty report, as its parse would (:func:`_as_is`). Other
+    text is parsed and its slices normalized (:func:`normalize_slices`); it
+    raises what those raise.
+    """
+    paths = canonical_paths(text)
+    if paths is not None:
+        return paths, NormalizeReport(), True
+    paths, report = normalize_slices(parse_document(text)[0])
+    return paths, report, serialize_paths(paths) == text.strip()

@@ -11,12 +11,13 @@ The canonical form is also recognized as text. :func:`canonical_paths`
 matches one whole-document pattern built from the serializer's own parts
 and returns each path's ``d`` and ``fill`` slices, which a reader of
 normalized text counts, splices or reads as coordinate columns
-(:func:`canonical_columns`) without expat or a second serialization. It
-declines (returns ``None``) whenever it cannot be sure: any number outside
-:func:`format_number`'s output with at most 13 integer digits, any
-separator or attribute order the serializer does not write, a reference id
-outside a conservative ASCII set, ``fill="none"`` or a document with no
-path. A reader takes a declined text's slices from its parsed document
+(:func:`slice_columns`, two ``str.translate`` passes) without expat or a
+second serialization. It declines (returns ``None``) whenever it cannot be
+sure: any number outside :func:`format_number`'s output with at most 13
+integer digits, any separator or attribute order the serializer does not
+write, a reference id outside a conservative ASCII set, ``fill="none"`` or
+a document with no path. :func:`~svgforge.normalizer.normalize_text`, the
+one caller, then takes the slices from the parsed document
 (:func:`~svgforge.normalizer.normalize_slices`), so declining is always
 safe. A match means that
 ``serialize_document(normalize_document(parse_document(t)))``
@@ -513,9 +514,8 @@ def serialize_document(doc: Document) -> str:
 
 
 @functools.cache
-def _canonical_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
-    """The whole-document pattern, the ``(d, fill)`` slicer and the
-    ``(opcode, numbers)`` slicer of ``d``, compiled on first use."""
+def _canonical_patterns() -> tuple[re.Pattern, re.Pattern]:
+    """The whole-document pattern and the ``(d, fill)`` slicer, compiled on first use."""
     # format_number's output: no -0, no trailing zero, at most 2 decimals;
     # 13 integer digits keep every number within float's 15 exact digits.
     # ASCII digits only: float() also reads other scripts' digits.
@@ -530,8 +530,7 @@ def _canonical_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
         f"{space}{re.escape(_HEAD)}(?:{before}{d}{between}(?:{fill}){after})+"
         f"{re.escape(_TAIL)}{space}"
     )
-    slices = re.compile(f'{before}([^"]*){between}([^"]*){after}')
-    return document, slices, re.compile("([MLC])([^MLC]+)")
+    return document, re.compile(f'{before}([^"]*){between}([^"]*){after}')
 
 
 def canonical_paths(text) -> list[tuple[str, str]] | None:
@@ -543,20 +542,24 @@ def canonical_paths(text) -> list[tuple[str, str]] | None:
     """
     if not isinstance(text, str):
         return None
-    document, slices, _ = _canonical_patterns()
+    document, slices = _canonical_patterns()
     if document.fullmatch(text) is None:
         return None
     return slices.findall(text)
 
 
+# Path data that format_columns writes holds M, L, C, digits, ".", "-" and " ".
+_OPCODES = str.maketrans("", "", "0123456789.- ")
+_NUMBERS = str.maketrans("MLC", "   ")
+
+
+def slice_columns(d: str) -> tuple[str, list[float]]:
+    """The M/L/C columns ``(ops, xy)`` (:mod:`svgforge.model`) of a ``d``
+    slice: its opcodes, and the floats of its number texts, those that
+    parsing and normalizing its text give."""
+    return d.translate(_OPCODES), [float(x) for x in d.translate(_NUMBERS).split()]
+
+
 def canonical_columns(paths: list[tuple[str, str]]) -> list[tuple[str, list[float]]]:
-    """The M/L/C columns ``(ops, xy)`` (:mod:`svgforge.model`) of the ``d``
-    of each :func:`canonical_paths` slice: the floats of its number texts,
-    those that parsing and normalizing its text give."""
-    commands = _canonical_patterns()[2]
-    columns = []
-    for d, _ in paths:
-        found = commands.findall(d)
-        xy = [float(x) for _, numbers in found for x in numbers.split(" ")]
-        columns.append(("".join(opcode for opcode, _ in found), xy))
-    return columns
+    """The :func:`slice_columns` of the ``d`` of each ``(d, fill)`` slice."""
+    return [slice_columns(d) for d, _ in paths]

@@ -12,17 +12,19 @@ deterministic for fixed inputs, flags and seeds (README, "CLI"). Only the
 verifier's distance kernel imports numpy, on its first use, and only
 ``jobs > 1`` imports :mod:`multiprocessing`.
 
-``normalize`` writes the ``(d, fill)`` slices of
-:func:`~svgforge.normalizer.normalize_slices`, which builds no command
-object. Every reader of normalized text (``classify``, ``augment`` and
-``verify``'s NORM files) counts, splices or types its ``(d, fill)`` slices
-(:func:`_canonical`), so each has one implementation. Canonical text gives
-its slices with no XML parse, normalization or second serialization
+SVG text reaches every subcommand through one function,
+:func:`~svgforge.normalizer.normalize_text` (``normalize``, ``classify``,
+``augment``, ``verify``'s NORM files and ``score``'s
+:func:`~svgforge.rewards.path_count`): the ``(d, fill)`` slices that
+``normalize`` writes, and whether the text already is their canonical
+serialization. Canonical text gives its slices with no XML parse,
+normalization or second serialization
 (:func:`~svgforge.parser.canonical_paths`); other text is parsed and its
-slices normalized the way ``normalize`` does it. Verify reads the ``d``
-slices of its NORM files as coordinate columns; no subcommand types a
-command. ``score`` counts paths in
-:func:`~svgforge.rewards.path_count`.
+slices normalized, with no command object built
+(:func:`~svgforge.normalizer.normalize_slices`). Each reader counts or
+splices the slices, and verify reads their ``d`` as coordinate columns
+(:func:`~svgforge.parser.slice_columns`); no subcommand types a command.
+Only verify's RAW files are parsed as raw documents.
 """
 
 from __future__ import annotations
@@ -41,14 +43,8 @@ from .augment import NO_FLAT_FILL, AugmentSpec, recolor_slices, swap_slices
 from .classifier import classify_counts
 from .errors import NotNormalized, SchemaError, SvgForgeError, ValidationError
 from .model import DifficultyLevel, Document
-from .normalizer import NormalizeReport, normalize_slices
-from .parser import (
-    canonical_columns,
-    canonical_paths,
-    document_slices,
-    parse_document,
-    serialize_paths,
-)
+from .normalizer import NormalizeReport, normalize_text
+from .parser import canonical_columns, document_slices, parse_document, serialize_paths
 from .rewards import RewardParams, total_reward
 from .verifier import DEFAULT_TOLERANCE, check_tolerance, verify_columns
 
@@ -149,24 +145,6 @@ def _claimed_files(root: Path):
             raise SchemaError(f"{rel.as_posix()} has the record id of {first.as_posix()}")
 
     return files, claim
-
-
-def _normalized_slices(text: str) -> tuple[list[tuple[str, str]], NormalizeReport]:
-    """Parse one SVG text and normalize it into ``(d, fill)`` slices."""
-    doc, _ = parse_document(text)
-    return normalize_slices(doc)
-
-
-def _canonical(text: str) -> tuple[list[tuple[str, str]], bool]:
-    """The ``(d, fill)`` slices of ``text``, recognized by :func:`canonical_paths`
-    or else parsed and normalized, and whether ``text`` already is their
-    canonical text up to surrounding whitespace: the test behind classify's
-    ``auto_normalized`` and verify's :class:`NotNormalized`."""
-    paths = canonical_paths(text)
-    if paths is not None:
-        return paths, True
-    paths = _normalized_slices(text)[0]
-    return paths, serialize_paths(paths) == text.strip()
 
 
 def _attempt(fn, item):
@@ -405,7 +383,7 @@ def run_normalize(
     files = iter_svg_files(input_dir)
 
     def work(rel: Path):
-        paths, report = _normalized_slices((input_dir / rel).read_text(encoding="utf-8"))
+        paths, report, _ = normalize_text((input_dir / rel).read_text(encoding="utf-8"))
         return serialize_paths(paths), report
 
     aggregate = NormalizeReport()
@@ -453,7 +431,7 @@ def run_classify(input_dir: Path, out_path: Path, jobs: int = 1) -> int:
 
     def work(rel: Path) -> list[dict]:
         claim(rel)
-        paths, canonical = _canonical((input_dir / rel).read_text(encoding="utf-8"))
+        paths, _, canonical = normalize_text((input_dir / rel).read_text(encoding="utf-8"))
         row = _slices_record(file_id(rel), paths).to_dict()
         if not canonical:
             row["auto_normalized"] = True
@@ -668,7 +646,7 @@ def run_augment(
         where, row = line
         _check_record(row, where)
         rid = row["id"]
-        source = _canonical(row["svg"])[0]
+        source = normalize_text(row["svg"])[0]
         variants = []
         for k in range(spec.n_variants):
             variant_spec = replace(spec, seed=_variant_seed(spec.seed, rid, k))
@@ -710,8 +688,9 @@ def run_verify(
     """Geometry-check normalized outputs against their raw sources.
 
     A NORM file must be in normalized form: one whose text is not the
-    serialization of its own normalization (:func:`_canonical`, the test
-    behind classify's ``auto_normalized``) fails as a
+    serialization of its own normalization
+    (:func:`~svgforge.normalizer.normalize_text`, the test behind
+    classify's ``auto_normalized``) fails as a
     :class:`NotNormalized` error row. The paths of a NORM file reach the
     verifier as the M/L/C columns of its ``d`` slices
     (:func:`~svgforge.verifier.verify_columns`); no command is typed. A
@@ -732,7 +711,7 @@ def run_verify(
     def work(rel: Path):
         claim(rel)
         raw_doc, _ = parse_document((raw_dir / rel).read_text(encoding="utf-8"))
-        paths, canonical = _canonical((normalized_dir / rel).read_text(encoding="utf-8"))
+        paths, _, canonical = normalize_text((normalized_dir / rel).read_text(encoding="utf-8"))
         if not canonical:
             raise NotNormalized(f"{rel.as_posix()} differs from its normalized form")
         result = verify_columns(raw_doc, canonical_columns(paths), tolerance)

@@ -18,6 +18,11 @@ a dropped foreign element or a bad shape attribute). The warnings say how
 the text was read, not whether it is well formed; ``TestSilentDecisions``
 in ``tests/test_normalizer.py`` pins that they leave integrity at 1.
 
+A text's paths are counted on the slices of
+:func:`~svgforge.normalizer.normalize_text`, the route by which every
+subcommand reads SVG text: canonical text is counted as text, and other
+text after its parse and normalization.
+
 The functions keep no state of their own. A batch that scores many
 rollouts against few references can pass :func:`total_reward` a
 ``counts`` dict that it owns, from each text to its path count or its
@@ -34,11 +39,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidReference, Unparseable, ValidationError
-from .normalizer import normalize_slices
-from .parser import canonical_paths, parse_document
+from .normalizer import normalize_text
 
-# Not called here, but bench/spans.py traces it by this name in this module.
+# Not called here, but bench/spans.py traces them by these names in this module.
 from .normalizer import normalize_document  # noqa: F401
+from .parser import parse_document  # noqa: F401
 
 
 class MatchSemantics(Enum):
@@ -91,22 +96,17 @@ def path_count(svg_text: str) -> int:
     """Number of path elements in the normalized document.
 
     Every drawable becomes exactly one path during normalization, so this
-    matches the classifier's path count. Canonical text
-    (:func:`~svgforge.parser.canonical_paths`) is counted as text, and
-    other text as the slices of
-    :func:`~svgforge.normalizer.normalize_slices`, which raises what
-    ``normalize_document`` raises without typing a command. Raises
-    :class:`Unparseable` when the text fails the integrity check.
+    matches the classifier's path count. The paths are the slices of
+    :func:`~svgforge.normalizer.normalize_text`, which reads canonical text
+    as text and raises what ``normalize_document`` raises on other text,
+    without typing a command. Raises :class:`Unparseable` when the text
+    fails the integrity check.
     """
-    paths = canonical_paths(svg_text)
-    if paths is None:
-        try:
-            doc, _ = parse_document(svg_text)
-            paths, _ = normalize_slices(doc)
-        except Exception as exc:
-            # arbitrary model output can break in arbitrary ways; that fails integrity
-            raise Unparseable(str(exc)) from None
-    return len(paths)
+    try:
+        return len(normalize_text(svg_text)[0])
+    except Exception as exc:
+        # arbitrary model output can break in arbitrary ways; that fails integrity
+        raise Unparseable(str(exc)) from None
 
 
 def _match_from_counts(n_gen: int, n_ref: int, params: RewardParams) -> float:

@@ -123,22 +123,17 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PathCountMismatch, ValidationError
-from .model import (
-    AffineTransform,
-    Document,
-    Drawable,
-    PathElement,
-    Point,
-    command_columns,
-)
+from .model import AffineTransform, Document, Drawable, PathElement, Point
 from .normalizer import (
     SEGMENT_SIZES,
+    NormalizeReport,
+    _to_mlc,
     arc_center,
     arc_spans,
     canvas_transform,
     drawable_outline,
     element_columns,
-    simplify_commands,
+    resolve_path,
 )
 
 if TYPE_CHECKING:
@@ -757,8 +752,9 @@ def _sample_document(outlines, transforms, n: int) -> list[list[_Chain]]:
 
 def _flatten_document(paths, tolerance: float) -> list[list[_Chain]]:
     """The converted side: each path, given as M/L/C columns ``(ops, xy)``
-    whose first opcode is M, flattened by :func:`flatten_cubic`'s
-    subdivision into chains, one list per path."""
+    whose first opcode is M and where no M follows an M, flattened by
+    :func:`flatten_cubic`'s subdivision into chains, one list per path. A
+    trailing M draws nothing and is dropped."""
     import numpy as np
 
     xs: list[float] = []
@@ -773,15 +769,10 @@ def _flatten_document(paths, tolerance: float) -> list[list[_Chain]]:
                 _flatten_into(xs, ys, xs[-1], ys[-1], *xy[k:k + 6], tolerance)
                 k += 6
                 continue
-            if op == "L":
-                xs.append(xy[k])
-                ys.append(xy[k + 1])
-            elif len(starts) > first and starts[-1] == len(xs) - 1:  # a MoveTo alone
-                xs[-1], ys[-1] = xy[k], xy[k + 1]
-            else:
+            if op == "M":
                 starts.append(len(xs))
-                xs.append(xy[k])
-                ys.append(xy[k + 1])
+            xs.append(xy[k])
+            ys.append(xy[k + 1])
             k += 2
         if len(starts) > first and starts[-1] == len(xs) - 1:
             del xs[-1], ys[-1], starts[-1]
@@ -812,7 +803,7 @@ def verify_columns(
 ) -> VerificationResult:
     """:func:`verify_normalization` against normalized paths given as M/L/C
     columns ``(ops, xy)`` (:mod:`svgforge.model`), one per path, each
-    starting with M.
+    starting with M, with no M right after an M.
 
     The whole document is prepared in one pass per side: the outline of
     every drawable that :func:`~svgforge.normalizer.element_columns` keeps
@@ -849,11 +840,12 @@ def verify_normalization(
     Each surviving original drawable is sampled analytically, mapped
     through its composed transform plus the canvas transform, and compared
     against its converted path: M/L/C columns, or raw ones (as parsed from
-    normalized text), which :func:`simplify_commands` maps to M/L/C first.
+    normalized text), which the normalizer's column walk maps to M/L/C
+    first, as it maps raw path data.
     Raises :class:`PathCountMismatch` when the surviving-drawable count
     differs from the normalized path count, which signals a pipeline bug
     rather than a geometric error.
     """
-    paths = [command_columns(simplify_commands(p.commands)) if p.is_raw else (p.ops, p.args)
-             for p in normalized_doc.paths]
+    paths = [_to_mlc(resolve_path(p.ops, p.args), NormalizeReport()) if p.is_raw
+             else (p.ops, p.args) for p in normalized_doc.paths]
     return verify_columns(raw_doc, paths, tolerance)

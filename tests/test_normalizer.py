@@ -44,6 +44,7 @@ from svgforge.normalizer import (
     arc_center,
     arc_to_cubics,
     canvas_transform,
+    convert_element,
     iter_segments,
     normalize_canvas,
     normalize_document,
@@ -585,6 +586,12 @@ class TestApplyTransform:
         with pytest.raises(SingularTransform):
             apply_transform(self._path(), AffineTransform.scale(0))
 
+    def test_raw_path_rejected(self):
+        raw = PathElement((RawCommand("M", (0.0, 0.0)), RawCommand("l", (1.0, 1.0))), BLACK)
+        assert raw.is_raw
+        with pytest.raises(ValidationError, match="simplified M/L/C path"):
+            apply_transform(raw, AffineTransform.translate(5, 5))
+
 
 class TestNormalizeCanvas:
     def test_identity_fixed_point(self):
@@ -608,6 +615,18 @@ class TestNormalizeCanvas:
         t = canvas_transform((-50, -50, 100, 100))
         assert t.apply(-50, -50) == (0, 0)
         assert t.apply(50, 50) == (1024, 1024)
+
+    @pytest.mark.parametrize("view_box", ["-8 4 48 48", "0 0 200 100", "3 5 7 11"])
+    def test_maps_paths_as_normalize_document_does(self, view_box):
+        raw, _ = parse_document(
+            f'<svg viewBox="{view_box}"><path d="M0 8L40 8C20 30 10 44 -8 52Z" fill="#0a0"/>'
+            '<rect x="1" y="2" width="6" height="3" rx="1"/></svg>')
+        converted = Document(raw.view_box, tuple(map(convert_element, raw.paths)))
+        out = normalize_canvas(converted)
+        norm, _ = normalize_document(raw)
+        assert out.view_box == NORMALIZED_VIEW_BOX
+        assert ([(p.ops, [v.hex() for v in p.args], p.fill) for p in out.paths]
+                == [(p.ops, [v.hex() for v in p.args], p.fill) for p in norm.paths])
 
 
 class TestNormalizeDocument:
@@ -658,6 +677,13 @@ class TestNormalizeDocument:
         assert len(norm.paths) == 1
         assert norm.paths[0].fill == BLACK
         assert report.paths_dropped == {"fill_none": 1}
+
+    def test_convert_element_drops_fill_none(self):
+        doc, _ = parse_document('<svg viewBox="0 0 10 10"><path d="M0 0L1 1" fill="none"/></svg>')
+        report = NormalizeReport()
+        assert convert_element(doc.paths[0], report) is None
+        assert report.as_dict() == dict(NormalizeReport().as_dict(),
+                                        paths_dropped={"fill_none": 1})
 
     def test_empty_document_error(self):
         doc, _ = parse_document(

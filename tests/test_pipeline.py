@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import colored_icons, write_corpus
-from svgforge import pipeline, rewards
+from svgforge import normalizer, pipeline, rewards
 from svgforge.augment import AugmentSpec
 from svgforge.cli import main
 from svgforge.errors import InvalidReference, SchemaError, ValidationError
@@ -115,14 +115,14 @@ class TestNormalize:
         (src / "a.svg").write_text("<svg")
         (src / "b.svg").write_text(VALID)
         (src / "c.svg").write_text(VALID)
-        real = pipeline.parse_document
+        real = normalizer.parse_document
         calls = []
 
         def counted(text):
             calls.append(text)
             return real(text)
 
-        monkeypatch.setattr(pipeline, "parse_document", counted)
+        monkeypatch.setattr(normalizer, "parse_document", counted)
         assert run_normalize(src, dst, strict=True) == EXIT_USAGE
         assert calls == ["<svg"]
         assert not dst.exists()
@@ -772,7 +772,7 @@ class TestFailureContract:
 
     def test_runtime_error_in_classify_is_one_row(self, tmp_path, monkeypatch):
         raw = self._two_files(tmp_path)
-        real = pipeline.normalize_slices
+        real = normalizer.normalize_slices
         calls = []
 
         def flaky(doc):
@@ -781,7 +781,7 @@ class TestFailureContract:
                 raise RuntimeError("boom")
             return real(doc)
 
-        monkeypatch.setattr(pipeline, "normalize_slices", flaky)
+        monkeypatch.setattr(normalizer, "normalize_slices", flaky)
         out = tmp_path / "records.jsonl"
         assert run_classify(raw, out) == EXIT_PARTIAL
         assert len(read_strict_jsonl(out)) == 1
@@ -946,7 +946,7 @@ class TestWorkerProcesses:
 _KILL_PROBE = """
 import json, logging, multiprocessing, os, signal, sys
 from pathlib import Path
-from svgforge import pipeline
+from svgforge import normalizer, pipeline
 
 raw, norm, out = map(Path, sys.argv[1:4])
 parent, parse = os.getpid(), pipeline.parse_document
@@ -956,7 +956,7 @@ def parse_or_die(text):
         os.kill(os.getpid(), signal.SIGKILL)
     return parse(text)
 
-pipeline.parse_document = parse_or_die
+normalizer.parse_document = pipeline.parse_document = parse_or_die
 failed = {}
 
 class Failures(logging.Handler):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import colored_icons, write_corpus
-from svgforge import pipeline
+from svgforge import normalizer, pipeline
 from svgforge.augment import AugmentSpec
 from svgforge.classifier import classify, distinct_fills
 from svgforge.model import (
@@ -27,7 +27,7 @@ from svgforge.model import (
     Reference,
     command_columns,
 )
-from svgforge.normalizer import normalize_document
+from svgforge.normalizer import normalize_document, normalize_text
 from svgforge.parser import (
     canonical_columns,
     canonical_paths,
@@ -40,7 +40,6 @@ from svgforge.pipeline import (
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     DatasetRecord,
-    _canonical,
     _slices_record,
     run_augment,
     run_classify,
@@ -126,8 +125,8 @@ def test_serialized_documents_are_recognized_or_declined_in_agreement(doc):
     if _surely_canonical(doc):
         assert matched
     assert agrees(f"\n {text}\t\r\n") == matched
-    assert _canonical(text) == (document_slices(doc), True)
-    assert _canonical(_uncanonical(text)) == (document_slices(doc), False)
+    assert normalize_text(text)[::2] == (document_slices(doc), True)
+    assert normalize_text(_uncanonical(text))[::2] == (document_slices(doc), False)
 
 
 _EDITS = "ML C0123456789.-# \"<>/&;=()abfu"
@@ -282,6 +281,25 @@ def test_classify_rows_are_the_same_on_both_routes(norm_dirs, tmp_path):
     assert text_rows == full_rows
 
 
+@pytest.mark.parametrize("route", ["text", "full"])
+def test_normalize_over_its_own_outputs_writes_the_same_bytes(norm_dirs, tmp_path, monkeypatch,
+                                                              route):
+    _, norm, rewritten = norm_dirs
+    real, parsed = normalizer.parse_document, []
+    monkeypatch.setattr(normalizer, "parse_document", lambda text: parsed.append(text) or real(text))
+    again, report = tmp_path / "again", tmp_path / "report.json"
+    assert run_normalize(norm if route == "text" else rewritten, again,
+                         report_path=report) == EXIT_OK
+    names = sorted(path.name for path in norm.glob("*.svg"))
+    assert len(parsed) == (0 if route == "text" else len(names))
+    assert sorted(path.name for path in again.glob("*.svg")) == names
+    for name in names:
+        assert (again / name).read_bytes() == (norm / name).read_bytes(), name
+    counters = json.loads(report.read_text())
+    assert counters.pop("files_total") == len(names)
+    assert all(value in (0, {}) for value in counters.values()), counters
+
+
 @pytest.mark.parametrize("ops,spec", [
     (("recolor",), {}),
     (("swap",), {}),
@@ -329,7 +347,7 @@ def test_score_rows_are_the_same_on_both_routes(norm_dirs, tmp_path):
 def test_verify_reports_are_the_same_on_both_routes(norm_dirs, tmp_path, monkeypatch):
     raw, norm, _ = norm_dirs
     assert run_verify(raw, norm, 0.5, tmp_path / "a.jsonl") == EXIT_OK
-    monkeypatch.setattr(pipeline, "canonical_paths", lambda text: None)
+    monkeypatch.setattr(normalizer, "canonical_paths", lambda text: None)
     assert run_verify(raw, norm, 0.5, tmp_path / "b.jsonl") == EXIT_OK
     assert _rows(tmp_path / "a.jsonl") == _rows(tmp_path / "b.jsonl")
 

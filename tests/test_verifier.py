@@ -975,6 +975,18 @@ class TestDocumentPass:
         flat = self.assert_flattened_alone(normalize_document(raw)[0].paths, 0.02)
         assert [[len(c.points) for c in chains] for chains in flat] == [[1, 2], [1]]
 
+    def test_a_trailing_moveto_verifies_as_its_path_without_it(self):
+        raw, _ = parse_document('<svg viewBox="0 0 24 24"><path d="M2 2L20 21L3 18"/></svg>')
+        (path,) = normalize_document(raw)[0].paths
+        trailing = PathElement((*path.commands, MoveTo(Point(7, 9))), path.fill)
+        assert trailing.ops == "MLLM" and not trailing.is_raw
+        assert (_hex_chains(verifier._flatten_path(trailing, 0.02))
+                == _hex_chains(verifier._flatten_path(path, 0.02)))
+        with_m, without = (verify_normalization(raw, Document(NORMALIZED_VIEW_BOX, (p,), True))
+                           for p in (trailing, path))
+        assert with_m.passed
+        assert _report_keys(with_m.reports) == _report_keys(without.reports)
+
     def test_an_identity_is_not_applied(self):
         # an identity between two transformed drawables keeps its -0.0, which
         # multiplying through would make 0.0
