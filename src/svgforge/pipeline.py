@@ -34,6 +34,7 @@ import json
 import logging
 import math
 import os
+from collections import deque
 from contextlib import closing
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
@@ -46,7 +47,7 @@ from .model import DifficultyLevel, Document
 from .normalizer import NormalizeReport, normalize_text
 from .parser import canonical_columns, document_slices, parse_document, serialize_paths
 from .rewards import RewardParams, total_reward
-from .verifier import DEFAULT_TOLERANCE, check_tolerance, verify_columns
+from .verifier import DEFAULT_TOLERANCE, check_tolerance, prepare_columns, verify_chunk
 
 # Not called here, but bench/spans.py traces them by these names in this module.
 from .augment import replace_colors, swap_paths  # noqa: F401
@@ -164,22 +165,34 @@ _CHUNKS_PER_WORKER = 4
 #: small messages instead of holding a quarter of a worker's share at once.
 _MAX_CHUNK = 64
 
-#: ``(fn, items, state)`` of the one :func:`_each` whose worker processes are
-#: running; forked workers inherit it, so none of it is pickled. ``state`` is
-#: one byte of shared memory per item, where a worker marks the item
-#: ``_STARTED`` before it runs it and ``_FINISHED`` after.
+#: ``(fn, items, state, together)`` of the one :func:`_each` whose worker
+#: processes are running; forked workers inherit it, so none of it is
+#: pickled. ``state`` is one byte of shared memory per item, where a worker
+#: marks the item ``_STARTED`` before it runs it and ``_FINISHED`` after.
 _forked_batch = None
 _STARTED, _FINISHED = 1, 2
 
 
 def _attempt_forked(chunk: range) -> list:
-    fn, items, state = _forked_batch
+    fn, items, state, together = _forked_batch
+    if together:  # marked together: a worker that dies costs the whole chunk a rerun
+        for i in chunk:
+            state[i] = _STARTED
+        out = fn([items[i] for i in chunk])
+        for i in chunk:
+            state[i] = _FINISHED
+        return out
     out = []
     for i in chunk:
         state[i] = _STARTED
         out.append(_attempt(fn, items[i]))
         state[i] = _FINISHED
     return out
+
+
+def _chunk_size(n: int, workers: int) -> int:
+    """Items per chunk when ``n`` items run on ``workers`` processes."""
+    return max(1, min(_MAX_CHUNK, n // (_CHUNKS_PER_WORKER * workers)))
 
 
 def _chunks(indices, size: int) -> list[range]:
@@ -222,7 +235,7 @@ def _forked_results(context, n: int, workers: int, state):
     again on a fresh pool of ``workers``. A pool that breaks while no item
     is running has nothing to blame, and its lost items become error rows.
     """
-    size = max(1, min(_MAX_CHUNK, n // (_CHUNKS_PER_WORKER * workers)))
+    size = _chunk_size(n, workers)
     pending: list[int] = list(range(n))
     while pending:
         chunks = _chunks(pending, size)
@@ -250,7 +263,7 @@ def _forked_results(context, n: int, workers: int, state):
                     running = []
 
 
-def _each(fn, items, jobs: int = 1):
+def _each(fn, items, jobs: int = 1, together: bool = False):
     """Yield :func:`_attempt` of each item of the list ``items``, in order.
 
     The one per-input failure boundary. With ``jobs`` of 1 or less, a single
@@ -266,6 +279,13 @@ def _each(fn, items, jobs: int = 1):
     ends or is closed, so a caller that may stop early closes it. Not for
     concurrent use from several threads: forking a threaded process is
     unsafe, and the workers' batch is one module global.
+
+    With ``together``, ``fn`` takes a list of items and returns the
+    :func:`_attempt` pair of each. It gets the chunks of consecutive items
+    that a worker runs (:func:`_chunk_size`), in the calling thread too,
+    where one worker's chunk size applies. A worker marks a chunk's items
+    started together, so when it dies each of them is rerun alone, and
+    only the item that killed it becomes an error row.
     """
     global _forked_batch
     workers = min(jobs, len(items), os.cpu_count() or 1)
@@ -279,7 +299,8 @@ def _each(fn, items, jobs: int = 1):
             state = mmap.mmap(-1, len(items))  # anonymous and shared with forked workers
             ready: dict[int, tuple] = {}  # results that came before an earlier item's
             done = 0
-            _forked_batch = fn, items, state  # before the first pool forks its workers
+            # before the first pool forks its workers
+            _forked_batch = fn, items, state, together
             try:
                 with closing(_forked_results(context, len(items), workers, state)) as results:
                     for i, result in results:
@@ -291,6 +312,11 @@ def _each(fn, items, jobs: int = 1):
                 _forked_batch = None
                 state.close()
             return
+    if together:
+        size = _chunk_size(len(items), 1)
+        for start in range(0, len(items), size):
+            yield from fn(items[start:start + size])
+        return
     for item in items:
         yield _attempt(fn, item)
 
@@ -301,7 +327,8 @@ def _write_json(path: Path, obj: dict, sort_keys: bool = False) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
 
 
-def _write_jsonl(path: Path, rows: list[dict]) -> None:
+def _write_jsonl(path: Path, rows) -> None:
+    """Write each row of the iterable ``rows`` to ``path`` as it comes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
@@ -693,13 +720,17 @@ def run_verify(
     classify's ``auto_normalized``) fails as a
     :class:`NotNormalized` error row. The paths of a NORM file reach the
     verifier as the M/L/C columns of its ``d`` slices
-    (:func:`~svgforge.verifier.verify_columns`); no command is typed. A
+    (:func:`~svgforge.verifier.prepare_columns`); no command is typed. A
     file whose worst deviation is not finite is a ``FloatingPointError``
     row, as the report is strict JSON. A
     ``tolerance`` that is not finite and positive raises
     :class:`ValidationError` before any file is read.
-    Files are checked on up to ``jobs`` worker processes (:func:`_each`);
-    the rows keep file order.
+
+    Each file is read and prepared on its own, and any error there is its
+    row; the prepared files of each chunk of :func:`_each` are then
+    verified together (:func:`~svgforge.verifier.verify_chunk`), in the
+    calling thread as on each of up to ``jobs`` worker processes. The rows
+    keep file order, and each is written to ``out_path`` as it arrives.
     """
     check_tolerance(tolerance)
     raw_dir, normalized_dir = Path(raw_dir), Path(normalized_dir)
@@ -708,41 +739,56 @@ def run_verify(
         return EXIT_USAGE
     files, claim = _claimed_files(raw_dir)
 
-    def work(rel: Path):
+    def prepare(rel: Path):
         claim(rel)
         raw_doc, _ = parse_document((raw_dir / rel).read_text(encoding="utf-8"))
         paths, _, canonical = normalize_text((normalized_dir / rel).read_text(encoding="utf-8"))
         if not canonical:
             raise NotNormalized(f"{rel.as_posix()} differs from its normalized form")
-        result = verify_columns(raw_doc, canonical_columns(paths), tolerance)
-        if not math.isfinite(result.worst):  # a strict JSON report has no NaN or inf
-            raise FloatingPointError(f"worst path deviation is {result.worst}, not finite")
-        return result
+        return prepare_columns(raw_doc, canonical_columns(paths), tolerance)
 
-    rows = []
+    def finite(outcome):
+        if isinstance(outcome, Exception):
+            raise outcome
+        if not math.isfinite(outcome.worst):  # a strict JSON report has no NaN or inf
+            raise FloatingPointError(f"worst path deviation is {outcome.worst}, not finite")
+        return outcome
+
+    def work(chunk: list[Path]) -> list:
+        out = [_attempt(prepare, rel) for rel in chunk]
+        ready = [k for k, (_, error) in enumerate(out) if error is None]
+        for k, outcome in zip(ready, verify_chunk([out[k][0] for k in ready])):
+            out[k] = _attempt(finite, outcome)
+        return out
+
     worst_id, worst_dev = None, -1.0
     failures = errors = 0
-    with closing(_each(work, files, jobs)) as results:
-        for rel, (result, error) in zip(files, results):
-            rid = file_id(rel)
-            if error:
-                errors += 1
-                rows.append({"id": rid, "pass": False, "worst_path_deviation": None,
-                             "error": error})
-                continue
-            rows.append({"id": rid, "pass": result.passed, "worst_path_deviation": result.worst})
-            if not result.passed:
-                failures += 1
-                if result.worst > worst_dev:
-                    worst_id, worst_dev = rid, result.worst
-    if out_path is not None:
-        _write_jsonl(Path(out_path), rows)
+
+    def row(rel: Path, attempt) -> dict:
+        nonlocal worst_id, worst_dev, failures, errors
+        result, error = attempt
+        rid = file_id(rel)
+        if error:
+            errors += 1
+            return {"id": rid, "pass": False, "worst_path_deviation": None, "error": error}
+        if not result.passed:
+            failures += 1
+            if result.worst > worst_dev:
+                worst_id, worst_dev = rid, result.worst
+        return {"id": rid, "pass": result.passed, "worst_path_deviation": result.worst}
+
+    with closing(_each(work, files, jobs, together=True)) as results:
+        rows = map(row, files, results)
+        if out_path is None:
+            deque(rows, maxlen=0)
+        else:
+            _write_jsonl(Path(out_path), rows)
     if failures or errors:
         why = [f"worst offender {worst_id} at {worst_dev:.6g}"] if failures else []
         if errors:
             why.append(f"{errors} could not be checked")
         log.error("verification failed for %d/%d files; %s",
-                  failures + errors, len(rows), "; ".join(why))
+                  failures + errors, len(files), "; ".join(why))
         return EXIT_VERIFY_FAILED
-    log.info("verified %d files within tolerance %g", len(rows), tolerance)
+    log.info("verified %d files within tolerance %g", len(files), tolerance)
     return EXIT_OK

@@ -22,8 +22,13 @@ degree-elevated and arcs by angle rather than as cubics; the converted
 side is flattened by adaptive subdivision; transforms and the canvas map
 are applied to the samples; and the distance kernel is this module's own.
 
-Verification prepares each document in one pass per side, on columns.
-``_plan`` reads the drawables' outlines once and decides every sample's
+Each document is prepared on its own (``prepare_columns``: the survivor
+count, each surviving drawable's outline and its transform with the canvas
+map), and any error there is that document's. The prepared documents of a
+chunk, one for ``verify_columns`` and ``verify_normalization``, a chunk of
+``run_verify``'s files in the pipeline, are then verified together
+(``verify_chunk``), in one pass per side, on columns. ``_plan`` reads the
+drawables' outlines once and decides every sample's
 place, which segments draw nothing, where each chain starts, and how many
 samples an arc gets, the last of them its end. Each segment kind's formula
 (``_line_at``, ``_quad_at``, ``_cubic_at``, ``_arc_at``) is written once,
@@ -33,14 +38,23 @@ the same operations in the same order, so the samples agree to the bit.
 The samples of every drawable whose transform is not the identity are
 mapped in one array pass; an identity is not applied, so a ``-0.0`` or a
 non-finite sample stays as it is. The converted side arrives as each
-path's M/L/C columns, and its cubics are flattened by ``flatten_cubic``'s
-subdivision into plain float columns. On each side, consecutive duplicates
+path's M/L/C columns, and every cubic of the chunk is flattened level by
+level in one numpy pass (``svgforge.flatten.flatten_levels``): each level
+tests all live pieces with the scalar rule's operations in its order,
+decides again with the scalar rule itself each piece whose test lies
+within ``1e-12`` of the tolerance or of the chord cutoff or is not finite
+(``np.hypot`` and ``math.hypot`` may differ in the last bit), and halves
+the rest with the same midpoints, so the points are those of
+``flatten_cubic``'s walk to the bit. On each side, consecutive duplicates
 are dropped in one array pass, after the transform, and never across the
 start of a subpath or a drawable. A subpath that collapses to one point
 stays as that point, a zero-length segment for the other side. The
-drawables are then measured one at a time; a NaN deviation fails its
-drawable, as a large one does. numpy is imported on first use, so
-importing svgforge, this module included, does not load it.
+drawables are then measured one at a time, and each document's points
+are freed once it is measured; a NaN deviation fails its drawable, as a
+large one does. A pass that raises is done again one
+document at a time, so each document gets the result or the error it gets
+alone. numpy is imported on first use, so importing svgforge, this module
+included, does not load it.
 
 Each drawable's two point sets are prepared once (``_Side``), and both
 directions of the measure share them: each side's points, its segments,
@@ -120,9 +134,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PathCountMismatch, ValidationError
+from .flatten import flatten_levels, walk
 from .model import AffineTransform, Document, Drawable, PathElement, Point
 from .normalizer import (
     SEGMENT_SIZES,
@@ -164,6 +180,12 @@ _WINDOW = 2
 # bench corpus, 4k, 8k, 32k and 64k took 1.05, 1.00, 1.37 and 2.05 times
 # as long.
 _FULL_PASS_PAIRS = 1 << 14
+# ``bytes.translate`` tables that make an opcode string a numpy bool mask of
+# its M, or its C, opcodes; against comparing the opcodes as uint8, this
+# keeps verify's peak RSS about 0.1 MB lower, the code pages of that
+# comparison.
+_IS_MOVE = bytes(c == ord("M") for c in range(256))
+_IS_CUBIC = bytes(c == ord("C") for c in range(256))
 
 
 def check_tolerance(tolerance: float) -> None:
@@ -224,78 +246,20 @@ class VerificationResult:
 # --- flattening ------------------------------------------------------------
 
 
-def _flatten_into(xs: list, ys: list, x0, y0, x1, y1, x2, y2, x3, y3, tolerance: float) -> None:
-    """Append the points of the cubic after its start to the columns ``xs``, ``ys``.
-
-    The cubic is halved at t = 0.5 (de Casteljau) until a piece is flat or
-    24 halvings deep, left half first; an explicit stack holds the right
-    halves still to come. A piece is flat when no control point is farther
-    than ``tolerance`` from the chord segment: the curve lies in the hull
-    of its control points, so it is no farther from the chord. The segment,
-    not its line, so a curve that turns back beyond an endpoint is not
-    taken for its chord.
-    """
-    hypot = math.hypot
-    stack: list[tuple] = []
-    depth = 0
-    while True:
-        if depth < 24:
-            dx, dy = x3 - x0, y3 - y0
-            norm = hypot(dx, dy)
-            if norm < 1e-30:
-                split = not max(hypot(x1 - x0, y1 - y0), hypot(x2 - x0, y2 - y0)) <= tolerance
-            else:
-                # the farther control point is beyond the tolerance when either one is
-                len2 = dx * dx + dy * dy
-                ex, ey = x1 - x0, y1 - y0
-                along = dx * ex + dy * ey
-                if along < 0.0:
-                    split = hypot(ex, ey) > tolerance
-                elif along > len2:
-                    split = hypot(x1 - x3, y1 - y3) > tolerance
-                else:
-                    split = abs(dx * ey - dy * ex) / norm > tolerance
-                if not split:
-                    ex, ey = x2 - x0, y2 - y0
-                    along = dx * ex + dy * ey
-                    if along < 0.0:
-                        split = hypot(ex, ey) > tolerance
-                    elif along > len2:
-                        split = hypot(x2 - x3, y2 - y3) > tolerance
-                    else:
-                        split = abs(dx * ey - dy * ex) / norm > tolerance
-            if split:
-                ax, ay = (x0 + x1) / 2, (y0 + y1) / 2
-                bx, by = (x1 + x2) / 2, (y1 + y2) / 2
-                cx, cy = (x2 + x3) / 2, (y2 + y3) / 2
-                abx, aby = (ax + bx) / 2, (ay + by) / 2
-                bcx, bcy = (bx + cx) / 2, (by + cy) / 2
-                mx, my = (abx + bcx) / 2, (aby + bcy) / 2
-                depth += 1
-                stack.append((bcx, bcy, cx, cy, x3, y3, depth))
-                x1, y1, x2, y2, x3, y3 = ax, ay, abx, aby, mx, my
-                continue
-        xs.append(x3)
-        ys.append(y3)
-        if not stack:
-            return
-        x0, y0 = x3, y3  # a right half starts where the points so far end
-        x1, y1, x2, y2, x3, y3, depth = stack.pop()
-
-
 def flatten_cubic(
     p0: Point, c1: Point, c2: Point, p1: Point, tolerance: float
 ) -> Polyline:
     """Adaptive midpoint subdivision until each piece is chord-flat.
 
     Endpoints are preserved exactly; halving the tolerance never produces
-    fewer points.
+    fewer points. The halving tree is walked a piece at a time, without
+    numpy (:func:`~svgforge.flatten.walk`), and gives the points of
+    verify's level-wise pass to the bit.
     """
     if not tolerance > 0:
         raise ValidationError("tolerance must be positive")
-    xs, ys = [p0.x], [p0.y]
-    _flatten_into(xs, ys, *p0, *c1, *c2, *p1, tolerance)
-    return polyline(map(Point, xs, ys)) or Polyline((p0, p1))
+    ends = walk(*p0, *c1, *c2, *p1, tolerance)
+    return polyline([p0, *(Point(x, y) for x, y in ends)]) or Polyline((p0, p1))
 
 
 # --- analytic sampling -------------------------------------------------------
@@ -676,8 +640,7 @@ class _Chain(NamedTuple):
     points: np.ndarray
 
 
-def _split_chains(x: np.ndarray, y: np.ndarray, starts: list[int],
-                  counts: list[int]) -> list[list[_Chain]]:
+def _split_chains(x: np.ndarray, y: np.ndarray, starts, counts) -> list[list[_Chain]]:
     """The chains of the document columns ``x``, ``y``, which start at
     ``starts``, with consecutive duplicates dropped, as one list per
     drawable of ``counts`` chains each.
@@ -689,7 +652,7 @@ def _split_chains(x: np.ndarray, y: np.ndarray, starts: list[int],
     """
     import numpy as np
 
-    if not starts:
+    if not len(starts):
         return [[] for _ in counts]
     keep = np.empty(len(x), dtype=bool)
     np.not_equal(x[1:], x[:-1], out=keep[1:])
@@ -697,7 +660,8 @@ def _split_chains(x: np.ndarray, y: np.ndarray, starts: list[int],
     keep[starts] = True
     points = np.column_stack((x[keep], y[keep]))
     bounds = (np.cumsum(keep)[starts] - 1).tolist() + [len(points)]
-    chains = [_Chain(points[a:b]) for a, b in zip(bounds, bounds[1:])]
+    # copies, so the points of a drawable are freed once it is measured
+    chains = [_Chain(points[a:b].copy()) for a, b in zip(bounds, bounds[1:])]
     out, k = [], 0
     for count in counts:
         out.append(chains[k:k + count])
@@ -742,42 +706,53 @@ def _sample_document(outlines, transforms, n: int) -> list[list[_Chain]]:
     if moved.any():
         # apply_point's operations in its order, so every sample rounds as
         # there; an identity is not applied, which keeps -0.0 and inf as they are
-        coef = np.repeat([(tf.a, tf.b, tf.c, tf.d, tf.e, tf.f) for tf in transforms], sizes, axis=0)
-        at = slice(None) if moved.all() else np.flatnonzero(np.repeat(moved, sizes))
-        a, b, c, d, e, f = coef[at].T
-        px, py = x[at], y[at]
-        x[at], y[at] = a * px + c * py + e, b * px + d * py + f
+        owner = np.repeat(np.arange(len(transforms)), sizes)
+        at = slice(None) if moved.all() else np.flatnonzero(moved[owner])
+        a, b, c, d, e, f = np.array([(tf.a, tf.b, tf.c, tf.d, tf.e, tf.f) for tf in transforms]).T
+        owner, px, py = owner[at], x[at], y[at]
+        x[at], y[at] = (a[owner] * px + c[owner] * py + e[owner],
+                        b[owner] * px + d[owner] * py + f[owner])
     return _split_chains(x, y, plan.starts, plan.counts)
 
 
-def _flatten_document(paths, tolerance: float) -> list[list[_Chain]]:
+def _flatten_document(paths, tolerance) -> list[list[_Chain]]:
     """The converted side: each path, given as M/L/C columns ``(ops, xy)``
     whose first opcode is M and where no M follows an M, flattened by
-    :func:`flatten_cubic`'s subdivision into chains, one list per path. A
-    trailing M draws nothing and is dropped."""
+    :func:`flatten_cubic`'s walk into chains, one list per path. A trailing
+    M draws nothing and is dropped. ``tolerance`` is one for every path, or
+    one per path.
+
+    The opcodes of all paths are read in one array pass, and every cubic
+    is flattened in one :func:`~svgforge.flatten.flatten_levels` pass: a
+    cubic's start is the end of the opcode before it, whose two numbers
+    come right before its six, and its points end with its end.
+    """
     import numpy as np
 
-    xs: list[float] = []
-    ys: list[float] = []
-    starts: list[int] = []
-    counts: list[int] = []
-    for ops, xy in paths:
-        first = len(starts)
-        k = 0
-        for op in ops:
-            if op == "C":
-                _flatten_into(xs, ys, xs[-1], ys[-1], *xy[k:k + 6], tolerance)
-                k += 6
-                continue
-            if op == "M":
-                starts.append(len(xs))
-            xs.append(xy[k])
-            ys.append(xy[k + 1])
-            k += 2
-        if len(starts) > first and starts[-1] == len(xs) - 1:
-            del xs[-1], ys[-1], starts[-1]
-        counts.append(len(starts) - first)
-    return _split_chains(np.array(xs, dtype=float), np.array(ys, dtype=float), starts, counts)
+    paths = [(ops[:-1], xy[:-2]) if ops.endswith("M") else (ops, xy) for ops, xy in paths]
+    ops = "".join(ops for ops, _ in paths)
+    code = ops.encode("ascii")
+    move = np.frombuffer(code.translate(_IS_MOVE), dtype=bool)
+    xy = np.fromiter(chain.from_iterable(xy for _, xy in paths), dtype=float)
+    counts = [ops.count("M") for ops, _ in paths]
+    if "C" not in ops:  # each opcode adds its end
+        return _split_chains(xy[0::2], xy[1::2], np.flatnonzero(move), counts)
+    cubic = np.frombuffer(code.translate(_IS_CUBIC), dtype=bool)
+    ends = np.cumsum(np.where(cubic, 6, 2))  # where each opcode's numbers end
+    places = np.flatnonzero(cubic)
+    pieces = xy[ends[places, None] + np.arange(-8, 0)].reshape(-1, 4, 2).transpose(1, 2, 0)
+    owner = np.repeat(np.arange(len(paths)), [len(ops) for ops, _ in paths])[places]
+    tolerance = np.broadcast_to(np.asarray(tolerance, dtype=float), len(paths))[owner]
+    sizes, leaves = flatten_levels(pieces, tolerance)
+    size = np.ones(len(cubic), dtype=np.intp)  # the points each opcode adds
+    size[places] = sizes
+    first = np.cumsum(size) - size  # each opcode's first point
+    x, y = np.empty(first[-1] + size[-1]), np.empty(first[-1] + size[-1])
+    line = ~cubic
+    x[first[line]], y[first[line]] = xy[ends[line] - 2], xy[ends[line] - 1]
+    to = np.repeat(first[places] - (np.cumsum(sizes) - sizes), sizes) + np.arange(len(leaves))
+    x[to], y[to] = leaves.T
+    return _split_chains(x, y, first[move], counts)
 
 
 def _transform_polys(source: Drawable, t: AffineTransform, n: int) -> list[_Chain]:
@@ -796,6 +771,86 @@ def _flatten_path(path: PathElement, tolerance: float) -> list[_Chain]:
     return _flatten_document([(path.ops, path.args)], tolerance)[0]
 
 
+class PreparedCheck(NamedTuple):
+    """One document ready for :func:`verify_chunk`: the outline and the
+    transform, canvas map included, of each drawable that survives
+    normalization, the normalized paths as M/L/C columns, one per
+    drawable, and the tolerance."""
+
+    outlines: list
+    transforms: list
+    paths: list
+    tolerance: float
+
+
+def prepare_columns(
+    raw_doc: Document,
+    paths,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> PreparedCheck:
+    """The :class:`PreparedCheck` of :func:`verify_columns`'s arguments.
+
+    Raises :class:`ValidationError` for a tolerance that is not finite and
+    positive, and :class:`PathCountMismatch` when the surviving drawables,
+    those :func:`~svgforge.normalizer.element_columns` keeps, are not as
+    many as ``paths``.
+    """
+    check_tolerance(tolerance)
+    kept = [(el, c[0]) for el in raw_doc.paths if (c := element_columns(el)) is not None]
+    if len(kept) != len(paths):
+        raise PathCountMismatch(f"{len(kept)} surviving drawables vs {len(paths)} paths")
+    canvas = canvas_transform(raw_doc.view_box)
+    return PreparedCheck([o for _, o in kept], [canvas @ el.transform for el, _ in kept],
+                         list(paths), tolerance)
+
+
+def _verify_together(checks: list[PreparedCheck]) -> list[VerificationResult]:
+    """The result of each check: every path of them flattened in one
+    :func:`_flatten_document` pass, every drawable sampled in one
+    :func:`_sample_document` pass, then each drawable measured with
+    :func:`set_deviation`. Raises whatever any of them raises."""
+    # Chords on both sides add to the measured deviation; keep them well
+    # below the tolerance so only real conversion error can trip it. The
+    # flattening's levels run before the samples are held.
+    converted = _flatten_document([p for c in checks for p in c.paths],
+                                  [min(0.02, max(1e-4, c.tolerance / 20.0))
+                                   for c in checks for _ in c.paths])
+    originals = _sample_document([o for c in checks for o in c.outlines],
+                                 [t for c in checks for t in c.transforms], SAMPLES_PER_SPAN)
+    results = []
+    for c in checks:
+        sides = list(zip(originals[:len(c.paths)], converted[:len(c.paths)]))
+        del originals[:len(c.paths)], converted[:len(c.paths)]  # freed once measured
+        reports = tuple(set_deviation(original, flattened)
+                        for original, flattened in sides if original or flattened)
+        # a NaN deviation is not within the tolerance either
+        results.append(VerificationResult(all(r.max_deviation <= c.tolerance for r in reports),
+                                          c.tolerance, reports))
+    return results
+
+
+def verify_chunk(checks: list[PreparedCheck]) -> list[VerificationResult | Exception]:
+    """The :func:`verify_columns` result of each check, all of them verified
+    in one pass per side.
+
+    When that pass raises, each check is verified again alone, and what
+    one raises is its item of the list, so every document gets the result
+    or the error it gets alone.
+    """
+    try:
+        return _verify_together(checks)
+    except Exception as exc:
+        if len(checks) == 1:
+            return [exc]
+    out: list[VerificationResult | Exception] = []
+    for check in checks:
+        try:
+            out.extend(_verify_together([check]))
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
 def verify_columns(
     raw_doc: Document,
     paths,
@@ -805,29 +860,21 @@ def verify_columns(
     columns ``(ops, xy)`` (:mod:`svgforge.model`), one per path, each
     starting with M, with no M right after an M.
 
-    The whole document is prepared in one pass per side: the outline of
-    every drawable that :func:`~svgforge.normalizer.element_columns` keeps
-    is sampled (:func:`_sample_document`) and every path flattened
-    (:func:`_flatten_document`) before the drawables are measured one by
-    one with :func:`set_deviation`.
+    The one-document case of :func:`verify_chunk`: the document is
+    prepared (:func:`prepare_columns`), every path flattened
+    (:func:`_flatten_document`) and the outline of every drawable that
+    survives sampled (:func:`_sample_document`), one pass per side, before
+    the drawables are measured one by one with :func:`set_deviation`.
     """
-    check_tolerance(tolerance)
-    kept = [(el, c[0]) for el in raw_doc.paths if (c := element_columns(el)) is not None]
-    if len(kept) != len(paths):
-        raise PathCountMismatch(f"{len(kept)} surviving drawables vs {len(paths)} paths")
+    return _verify_together([prepare_columns(raw_doc, paths, tolerance)])[0]
 
-    canvas = canvas_transform(raw_doc.view_box)
-    transforms = [canvas @ el.transform for el, _ in kept]
-    # Chords on both sides add to the measured deviation; keep them well
-    # below the tolerance so only real conversion error can trip it.
-    flatten_tol = min(0.02, max(1e-4, tolerance / 20.0))
-    originals = _sample_document([o for _, o in kept], transforms, SAMPLES_PER_SPAN)
-    converted = _flatten_document(paths, flatten_tol)
-    reports = tuple(set_deviation(original, flattened)
-                    for original, flattened in zip(originals, converted) if original or flattened)
-    # a NaN deviation is not within the tolerance either
-    passed = all(r.max_deviation <= tolerance for r in reports)
-    return VerificationResult(passed, tolerance, reports)
+
+def normalized_columns(normalized_doc: Document) -> list[tuple[str, list[float]]]:
+    """The M/L/C columns of each path of ``normalized_doc``: its own, or,
+    for raw ones (as parsed from normalized text), those the normalizer's
+    column walk maps them to, as it maps raw path data."""
+    return [_to_mlc(resolve_path(p.ops, p.args), NormalizeReport()) if p.is_raw
+            else (p.ops, p.args) for p in normalized_doc.paths]
 
 
 def verify_normalization(
@@ -839,13 +886,10 @@ def verify_normalization(
 
     Each surviving original drawable is sampled analytically, mapped
     through its composed transform plus the canvas transform, and compared
-    against its converted path: M/L/C columns, or raw ones (as parsed from
-    normalized text), which the normalizer's column walk maps to M/L/C
-    first, as it maps raw path data.
+    against its converted path, read as M/L/C columns
+    (:func:`normalized_columns`).
     Raises :class:`PathCountMismatch` when the surviving-drawable count
     differs from the normalized path count, which signals a pipeline bug
     rather than a geometric error.
     """
-    paths = [_to_mlc(resolve_path(p.ops, p.args), NormalizeReport()) if p.is_raw
-             else (p.ops, p.args) for p in normalized_doc.paths]
-    return verify_columns(raw_doc, paths, tolerance)
+    return verify_columns(raw_doc, normalized_columns(normalized_doc), tolerance)

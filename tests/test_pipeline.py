@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import colored_icons, write_corpus
-from svgforge import normalizer, pipeline, rewards
+from svgforge import normalizer, pipeline, rewards, verifier
 from svgforge.augment import AugmentSpec
 from svgforge.cli import main
 from svgforge.errors import InvalidReference, SchemaError, ValidationError
@@ -34,7 +35,7 @@ from svgforge.pipeline import (
     run_stats,
     run_verify,
 )
-from svgforge.parser import parse_document
+from svgforge.parser import parse_document, serialize_paths
 from svgforge.rewards import RewardParams, total_reward
 
 VALID = '<svg viewBox="0 0 1024 1024"><path d="M0 0L10 10" fill="#ff0000"/></svg>'
@@ -750,7 +751,7 @@ class TestFailureContract:
         raw = self._two_files(tmp_path)
         normalized = tmp_path / "norm"
         run_normalize(raw, normalized)
-        real = pipeline.verify_columns
+        real = pipeline.prepare_columns
         calls = []
 
         def flaky(raw_doc, columns, tolerance):
@@ -759,7 +760,7 @@ class TestFailureContract:
                 raise MemoryError("dense distance matrix")
             return real(raw_doc, columns, tolerance)
 
-        monkeypatch.setattr(pipeline, "verify_columns", flaky)
+        monkeypatch.setattr(pipeline, "prepare_columns", flaky)
         report = tmp_path / "verify.jsonl"
         assert run_verify(raw, normalized, 0.5, report) == EXIT_VERIFY_FAILED
         rows = read_strict_jsonl(report)
@@ -937,6 +938,133 @@ class TestWorkerProcesses:
         workers = min(3, os.cpu_count())
         assert asked == ([workers, workers] if workers > 1 else [])
         assert len(list((tmp_path / "out").glob("*.svg"))) == 3
+
+
+_MARKED = ('<svg viewBox="0 0 1024 1024"><path d="M7.25 7.25L900 7.25L900 900Z" fill="#00f"/>'
+           '<circle cx="500" cy="500" r="40"/></svg>')
+
+
+class TestVerifyChunks:
+    """Files are prepared one by one and verified a chunk at a time; each
+    file still gets the row it gets alone."""
+
+    @staticmethod
+    def inputs(tmp_path):
+        """16 files, the middle four of which fail: a path count mismatch, a
+        NORM file that is not normalized, a NaN worst deviation and a
+        ``MemoryError`` (the marked icon, under :meth:`fail_marked`)."""
+        raw, norm = tmp_path / "raw", tmp_path / "norm"
+        icons = [*_ICONS, *colored_icons(9, seed=3).values()]
+        for i in range(16):
+            (raw / f"f{i:02d}.svg").parent.mkdir(parents=True, exist_ok=True)
+            text = {4: _ICONS[1], 7: _MARKED}.get(i, icons[i % len(icons)])
+            (raw / f"f{i:02d}.svg").write_text(text)
+        assert run_normalize(raw, norm) == EXIT_OK
+        (norm / "f04.svg").write_text((norm / "f00.svg").read_text())  # one path for two
+        (norm / "f05.svg").write_text(VALID)
+        (raw / "f06.svg").write_text('<svg viewBox="0 0 1e-150 1e-150"><path d="M0 0L1e-150 0"/>'
+                                     '<path d="M0 0L1e160 0L0 1e-150Z"/></svg>')
+        (norm / "f06.svg").write_text(serialize_paths([("M0 0L1024 0", "#000000"),
+                                                       ("M0 0L1 0L0 1024", "#000000")]))
+        return raw, norm
+
+    @staticmethod
+    def fail_marked(monkeypatch):
+        real = verifier.set_deviation
+
+        def flaky(polys_a, polys_b):
+            if polys_a and polys_a[0].points[0].tolist() == [7.25, 7.25]:
+                raise MemoryError("dense distance matrix")
+            return real(polys_a, polys_b)
+
+        monkeypatch.setattr(verifier, "set_deviation", flaky)
+
+    @staticmethod
+    def verify(raw, norm, out, jobs=1):
+        # the NaN deviation comes through overflows that numpy warns about
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return run_verify(raw, norm, 0.5, out, jobs=jobs)
+
+    def test_each_failure_in_the_middle_of_a_chunk_is_its_own_row(self, tmp_path, monkeypatch):
+        raw, norm = self.inputs(tmp_path)
+        self.fail_marked(monkeypatch)
+        chunks = []
+        real = pipeline._chunk_size
+        monkeypatch.setattr(pipeline, "_chunk_size", lambda n, workers: chunks.append(n) or 16)
+        assert self.verify(raw, norm, tmp_path / "all.jsonl") == EXIT_VERIFY_FAILED
+        assert chunks == [16] and real(16, 1) == 4
+        rows = read_strict_jsonl(tmp_path / "all.jsonl")
+        assert [row["id"] for row in rows] == [f"f{i:02d}" for i in range(16)]
+        errors = {row["id"]: row.get("error") for row in rows}
+        assert {i: e for i, e in errors.items() if e} == {
+            "f04": "PathCountMismatch: 2 surviving drawables vs 1 paths",
+            "f05": "NotNormalized: f05.svg differs from its normalized form",
+            "f06": "FloatingPointError: worst path deviation is nan, not finite",
+            "f07": "MemoryError: dense distance matrix",
+        }
+        assert all(row["pass"] for row in rows if not errors[row["id"]])
+        monkeypatch.setattr(pipeline, "_chunk_size", lambda n, workers: 1)
+        assert self.verify(raw, norm, tmp_path / "one.jsonl") == EXIT_VERIFY_FAILED
+        assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "all.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("size", [2, 7, 64])
+    def test_rows_are_the_same_at_any_chunk_size(self, tmp_path, monkeypatch, size):
+        raw, norm = self.inputs(tmp_path)
+        self.fail_marked(monkeypatch)
+        monkeypatch.setattr(pipeline, "_chunk_size", lambda n, workers: 1)
+        assert self.verify(raw, norm, tmp_path / "one.jsonl") == EXIT_VERIFY_FAILED
+        monkeypatch.setattr(pipeline, "_chunk_size", lambda n, workers: size)
+        assert self.verify(raw, norm, tmp_path / "chunked.jsonl") == EXIT_VERIFY_FAILED
+        assert (tmp_path / "chunked.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
+
+    @pytest.mark.skipif(os.cpu_count() < 2, reason="one CPU runs every item in process")
+    def test_rows_are_the_same_on_two_workers(self, tmp_path, monkeypatch):
+        raw, norm = self.inputs(tmp_path)
+        self.fail_marked(monkeypatch)
+        assert self.verify(raw, norm, tmp_path / "one.jsonl") == EXIT_VERIFY_FAILED
+        assert self.verify(raw, norm, tmp_path / "two.jsonl", jobs=2) == EXIT_VERIFY_FAILED
+        assert (tmp_path / "two.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
+
+    def test_the_report_is_written_as_rows_arrive(self, tmp_path, monkeypatch):
+        raw, norm = self.inputs(tmp_path)
+        events = []
+        real_prepare = pipeline.prepare_columns
+
+        def prepare(raw_doc, columns, tolerance):
+            events.append("prepare")
+            return real_prepare(raw_doc, columns, tolerance)
+
+        class Report:
+            def __init__(self, *args, **kwargs):
+                self.fh = open(*args, **kwargs)
+
+            def write(self, text):
+                events.append("row")
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(pipeline, "prepare_columns", prepare)
+        monkeypatch.setattr(pipeline, "open", Report, raising=False)
+        monkeypatch.setattr(pipeline, "_chunk_size", lambda n, workers: 4)
+        self.verify(raw, norm, tmp_path / "report.jsonl")
+        # f05, not normalized, fails before it reaches the verifier
+        assert events == (["prepare"] * 4 + ["row"] * 4 + ["prepare"] * 3 + ["row"] * 4
+                          + (["prepare"] * 4 + ["row"] * 4) * 2)
+        assert len(read_strict_jsonl(tmp_path / "report.jsonl")) == 16
+
+    def test_no_report_before_the_checks_pass(self, tmp_path):
+        out = tmp_path / "sub" / "report.jsonl"
+        with pytest.raises(ValidationError):
+            run_verify(tmp_path, tmp_path, math.inf, out)
+        assert run_verify(tmp_path / "missing", tmp_path, 0.5, out) == EXIT_USAGE
+        assert not out.parent.exists()
+
 
 
 # Runs in a fresh interpreter with a timeout, so a pool that hangs fails the

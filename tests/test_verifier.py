@@ -9,12 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import curved_icon, random_raw_svg
+from corpus import colored_icons, curved_icon, full_corpus, random_raw_svg
 from svgforge import verifier
 from svgforge.errors import PathCountMismatch, ValidationError
+from svgforge.flatten import MAX_DEPTH, flatten_levels, splits, walk
 from svgforge.model import (
     AffineTransform,
     CubicTo,
@@ -1098,3 +1099,211 @@ def test_numpy_loads_on_the_first_distance():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"loaded": [False, False, True], "passed": True}
+
+
+# --- level-wise flattening ------------------------------------------------------
+
+
+def _level_walks(cubics, tolerances):
+    """The leaf ends of each cubic by one ``flatten_levels`` pass over all
+    of them, which must not warn."""
+    pieces = np.array(cubics, dtype=float).reshape(-1, 4, 2).transpose(1, 2, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts, ends = flatten_levels(pieces, np.array(tolerances, dtype=float))
+    bounds = np.cumsum(counts).tolist()
+    return [ends[a:b].tolist() for a, b in zip([0, *bounds], bounds)]
+
+
+def _hypot_ulp_pieces():
+    """Pieces whose deciding distance lies between its ``np.hypot`` and its
+    ``math.hypot`` value, which is the tolerance: a control point behind
+    the start, and one off a chord whose length the two differ on. Found
+    by a seeded search."""
+    rng = random.Random(28)
+    pieces = []
+    while len(pieces) < 2:
+        a, b = -rng.uniform(0.1, 10.0), rng.uniform(-10.0, 10.0)
+        exact, vector = math.hypot(a, b), float(np.hypot(a, b))
+        if exact == vector:
+            continue
+        if not pieces:  # control 1 behind the start: its distance is hypot(a, b)
+            pieces.append(((0.0, 0.0, a, b, 0.5, 0.0, 1.0, 0.0), min(exact, vector)))
+            continue
+        # control 1 off the chord (0, 0)-(-a, b) at its middle: cross / hypot
+        ex, ey = -a / 2 - b, b / 2 - a
+        cross = abs(-a * ey - b * ex)
+        if cross / exact != cross / vector:
+            pieces.append(((0.0, 0.0, ex, ey, -a / 2, b / 2, -a, b),
+                           min(cross / exact, cross / vector)))
+    return pieces
+
+
+def _near_cutoff_chord():
+    """A chord whose ``math.hypot`` and ``np.hypot`` lie either side of the 1e-30 cutoff."""
+    rng = random.Random(30)
+    while True:
+        t = rng.uniform(0.0, math.pi / 2)
+        dx, dy = 1e-30 * math.cos(t), 1e-30 * math.sin(t)
+        lengths = sorted((math.hypot(dx, dy), float(np.hypot(dx, dy))))
+        if lengths[0] < 1e-30 <= lengths[1]:
+            return dx, dy
+
+
+_INF, _NAN = math.inf, math.nan
+_TINY = 1e-30
+_CUTOFF_DX, _CUTOFF_DY = _near_cutoff_chord()
+#: (cubic, tolerance): each rule of the flatness test at its edges
+_FLATTEN_EDGES = [
+    *_hypot_ulp_pieces(),
+    # chords of length 0, of 1e-30 and just either side of it
+    ((3.0, 4.0, 3.0, 5.0, 4.0, 4.0, 3.0, 4.0), 0.5),
+    ((3.0, 4.0, 3.0, 4.2, 3.1, 4.0, 3.0, 4.0), 0.5),
+    ((0.0, 0.0, 0.0, 1.0, 0.0, -1.0, _TINY, 0.0), 0.5),
+    ((0.0, 0.0, 0.0, 1.0, 0.0, -1.0, math.nextafter(_TINY, 0.0), 0.0), 0.5),
+    ((0.0, 0.0, 0.0, 1.0, 0.0, -1.0, math.nextafter(_TINY, 1.0), 0.0), 0.5),
+    ((0.0, 0.0, 0.0, 0.3, 0.0, -0.3, _CUTOFF_DX, _CUTOFF_DY), 0.5),
+    ((0.0, 0.0, 0.0, 0.7, 0.0, -0.7, _CUTOFF_DX, _CUTOFF_DY), 0.5),
+    # control points behind the start and beyond the end of the chord
+    ((0.0, 0.0, -3.0, 1.0, 2.0, 0.5, 1.0, 0.0), 0.02),
+    ((0.0, 0.0, 0.5, 0.1, 4.0, -1.0, 1.0, 0.0), 0.02),
+    ((0.0, 0.0, 2.0, 2.0, -1.0, 2.0, 1.0, 0.0), 0.02),
+    # coordinates of inf, NaN and 1e300
+    ((0.0, 0.0, _INF, 0.0, 1.0, 0.0, 1.0, 0.0), 0.5),
+    ((0.0, 0.0, 1.0, _NAN, 2.0, 1.0, 3.0, 0.0), 0.5),
+    ((_NAN, 0.0, 1.0, 1.0, 2.0, 1.0, 3.0, 0.0), 0.5),
+    ((1.0, 1.0, _NAN, 0.0, 1.1, 1.1, 1.0, 1.0), 0.5),  # max() of a NaN on a chord of 0
+    ((0.0, 0.0, 1.0, 1.0, 2.0, 1.0, -_INF, _INF), 0.5),
+    ((-1e300, 0.0, 0.0, 1e300, 1e300, 1e300, 1e300, 0.0), 0.02),
+    ((-1e300, -1e300, 1e300, -1e300, 1e300, 1e300, -1e300, 1e300), 10.0),
+    # a piece that halves to the depth cap, 24 halvings deep
+    ((1.0000000000000002e17, 0.0, 0.0, 2.5, 1.0000000000000002e17, 1e300, -1e300, 1e300), 0.5),
+]
+
+_coord = st.one_of(st.floats(-100, 100), st.sampled_from([0.0, 1.0, -1.0]))
+# one coordinate at most is not finite or huge: more can take every piece to
+# the depth cap, 2**24 leaves
+_cubic = st.tuples(st.lists(_coord, min_size=8, max_size=8), st.integers(0, 7),
+                   st.sampled_from([None, _INF, -_INF, _NAN, 1e300, -1e300]),
+                   st.sampled_from([1e-4, 0.02, 0.5, 10.0])).map(
+    lambda t: (tuple(t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:]) if t[2] is not None
+               else tuple(t[0]), t[3]))
+
+
+class TestLevelWiseFlattening:
+    """One level-wise pass over any set of cubics gives each of them the
+    points of ``flatten_cubic``'s walk, to the bit."""
+
+    @staticmethod
+    def assert_walks(cubics):
+        level = _level_walks([c for c, _ in cubics], [t for _, t in cubics])
+        for (c, tol), ends in zip(cubics, level):
+            assert _hex_points(ends) == _hex_points(walk(*c, tol))
+            p0, c1, c2, p1 = (Point(c[i], c[i + 1]) for i in range(0, 8, 2))
+            from_levels = polyline([p0, *map(Point, *zip(*ends))]) or Polyline((p0, p1))
+            assert _hex_points(from_levels.points) == _hex_points(
+                flatten_cubic(p0, c1, c2, p1, tol).points)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_cubic, min_size=1, max_size=6))
+    @example(_FLATTEN_EDGES)
+    @example(_FLATTEN_EDGES[::-1])
+    def test_sets_of_cubics(self, cubics):
+        self.assert_walks(cubics)
+
+    @pytest.mark.parametrize("edge", range(len(_FLATTEN_EDGES)))
+    def test_each_edge_alone_and_among_others(self, edge):
+        self.assert_walks([_FLATTEN_EDGES[edge]])
+        self.assert_walks([_FLATTEN_EDGES[edge - 1], _FLATTEN_EDGES[edge],
+                           ((0.0, 0.0, 0.0, 300.0, 300.0, 300.0, 300.0, 0.0), 0.02)])
+
+    def test_the_edges_reach_each_rule(self):
+        # np.hypot alone decides the first two pieces and the cutoff chord
+        # otherwise than math.hypot does
+        (c0, t0), (c1, t1) = _FLATTEN_EDGES[:2]
+        assert (math.hypot(c0[2], c0[3]) > t0) != (np.hypot(c0[2], c0[3]) > t0)
+        dx, dy = c1[6], c1[7]
+        cross = abs(dx * c1[3] - dy * c1[2])
+        assert (cross / math.hypot(dx, dy) > t1) != (cross / np.hypot(dx, dy) > t1)
+        assert (math.hypot(_CUTOFF_DX, _CUTOFF_DY) < 1e-30) != (np.hypot(_CUTOFF_DX, _CUTOFF_DY) < 1e-30)
+        assert all(len(walk(*c, tol)) < 100 for c, tol in _FLATTEN_EDGES)
+        # the last halves down a chain of right halves, one leaf per level, to the cap
+        assert len(walk(*_FLATTEN_EDGES[-1][0], _FLATTEN_EDGES[-1][1])) == MAX_DEPTH + 1
+
+    def test_no_cubics(self):
+        counts, ends = flatten_levels(np.empty((4, 2, 0)), np.empty(0))
+        assert counts.tolist() == [] and ends.shape == (0, 2)
+
+
+def _outcome_key(outcome):
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome)
+    return outcome.passed, outcome.tolerance.hex(), _report_keys(outcome.reports)
+
+
+def _chunk_corpus():
+    """(raw, normalized columns) of each document of the corpora that parses and normalizes."""
+    rng = random.Random(28)
+    texts = [*full_corpus().values(), *colored_icons(400, seed=5).values(),
+             *(random_raw_svg(rng) for _ in range(200))]
+    docs = []
+    for text in texts:
+        try:
+            raw, _ = parse_document(text)
+            norm, _ = normalize_document(raw)
+        except Exception:
+            continue
+        docs.append((raw, verifier.normalized_columns(norm)))
+    return docs
+
+
+class TestChunk:
+    """Verifying documents in one chunk gives each the result, or the error,
+    that verifying it alone gives."""
+
+    @pytest.fixture(scope="class")
+    def docs(self):
+        return _chunk_corpus()
+
+    @pytest.mark.parametrize("size", [7, 1000])
+    def test_corpora(self, docs, size):
+        alone, checks = [], []
+        for raw, columns in docs:
+            try:
+                alone.append(verifier.verify_columns(raw, columns))
+            except Exception as exc:
+                alone.append(exc)
+            checks.append(verifier.prepare_columns(raw, columns, verifier.DEFAULT_TOLERANCE))
+        assert len(docs) > 600
+        together = []
+        for start in range(0, len(checks), size):
+            together.extend(verifier.verify_chunk(checks[start:start + size]))
+        assert list(map(_outcome_key, together)) == list(map(_outcome_key, alone))
+
+    def test_a_failure_in_the_middle_is_its_own(self, docs, monkeypatch):
+        # a document whose measure raises, and one whose worst deviation is NaN
+        nan_raw, _ = parse_document('<svg viewBox="0 0 1e-150 1e-150"><path d="M0 0L1e-150 0"/>'
+                                    '<path d="M0 0L1e160 0L0 1e-150Z"/></svg>')
+        nan_columns = [("ML", [0.0, 0.0, 1024.0, 0.0]), ("MLL", [0.0, 0.0, 1.0, 0.0, 0.0, 1024.0])]
+        checks = [verifier.prepare_columns(raw, columns, 0.5) for raw, columns in docs[:6]]
+        marked, _ = parse_document('<svg viewBox="0 0 1024 1024">'
+                                   '<path d="M7.25 7.25L900 7.25L900 900Z"/></svg>')
+        checks.insert(2, verifier.prepare_columns(
+            marked, verifier.normalized_columns(normalize_document(marked)[0]), 0.5))
+        checks.insert(3, verifier.prepare_columns(nan_raw, nan_columns, 0.5))
+        real = verifier.set_deviation
+
+        def flaky(polys_a, polys_b):
+            if polys_a and polys_a[0].points[0].tolist() == [7.25, 7.25]:
+                raise MemoryError("dense distance matrix")
+            return real(polys_a, polys_b)
+
+        monkeypatch.setattr(verifier, "set_deviation", flaky)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            together = verifier.verify_chunk(checks)
+            alone = [verifier.verify_chunk([check])[0] for check in checks]
+        assert list(map(_outcome_key, together)) == list(map(_outcome_key, alone))
+        assert _outcome_key(together[2]) == ("MemoryError", "dense distance matrix")
+        assert math.isnan(together[3].worst) and not together[3].passed
+        assert all(r.passed for k, r in enumerate(together) if k not in (2, 3))

@@ -6,6 +6,7 @@ import random
 from pathlib import Path
 
 from corpus import full_corpus, random_raw_svg
+from svgforge import verifier
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "verify_digests.py"
 _spec = importlib.util.spec_from_file_location("verify_digests", _TOOL)
@@ -71,3 +72,25 @@ def test_check_prints_the_first_document_that_differs(tmp_path, monkeypatch, cap
     assert verify_digests.main(["--check", str(saved)]) == 1
     assert capsys.readouterr().out.splitlines()[-2:] == [
         "  saved: (no line)", f"  here:  {lines[4]}"]
+
+
+def test_batch_lines_are_the_document_lines(monkeypatch):
+    docs = _few()
+    docs["marked"] = '<svg viewBox="0 0 1024 1024"><path d="M7.25 7.25L900 7.25L900 900Z"/></svg>'
+    real = verifier.set_deviation
+
+    def flaky(polys_a, polys_b):
+        if polys_a and polys_a[0].points[0].tolist() == [7.25, 7.25]:
+            raise MemoryError("dense distance matrix")
+        return real(polys_a, polys_b)
+
+    monkeypatch.setattr(verifier, "set_deviation", flaky)
+    lines = [verify_digests.document_line(name, svg) for name, svg in docs.items()]
+    assert lines[-1] == "marked" + "\terror MemoryError: dense distance matrix" * 2
+    for size in (1, 2, 5, 64):
+        assert verify_digests.batch_lines(docs, size) == lines
+    named = {"few": docs, "skipped": None}
+    one, chunked = io.StringIO(), io.StringIO()
+    verify_digests.write_digests(named, one)
+    verify_digests.write_digests(named, chunked, batch=3)
+    assert chunked.getvalue() == one.getvalue()

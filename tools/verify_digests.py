@@ -7,7 +7,7 @@ serialized text. Each verification gives ``passed`` and, per drawable,
 ``samples_used``. A document that raises gives its error's type and
 message instead.
 
-    python tools/verify_digests.py [--dense] [--list FILE] [--check FILE]
+    python tools/verify_digests.py [--dense] [--batch N] [--list FILE] [--check FILE]
 
 prints one sha256 per corpus over its documents' lines, in order. The
 corpora are ``verify_corpus(601)``, ``full_corpus()``,
@@ -15,7 +15,11 @@ corpora are ``verify_corpus(601)``, ``full_corpus()``,
 ``random_raw_svg(random.Random(3))`` and ``build_corpus(601)`` without its
 dense tier. The dense tier, 300 icons of 20-260 commands, takes about 45 s
 to verify on one core and runs only with ``--dense``; without it, its line
-says it was skipped. ``--list FILE``
+says it was skipped. ``--batch N`` computes every line through the
+chunked entry point, ``verify_chunk``, in chunks of N documents (2N
+verifications, the typed and the re-loaded side of each), as ``verify
+--jobs`` does; the digests must be the same as one document at a time.
+``--list FILE``
 writes one line per document. ``--check FILE`` compares those lines with
 a listing that ``--list`` saved from another checkout, prints the first
 line that differs, and exits 1 if any does.
@@ -45,32 +49,79 @@ for _sub in ("bench", "tests", "src"):
     sys.path.insert(0, str(ROOT / _sub))
 
 from svgforge import normalize_document, parse_document, serialize_document  # noqa: E402
-from svgforge.verifier import verify_normalization  # noqa: E402
+from svgforge.verifier import (  # noqa: E402
+    DEFAULT_TOLERANCE,
+    normalized_columns,
+    prepare_columns,
+    verify_chunk,
+    verify_normalization,
+)
 
 DENSE = "build601-dense"
 
 
-def _verified(raw, norm) -> str:
-    try:
-        result = verify_normalization(raw, norm)
-    except Exception as exc:  # one document's failure is its line, not the run's
-        return f"error {type(exc).__name__}: {exc}"
+def _outcome(outcome) -> str:
+    if isinstance(outcome, Exception):  # one document's failure is its line, not the run's
+        return f"error {type(outcome).__name__}: {outcome}"
     reports = " ".join(
         f"{r.max_deviation.hex()},{r.argmax_point.x.hex()},{r.argmax_point.y.hex()},{r.samples_used}"
-        for r in result.reports)
-    return f"{'pass' if result.passed else 'fail'} {reports}".rstrip()
+        for r in outcome.reports)
+    return f"{'pass' if outcome.passed else 'fail'} {reports}".rstrip()
 
 
-def document_line(name: str, svg: str) -> str:
-    """``name``, then the verification against the typed and the re-loaded
-    normalized document, tab-separated."""
+def _verified(raw, norm) -> str:
+    try:
+        return _outcome(verify_normalization(raw, norm))
+    except Exception as exc:
+        return _outcome(exc)
+
+
+def _documents(name: str, svg: str):
+    """The raw document and the typed and re-loaded normalized ones, or the line of their error."""
     try:
         raw, _ = parse_document(svg)
         norm, _ = normalize_document(raw)
         reloaded, _ = normalize_document(parse_document(serialize_document(norm))[0])
     except Exception as exc:
         return f"{name}\terror {type(exc).__name__}: {exc}"
+    return raw, norm, reloaded
+
+
+def document_line(name: str, svg: str) -> str:
+    """``name``, then the verification against the typed and the re-loaded
+    normalized document, tab-separated."""
+    docs = _documents(name, svg)
+    if isinstance(docs, str):
+        return docs
+    raw, norm, reloaded = docs
     return f"{name}\t{_verified(raw, norm)}\t{_verified(raw, reloaded)}"
+
+
+def batch_lines(docs: dict[str, str], size: int) -> list[str]:
+    """The :func:`document_line` of each document, verified through
+    ``verify_chunk`` in chunks of ``size`` documents."""
+    names = list(docs)
+    lines: list[str] = []
+    for start in range(0, len(names), size):
+        sides: list[list] = []  # per document: a line, or each side's check or error
+        for name in names[start:start + size]:
+            found = _documents(name, docs[name])
+            if isinstance(found, str):
+                sides.append([found])
+                continue
+            raw, *normalized = found
+            sides.append([name])
+            for norm in normalized:
+                try:
+                    sides[-1].append(prepare_columns(raw, normalized_columns(norm), DEFAULT_TOLERANCE))
+                except Exception as exc:
+                    sides[-1].append(exc)
+        checks = [c for doc in sides for c in doc[1:] if not isinstance(c, Exception)]
+        outcomes = iter(verify_chunk(checks))
+        for name, *checked in sides:
+            outs = [c if isinstance(c, Exception) else next(outcomes) for c in checked]
+            lines.append("\t".join([name, *map(_outcome, outs)]))
+    return lines
 
 
 def corpora(dense: bool) -> dict[str, dict[str, str] | None]:
@@ -90,14 +141,19 @@ def corpora(dense: bool) -> dict[str, dict[str, str] | None]:
     }
 
 
-def write_digests(named: dict[str, dict[str, str] | None], out, listing=None) -> None:
+def write_digests(named: dict[str, dict[str, str] | None], out, listing=None,
+                  batch: int | None = None) -> None:
     """Print one ``corpus documents sha256`` line per corpus to ``out``, and
-    each document's line, prefixed with its corpus, to ``listing``."""
+    each document's line, prefixed with its corpus, to ``listing``; with
+    ``batch``, the lines come from :func:`batch_lines` in chunks of it."""
     for corpus, docs in named.items():
         if docs is None:
             print(f"{corpus}\tskipped (pass --dense)", file=out)
             continue
-        lines = [document_line(name, svg) for name, svg in docs.items()]
+        if batch is None:
+            lines = [document_line(name, svg) for name, svg in docs.items()]
+        else:
+            lines = batch_lines(docs, batch)
         if listing is not None:
             listing.writelines(f"{corpus}\t{line}\n" for line in lines)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -135,10 +191,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--dense", action="store_true",
                         help=f"also verify the {DENSE} tier (about 45 s)")
+    parser.add_argument("--batch", type=int, metavar="N",
+                        help="verify through verify_chunk, N documents a chunk")
     add_listing_options(parser, "document")
     args = parser.parse_args(argv)
+    if args.batch is not None and args.batch < 1:
+        parser.error("--batch must be at least 1")
     listing = io.StringIO()
-    write_digests(corpora(args.dense), sys.stdout, listing)
+    write_digests(corpora(args.dense), sys.stdout, listing, args.batch)
     return save_and_check(args, listing)
 
 
