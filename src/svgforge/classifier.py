@@ -1,7 +1,7 @@
 """Difficulty classification of normalized documents.
 
 Icons are bucketed by color category (distinct-fill count) and total
-command count. Shared bounds belong to the harder class by default:
+command count. Shared bounds belong to the harder class:
 Monochrome [0,50) is easy and [50,200] difficult, Multicolor [0,100) easy
 and [100,200] difficult; anything above 200 is out of range rather than
 silently clamped.
@@ -72,14 +72,11 @@ def detect_color_category(doc: Document) -> ColorCategory:
     return _category(len(distinct_fills(doc)))
 
 
-def classify_counts(
-    n_fills: int, n_commands: int, n_paths: int, *, shared_bound_to_harder: bool = True
-) -> Classification:
+def classify_counts(n_fills: int, n_commands: int, n_paths: int) -> Classification:
     """Assign the difficulty level from a document's counts: distinct fills
     (as :func:`distinct_fills` counts them), M/L/C commands and paths.
 
-    ``shared_bound_to_harder`` controls which class owns the shared table
-    bounds (50 and 100): the default sends them to the harder class.
+    The shared table bounds (50 and 100) belong to the harder class.
     """
     category = _category(n_fills)
     bound = MONO_BOUND if category is ColorCategory.MONOCHROME else MULTI_BOUND
@@ -90,16 +87,13 @@ def classify_counts(
     )
     if n_commands > MAX_COMMANDS:
         level = None
-    elif n_commands < bound or (n_commands == bound and not shared_bound_to_harder):
+    elif n_commands < bound:
         level = easy
     else:
         level = hard
     return Classification(category, n_commands, n_paths, level)
 
 
-def classify(doc: Document, *, shared_bound_to_harder: bool = True) -> Classification:
+def classify(doc: Document) -> Classification:
     """Assign the difficulty level of a normalized document (:func:`classify_counts`)."""
-    return classify_counts(
-        len(distinct_fills(doc)), count_commands(doc), len(doc.paths),
-        shared_bound_to_harder=shared_bound_to_harder,
-    )
+    return classify_counts(len(distinct_fills(doc)), count_commands(doc), len(doc.paths))

@@ -50,8 +50,10 @@ class NotNormalized(SvgForgeError):
     """A document is not in normalized form where one is required.
 
     Raised when :func:`~svgforge.parser.serialize_document` gets a document
-    not flagged normalized, and by ``verify`` for a NORM file whose text is
-    not the canonical serialization of its own normalization.
+    not flagged normalized, by ``verify`` for a NORM file whose text is not
+    the canonical serialization of its own normalization, and by
+    :func:`~svgforge.verifier.verify_normalization` for an unflagged
+    normalized side with another view box, a shape or a transform.
     """
 
 

@@ -699,32 +699,6 @@ def _resolved(fill: Paint | None) -> Paint:
 
 #: One normalized path: its M/L/C columns and its fill.
 _ColumnPath = tuple[str, list[float], Paint]
-_MLC = frozenset("MLC")
-
-
-def _as_is(doc: Document) -> list[_ColumnPath] | None:
-    """The normalized paths, as columns and fill, of a parsed document that
-    already is in normalized form, or ``None``.
-
-    That holds for the view box 0 0 1024 1024, at least one path and no
-    shape, every path raw with an identity transform, a fill that is
-    present and not ``none``, and only absolute M/L/C letters that start
-    with M and hold no consecutive or trailing M. The full pipeline then
-    adds no offset, fires no Z, collapse or drop rule, maps the canvas by
-    the identity and counts nothing, so the same floats are its result.
-    """
-    if doc.view_box != NORMALIZED_VIEW_BOX or not doc.paths:
-        return None
-    paths = []
-    for el in doc.paths:
-        if (not isinstance(el, PathElement) or not el.is_raw or el.fill is None
-                or el.fill == NO_FILL or not el.transform.is_identity):
-            return None
-        ops = el.ops
-        if not _MLC.issuperset(ops) or ops[0] != "M" or ops[-1] == "M" or "MM" in ops:
-            return None
-        paths.append((ops, el.args, el.fill))
-    return paths
 
 
 def _normalized_columns(doc: Document) -> tuple[list[_ColumnPath], NormalizeReport]:
@@ -735,9 +709,6 @@ def _normalized_columns(doc: Document) -> tuple[list[_ColumnPath], NormalizeRepo
     mapped onto the canvas, so errors come in the order the typed steps
     raise them.
     """
-    paths = _as_is(doc)
-    if paths is not None:
-        return paths, NormalizeReport()
     report = NormalizeReport()
     paths = []
     for el in doc.paths:
@@ -762,9 +733,9 @@ def normalize_document(doc: Document) -> tuple[Document, NormalizeReport]:
     :func:`~svgforge.model.document_equal`. Raises :class:`EmptyDocument`
     when no drawable path survives.
 
-    A document that already is in normalized form (say, a parsed
-    ``serialize_document`` output) skips the pipeline: its columns are what
-    the pipeline would give, and its report is empty. The paths hold the
+    Every document takes this one route, one already in normalized form
+    (say, a parsed ``serialize_document`` output) too: no rule fires on it,
+    so it gives its own columns and an all-zero report. The paths hold the
     M/L/C columns; their ``commands`` are typed only when read.
     """
     paths, report = _normalized_columns(doc)
@@ -783,18 +754,19 @@ def normalize_slices(doc: Document) -> tuple[list[tuple[str, str]], NormalizeRep
     return [path_slice(ops, xy, fill) for ops, xy, fill in paths], report
 
 
-def normalize_text(text) -> tuple[list[tuple[str, str]], NormalizeReport, bool]:
+def normalize_text(text) -> tuple[list[tuple[str, str]], NormalizeReport, str]:
     """The ``(d, fill)`` slices that ``normalize`` writes for SVG ``text``,
-    the report, and whether ``text`` already is their canonical
-    serialization up to surrounding whitespace.
+    the report, and their canonical serialization, which equals
+    ``text.strip()`` exactly when ``text`` already is normalized.
 
     Canonical text (:func:`~svgforge.parser.canonical_paths`) gives its own
-    slices and an empty report, as its parse would (:func:`_as_is`). Other
-    text is parsed and its slices normalized (:func:`normalize_slices`); it
+    slices, an empty report and ``text.strip()``, as its parse and
+    normalization would, with no serialization. Other text is parsed and its
+    slices normalized (:func:`normalize_slices`) and serialized once; it
     raises what those raise.
     """
     paths = canonical_paths(text)
     if paths is not None:
-        return paths, NormalizeReport(), True
+        return paths, NormalizeReport(), text.strip()
     paths, report = normalize_slices(parse_document(text)[0])
-    return paths, report, serialize_paths(paths) == text.strip()
+    return paths, report, serialize_paths(paths)

@@ -2,7 +2,8 @@
 
 All subcommand bodies live here as plain functions so they are usable as
 a library; the CLI module only does argument wiring. Each input goes
-through :func:`_each`, which makes whatever it raises its error row.
+through :func:`_each`, which makes whatever it raises its error row; every
+subcommand gives it a function from an iterator of inputs to their results.
 ``run_normalize`` and ``run_verify`` pass ``jobs`` on, so with ``jobs >
 1`` their inputs run on forked worker processes; every other subcommand
 runs its inputs one at a time in the calling thread, where a worker's
@@ -16,12 +17,13 @@ SVG text reaches every subcommand through one function,
 :func:`~svgforge.normalizer.normalize_text` (``normalize``, ``classify``,
 ``augment``, ``verify``'s NORM files and ``score``'s
 :func:`~svgforge.rewards.path_count`): the ``(d, fill)`` slices that
-``normalize`` writes, and whether the text already is their canonical
-serialization. Canonical text gives its slices with no XML parse,
-normalization or second serialization
-(:func:`~svgforge.parser.canonical_paths`); other text is parsed and its
-slices normalized, with no command object built
-(:func:`~svgforge.normalizer.normalize_slices`). Each reader counts or
+``normalize`` writes and their canonical serialization, which is the
+text itself, stripped, exactly when the text already is normalized.
+Canonical text gives its slices with no XML parse, normalization or
+serialization (:func:`~svgforge.parser.canonical_paths`); other text is
+parsed, its slices normalized, with no command object built
+(:func:`~svgforge.normalizer.normalize_slices`), and serialized once,
+which ``normalize`` writes. Each reader counts or
 splices the slices, and verify reads their ``d`` as coordinate columns
 (:func:`~svgforge.parser.slice_columns`); no subcommand types a command.
 Only verify's RAW files are parsed as raw documents.
@@ -37,6 +39,7 @@ import os
 from collections import deque
 from contextlib import closing
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import get_type_hints
 
@@ -158,6 +161,12 @@ def _attempt(fn, item):
         return None, f"{type(exc).__name__}: {exc}"
 
 
+def _one_at_a_time(fn):
+    """The :func:`_each` function that runs ``fn`` on each item it takes
+    (:func:`_attempt`), taking the next item only once the last pair is out."""
+    return lambda items: (_attempt(fn, item) for item in items)
+
+
 #: Chunks per worker process: enough that a worker with slow items does not
 #: hold up the rest for long, few enough to keep each chunk's round trip small.
 _CHUNKS_PER_WORKER = 4
@@ -165,27 +174,26 @@ _CHUNKS_PER_WORKER = 4
 #: small messages instead of holding a quarter of a worker's share at once.
 _MAX_CHUNK = 64
 
-#: ``(fn, items, state, together)`` of the one :func:`_each` whose worker
-#: processes are running; forked workers inherit it, so none of it is
-#: pickled. ``state`` is one byte of shared memory per item, where a worker
-#: marks the item ``_STARTED`` before it runs it and ``_FINISHED`` after.
+#: ``(fn, items, state)`` of the one :func:`_each` whose worker processes
+#: are running; forked workers inherit it, so none of it is pickled.
+#: ``state`` is one byte of shared memory per item, where a worker marks the
+#: item ``_STARTED`` when ``fn`` takes it and ``_FINISHED`` when its pair
+#: comes back.
 _forked_batch = None
 _STARTED, _FINISHED = 1, 2
 
 
 def _attempt_forked(chunk: range) -> list:
-    fn, items, state, together = _forked_batch
-    if together:  # marked together: a worker that dies costs the whole chunk a rerun
+    fn, items, state = _forked_batch
+
+    def taken():
         for i in chunk:
             state[i] = _STARTED
-        out = fn([items[i] for i in chunk])
-        for i in chunk:
-            state[i] = _FINISHED
-        return out
+            yield items[i]
+
     out = []
-    for i in chunk:
-        state[i] = _STARTED
-        out.append(_attempt(fn, items[i]))
+    for i, pair in zip(chunk, fn(taken())):
+        out.append(pair)
         state[i] = _FINISHED
     return out
 
@@ -263,29 +271,27 @@ def _forked_results(context, n: int, workers: int, state):
                     running = []
 
 
-def _each(fn, items, jobs: int = 1, together: bool = False):
-    """Yield :func:`_attempt` of each item of the list ``items``, in order.
+def _each(fn, items, jobs: int = 1):
+    """Yield the :func:`_attempt` pair of each item of the list ``items``, in order.
 
-    The one per-input failure boundary. With ``jobs`` of 1 or less, a single
-    item, or no ``fork`` start method, items run lazily in the calling
-    thread, so a caller that stops early stops the work. Otherwise they run
-    on ``min(jobs, len(items), os.cpu_count())`` forked worker processes
-    (README, "CLI"), which inherit ``fn`` and ``items``, so ``fn`` may be a
-    closure; workers can run ahead of the caller, which still receives the
-    results in input order. A worker that dies (a signal, an out-of-memory
-    kill) costs the item it was running, whose result is ``(None,
-    "BrokenProcessPool: ...")``; the other items are rerun
-    (:func:`_forked_results`). Every worker is joined when the generator
-    ends or is closed, so a caller that may stop early closes it. Not for
-    concurrent use from several threads: forking a threaded process is
-    unsafe, and the workers' batch is one module global.
-
-    With ``together``, ``fn`` takes a list of items and returns the
-    :func:`_attempt` pair of each. It gets the chunks of consecutive items
-    that a worker runs (:func:`_chunk_size`), in the calling thread too,
-    where one worker's chunk size applies. A worker marks a chunk's items
-    started together, so when it dies each of them is rerun alone, and
-    only the item that killed it becomes an error row.
+    The one per-input failure boundary. ``fn`` maps an iterator of items to
+    their :func:`_attempt` pairs, in order, and may take several items
+    before it gives their pairs (:func:`_one_at_a_time` takes one). With
+    ``jobs`` of 1 or less, a single item, or no ``fork`` start method, it
+    runs lazily on ``items`` in the calling thread, so a caller that stops
+    early stops the work. Otherwise it runs on each chunk of consecutive
+    items (:func:`_chunk_size`) on ``min(jobs, len(items), os.cpu_count())``
+    forked worker processes (README, "CLI"), which inherit ``fn`` and
+    ``items``, so ``fn`` may be a closure; workers can run ahead of the
+    caller, which still receives the results in input order. A worker that
+    dies (a signal, an out-of-memory kill) costs the item that killed it,
+    whose result is ``(None, "BrokenProcessPool: ...")``: the items that
+    ``fn`` had taken and not given back are rerun alone to find it, the
+    other lost items on a fresh pool (:func:`_forked_results`). Every
+    worker is joined when the generator ends or is closed, so a caller that
+    may stop early closes it. Not for concurrent use from several threads:
+    forking a threaded process is unsafe, and the workers' batch is one
+    module global.
     """
     global _forked_batch
     workers = min(jobs, len(items), os.cpu_count() or 1)
@@ -300,7 +306,7 @@ def _each(fn, items, jobs: int = 1, together: bool = False):
             ready: dict[int, tuple] = {}  # results that came before an earlier item's
             done = 0
             # before the first pool forks its workers
-            _forked_batch = fn, items, state, together
+            _forked_batch = fn, items, state
             try:
                 with closing(_forked_results(context, len(items), workers, state)) as results:
                     for i, result in results:
@@ -312,13 +318,7 @@ def _each(fn, items, jobs: int = 1, together: bool = False):
                 _forked_batch = None
                 state.close()
             return
-    if together:
-        size = _chunk_size(len(items), 1)
-        for start in range(0, len(items), size):
-            yield from fn(items[start:start + size])
-        return
-    for item in items:
-        yield _attempt(fn, item)
+    yield from fn(iter(items))
 
 
 def _write_json(path: Path, obj: dict, sort_keys: bool = False) -> None:
@@ -410,12 +410,12 @@ def run_normalize(
     files = iter_svg_files(input_dir)
 
     def work(rel: Path):
-        paths, report, _ = normalize_text((input_dir / rel).read_text(encoding="utf-8"))
-        return serialize_paths(paths), report
+        _, report, svg = normalize_text((input_dir / rel).read_text(encoding="utf-8"))
+        return svg, report
 
     aggregate = NormalizeReport()
     failures = 0
-    with closing(_each(work, files, jobs)) as results:
+    with closing(_each(_one_at_a_time(work), files, jobs)) as results:
         for rel, (result, error) in zip(files, results):
             if error is not None:
                 failures += 1
@@ -458,13 +458,15 @@ def run_classify(input_dir: Path, out_path: Path, jobs: int = 1) -> int:
 
     def work(rel: Path) -> list[dict]:
         claim(rel)
-        paths, _, canonical = normalize_text((input_dir / rel).read_text(encoding="utf-8"))
+        text = (input_dir / rel).read_text(encoding="utf-8")
+        paths, _, svg = normalize_text(text)
         row = _slices_record(file_id(rel), paths).to_dict()
-        if not canonical:
+        if svg != text.strip():
             row["auto_normalized"] = True
         return [row]
 
-    n_rows, n_errors = _write_rows(out_path, map(file_id, files), _each(work, files))
+    n_rows, n_errors = _write_rows(out_path, map(file_id, files),
+                                   _each(_one_at_a_time(work), files))
     log.info("classified %d records, %d errors", n_rows, n_errors)
     return EXIT_PARTIAL if n_errors else EXIT_OK
 
@@ -632,7 +634,8 @@ def run_score(
             n_reference=r.n_reference,
         )]
 
-    n_rows, n_errors = _write_rows(out_path, [r.get("id") for _, r in rows], _each(work, rows))
+    n_rows, n_errors = _write_rows(out_path, [r.get("id") for _, r in rows],
+                                   _each(_one_at_a_time(work), rows))
     log.info("scored %d pairs, %d errors", n_rows, n_errors)
     return EXIT_PARTIAL if n_errors else EXIT_OK
 
@@ -697,7 +700,8 @@ def run_augment(
                 variants.append(record.to_dict())
         return variants
 
-    n_rows, n_errors = _write_rows(out_path, [r.get("id") for _, r in rows], _each(work, rows))
+    n_rows, n_errors = _write_rows(out_path, [r.get("id") for _, r in rows],
+                                   _each(_one_at_a_time(work), rows))
     log.info("augmented %d records into %d variants, %d errors", len(rows), n_rows, n_errors)
     return EXIT_PARTIAL if n_errors else EXIT_OK
 
@@ -727,10 +731,11 @@ def run_verify(
     :class:`ValidationError` before any file is read.
 
     Each file is read and prepared on its own, and any error there is its
-    row; the prepared files of each chunk of :func:`_each` are then
-    verified together (:func:`~svgforge.verifier.verify_chunk`), in the
-    calling thread as on each of up to ``jobs`` worker processes. The rows
-    keep file order, and each is written to ``out_path`` as it arrives.
+    row; the prepared files are then verified together
+    (:func:`~svgforge.verifier.verify_chunk`), one chunk at a time of the
+    size a single worker would get (:func:`_chunk_size`), in the calling
+    thread as on each of up to ``jobs`` worker processes. The rows keep
+    file order, and each is written to ``out_path`` as it arrives.
     """
     check_tolerance(tolerance)
     raw_dir, normalized_dir = Path(raw_dir), Path(normalized_dir)
@@ -742,8 +747,9 @@ def run_verify(
     def prepare(rel: Path):
         claim(rel)
         raw_doc, _ = parse_document((raw_dir / rel).read_text(encoding="utf-8"))
-        paths, _, canonical = normalize_text((normalized_dir / rel).read_text(encoding="utf-8"))
-        if not canonical:
+        text = (normalized_dir / rel).read_text(encoding="utf-8")
+        paths, _, svg = normalize_text(text)
+        if svg != text.strip():
             raise NotNormalized(f"{rel.as_posix()} differs from its normalized form")
         return prepare_columns(raw_doc, canonical_columns(paths), tolerance)
 
@@ -754,12 +760,15 @@ def run_verify(
             raise FloatingPointError(f"worst path deviation is {outcome.worst}, not finite")
         return outcome
 
-    def work(chunk: list[Path]) -> list:
-        out = [_attempt(prepare, rel) for rel in chunk]
-        ready = [k for k, (_, error) in enumerate(out) if error is None]
-        for k, outcome in zip(ready, verify_chunk([out[k][0] for k in ready])):
-            out[k] = _attempt(finite, outcome)
-        return out
+    size = _chunk_size(len(files), 1)  # no worker's chunk is larger
+
+    def work(rels):
+        while chunk := list(islice(rels, size)):
+            out = [_attempt(prepare, rel) for rel in chunk]
+            ready = [k for k, (_, error) in enumerate(out) if error is None]
+            for k, outcome in zip(ready, verify_chunk([out[k][0] for k in ready])):
+                out[k] = _attempt(finite, outcome)
+            yield from out
 
     worst_id, worst_dev = None, -1.0
     failures = errors = 0
@@ -777,7 +786,7 @@ def run_verify(
                 worst_id, worst_dev = rid, result.worst
         return {"id": rid, "pass": result.passed, "worst_path_deviation": result.worst}
 
-    with closing(_each(work, files, jobs, together=True)) as results:
+    with closing(_each(work, files, jobs)) as results:
         rows = map(row, files, results)
         if out_path is None:
             deque(rows, maxlen=0)

@@ -137,19 +137,17 @@ from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import PathCountMismatch, ValidationError
+from .errors import NotNormalized, PathCountMismatch, ValidationError
 from .flatten import flatten_levels, walk
-from .model import AffineTransform, Document, Drawable, PathElement, Point
+from .model import NORMALIZED_VIEW_BOX, AffineTransform, Document, Drawable, PathElement, Point
 from .normalizer import (
     SEGMENT_SIZES,
-    NormalizeReport,
-    _to_mlc,
     arc_center,
     arc_spans,
     canvas_transform,
     drawable_outline,
     element_columns,
-    resolve_path,
+    normalize_document,
 )
 
 if TYPE_CHECKING:
@@ -870,11 +868,22 @@ def verify_columns(
 
 
 def normalized_columns(normalized_doc: Document) -> list[tuple[str, list[float]]]:
-    """The M/L/C columns of each path of ``normalized_doc``: its own, or,
-    for raw ones (as parsed from normalized text), those the normalizer's
-    column walk maps them to, as it maps raw path data."""
-    return [_to_mlc(resolve_path(p.ops, p.args), NormalizeReport()) if p.is_raw
-            else (p.ops, p.args) for p in normalized_doc.paths]
+    """The M/L/C columns of each path of ``normalized_doc``: its own when it
+    is flagged ``normalized``, else (say, parsed normalized text) those of
+    its :func:`~svgforge.normalizer.normalize_document`. Raises
+    :class:`NotNormalized` for an unflagged document whose view box is not
+    0 0 1024 1024, or that holds a shape or a path with a transform."""
+    if not normalized_doc.normalized:
+        if normalized_doc.view_box != NORMALIZED_VIEW_BOX:
+            box = " ".join(f"{v:g}" for v in normalized_doc.view_box)
+            raise NotNormalized(f"normalized side has view box {box}, not 0 0 1024 1024")
+        for p in normalized_doc.paths:
+            if not isinstance(p, PathElement):
+                raise NotNormalized(f"normalized side holds a <{p.tag}>, not a path")
+            if not p.transform.is_identity:
+                raise NotNormalized("normalized side has a path with a transform")
+        normalized_doc = normalize_document(normalized_doc)[0]
+    return [(p.ops, p.args) for p in normalized_doc.paths]
 
 
 def verify_normalization(
@@ -888,8 +897,9 @@ def verify_normalization(
     through its composed transform plus the canvas transform, and compared
     against its converted path, read as M/L/C columns
     (:func:`normalized_columns`).
-    Raises :class:`PathCountMismatch` when the surviving-drawable count
-    differs from the normalized path count, which signals a pipeline bug
-    rather than a geometric error.
+    Raises :class:`NotNormalized` when ``normalized_doc`` is not in
+    normalized form, and :class:`PathCountMismatch` when the
+    surviving-drawable count differs from the normalized path count, which
+    signals a pipeline bug rather than a geometric error.
     """
     return verify_columns(raw_doc, normalized_columns(normalized_doc), tolerance)

@@ -141,10 +141,6 @@ class TestClassifyTable:
     def test_bound_ownership_configurable(self):
         doc = doc_with(50, MONO)
         assert classify(doc).level is DifficultyLevel.MONOCOLOR_DIFFICULT
-        assert (
-            classify(doc, shared_bound_to_harder=False).level
-            is DifficultyLevel.MONOCOLOR_EASY
-        )
 
     def test_monotonic_in_count(self):
         rank = {

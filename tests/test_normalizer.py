@@ -13,7 +13,6 @@ from corpus import (
     random_raw_svg,
     write_corpus,
 )
-from svgforge import normalizer
 from svgforge.errors import (
     DegenerateShape,
     EmptyDocument,
@@ -720,32 +719,13 @@ class TestNormalizeDocument:
             assert document_equal(once, norm)
 
 
-def _normalized_outcome(doc):
-    try:
-        norm, report = normalize_document(doc)
-    except EmptyDocument as exc:
-        return "EmptyDocument", str(exc)
-    return norm, report.as_dict()
-
-
-def _both_ways(doc, monkeypatch):
-    """``normalize_document(doc)`` as it is, and with the direct path off."""
-    direct = _normalized_outcome(doc)
-    with monkeypatch.context() as mp:
-        mp.setattr(normalizer, "_as_is", lambda doc: None)
-        full = _normalized_outcome(doc)
-    return direct, full
-
-
-def _icon(body, view_box="0 0 1024 1024"):
-    return parse_document(f'<svg viewBox="{view_box}">{body}</svg>')[0]
-
-
-_TWO = (RawCommand("M", (0.0, 0.0)), RawCommand("L", (8.0, 8.0)))
+def _hex_paths(doc):
+    return [(p.ops, [float.hex(v) for v in p.args], p.fill) for p in doc.paths]
 
 
 class TestAlreadyNormalized:
-    """Typing an already-normalized document directly equals the full pipeline."""
+    """A document already in normalized form takes the one route and
+    normalizes to itself: the same floats and an all-zero report."""
 
     def _serialized_outputs(self):
         rng = random.Random(7)
@@ -756,52 +736,27 @@ class TestAlreadyNormalized:
         for _ in range(40):
             yield serialize_document(random_normalized_document(rng))
 
-    def test_serialized_outputs_take_the_direct_path(self, monkeypatch):
+    def assert_normalizes_to_itself(self, doc):
+        norm, report = normalize_document(doc)
+        assert report.as_dict() == NormalizeReport().as_dict()
+        assert norm.view_box == doc.view_box
+        assert _hex_paths(norm) == _hex_paths(doc)
+        return norm
+
+    def test_serialized_outputs_normalize_to_themselves(self):
         for text in self._serialized_outputs():
             doc, _ = parse_document(text)
-            assert normalizer._as_is(doc) is not None, text
-            direct, full = _both_ways(doc, monkeypatch)
-            assert direct == full, text
-            assert direct[1] == NormalizeReport().as_dict()
+            assert doc.paths[0].is_raw and not doc.normalized
+            norm = self.assert_normalizes_to_itself(doc)
+            assert serialize_document(norm) == text
 
-    @pytest.mark.parametrize("doc", [
-        _icon('<path d="M0 0L8 8M5 5" fill="#f00"/>'),
-        _icon('<path d="M1 1M2 2L3 3" fill="#f00"/>'),
-        _icon('<path d="M0 0L8 8"/>'),
-        _icon('<path d="M0 0L8 8" fill="none"/><path d="M1 1L9 9" fill="#0f0"/>'),
-        _icon('<path d="M0 0L8 8" fill="none"/>'),
-        _icon('<path d="M0 0L8 8L0 8Z" fill="#f00"/>'),
-        _icon('<path d="M0 0l8 8" fill="#f00"/>'),
-        _icon('<path d="M0 0L8 8" fill="#f00"/>', view_box="0 0 1024 512"),
-        _icon('<path d="" fill="#f00"/><path d="M0 0L8 8" fill="#f00"/>'),
-        _icon('<path d="M0 0L8 8" fill="#f00" transform="translate(1 2)"/>'),
-        _icon('<path d="M0 0L8 8" fill="#f00"/><rect x="1" y="1" width="4" height="4"/>'),
-        Document(NORMALIZED_VIEW_BOX, (PathElement(
-            (MoveTo(Point(0, 0)), LineTo(Point(8, 8))), BLACK),)),
-        Document(NORMALIZED_VIEW_BOX, (PathElement(_TWO, BLACK),
-                                       PathElement(_TWO, BLACK, AffineTransform.scale(2)))),
-        Document(NORMALIZED_VIEW_BOX, ()),
-    ], ids=[
-        "trailing_m", "m_after_m", "missing_fill", "fill_none", "only_fill_none", "z",
-        "relative_l", "view_box_1024x512", "empty_d", "transform", "rect",
-        "typed_commands", "second_path_transformed",
-        "no_paths",
-    ])
-    def test_near_misses_take_the_full_path(self, doc, monkeypatch):
-        assert normalizer._as_is(doc) is None
-        direct, full = _both_ways(doc, monkeypatch)
-        assert direct == full
-
-    def test_a_command_of_two_groups_takes_the_direct_path(self, monkeypatch):
+    def test_a_command_of_two_groups_normalizes_to_itself(self):
         # a path stores one letter per argument group, so L with two groups is
         # the L L that parsing "L1 1 2 2" gives
         doc = Document(NORMALIZED_VIEW_BOX, (PathElement(
             (RawCommand("M", (0.0, 0.0)), RawCommand("L", (1.0, 1.0, 2.0, 2.0))), BLACK),))
         assert doc.paths[0].ops == "MLL"
-        assert normalizer._as_is(doc) is not None
-        direct, full = _both_ways(doc, monkeypatch)
-        assert direct == full
-        assert direct[1] == NormalizeReport().as_dict()
+        self.assert_normalizes_to_itself(doc)
 
 
 class TestUnresolvableChord:

@@ -117,6 +117,12 @@ def _surely_canonical(doc) -> bool:
             and all(i and set(i) <= set(SAFE_ID) for i in ids))
 
 
+def _slices_and_canonical(text):
+    """``normalize_text``'s slices, and whether ``text`` is their canonical text."""
+    paths, _, svg = normalize_text(text)
+    return paths, svg == text.strip()
+
+
 @settings(max_examples=300, deadline=None)
 @given(normalized_documents())
 def test_serialized_documents_are_recognized_or_declined_in_agreement(doc):
@@ -125,8 +131,8 @@ def test_serialized_documents_are_recognized_or_declined_in_agreement(doc):
     if _surely_canonical(doc):
         assert matched
     assert agrees(f"\n {text}\t\r\n") == matched
-    assert normalize_text(text)[::2] == (document_slices(doc), True)
-    assert normalize_text(_uncanonical(text))[::2] == (document_slices(doc), False)
+    assert _slices_and_canonical(text) == (document_slices(doc), True)
+    assert _slices_and_canonical(_uncanonical(text)) == (document_slices(doc), False)
 
 
 _EDITS = "ML C0123456789.-# \"<>/&;=()abfu"

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from corpus import colored_icons, curved_icon, full_corpus, random_raw_svg
 from svgforge import verifier
-from svgforge.errors import PathCountMismatch, ValidationError
+from svgforge.errors import NotNormalized, PathCountMismatch, ValidationError
 from svgforge.flatten import MAX_DEPTH, flatten_levels, splits, walk
 from svgforge.model import (
     AffineTransform,
@@ -1043,6 +1043,24 @@ class TestDocumentPass:
         assert parsed.paths[0].is_raw
         assert verify_normalization(raw, parsed) == verify_normalization(
             raw, normalize_document(parsed)[0])
+
+    _SQUARE = '<rect x="2" y="2" width="20" height="20"/>'
+
+    @pytest.mark.parametrize("view_box, body, message", [
+        ("0 0 24 24", '<path d="M2 2L22 2L22 22L2 22L2 2" fill="#000000"/>',
+         "normalized side has view box 0 0 24 24, not 0 0 1024 1024"),
+        ("0 0 1024 1024", _SQUARE, "normalized side holds a <rect>, not a path"),
+        ("0 0 1024 1024",
+         '<path d="M2 2L22 2L22 22L2 22L2 2" fill="#000000" transform="scale(42.6667)"/>',
+         "normalized side has a path with a transform"),
+    ], ids=["view_box", "shape", "transform"])
+    def test_verify_normalization_refuses_a_side_not_in_normalized_form(
+            self, view_box, body, message):
+        raw, _ = parse_document(f'<svg viewBox="0 0 24 24">{self._SQUARE}</svg>')
+        side, _ = parse_document(f'<svg viewBox="{view_box}">{body}</svg>')
+        with pytest.raises(NotNormalized) as exc:
+            verify_normalization(raw, side)
+        assert str(exc.value) == message
 
 
 def test_long_curve_verifies_in_bounded_memory():
