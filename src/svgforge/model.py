@@ -54,36 +54,41 @@ class Point(NamedTuple):
     y: float
 
 
+_TRAILING_ZERO = re.compile(r"(\.[1-9])0")
+
+
+def _trimmed(text: str) -> str:
+    """``text`` of numbers written to exactly 2 decimals, each trimmed.
+
+    A ``.`` or ``-`` appears only inside a number and every number ends in
+    2 decimals, so a ``-0.00`` is a whole number, and a ``.00`` or ``.d0``
+    is the decimals of one.
+    """
+    # itemgetter(1) gives group 1, as the template r"\1" would, with no Python call per match
+    return _TRAILING_ZERO.sub(itemgetter(1), text.replace("-0.00", "0").replace(".00", ""))
+
+
 def format_number(value: float) -> str:
     """Canonical number formatting for serialized output.
 
     Shortest decimal with at most 2 fractional digits; trailing zeros and
     the dot are stripped and ``-0`` collapses to ``0``.
     """
-    s = f"{value:.2f}"
-    s = s.rstrip("0").rstrip(".")
-    if s in ("-0", ""):
-        return "0"
-    return s
+    return _trimmed("%.2f" % value)
 
 
 #: The ``%`` template of each opcode's numbers, 2 decimals each.
 _TEMPLATES = {"M": "M%.2f %.2f", "L": "L%.2f %.2f", "C": "C%.2f %.2f %.2f %.2f %.2f %.2f"}
-_TRAILING_ZERO = re.compile(r"(\.[1-9])0")
 
 
 def format_columns(ops: str, xy) -> str:
     """The ``d`` text of M/L/C columns: each opcode, then its numbers as
     :func:`format_number` writes them, separated by single spaces.
 
-    Every number is formatted to exactly 2 decimals in one ``%`` operation.
-    A ``.`` or ``-`` then appears only inside a number and every number
-    ends in 2 decimals, so a ``-0.00`` is a whole number, and a ``.00`` or
-    ``.d0`` is the decimals of one.
+    Every number is formatted to exactly 2 decimals in one ``%`` operation,
+    and the text is trimmed once.
     """
-    text = "".join(map(_TEMPLATES.__getitem__, ops)) % tuple(xy)
-    # itemgetter(1) gives group 1, as the template r"\1" would, with no Python call per match
-    return _TRAILING_ZERO.sub(itemgetter(1), text.replace("-0.00", "0").replace(".00", ""))
+    return _trimmed("".join(map(_TEMPLATES.__getitem__, ops)) % tuple(xy))
 
 
 def _require_finite(*values: float) -> None:

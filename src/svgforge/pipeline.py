@@ -100,21 +100,23 @@ def record_from_document(
     doc_id: str, doc: Document, augmented_from: str | None = None
 ) -> DatasetRecord:
     """Build a self-validating record from a normalized document."""
-    return _slices_record(doc_id, document_slices(doc), augmented_from)
+    paths = document_slices(doc)
+    return _slices_record(doc_id, paths, serialize_paths(paths), augmented_from)
 
 
 def _slices_record(
-    doc_id: str, paths: list[tuple[str, str]], augmented_from: str | None = None
+    doc_id: str, paths: list[tuple[str, str]], svg: str, augmented_from: str | None = None
 ) -> DatasetRecord:
-    """The record of the document whose ``(d, fill)`` slices are ``paths``,
-    classified on the text as :func:`~svgforge.classifier.classify` does on
-    the document: each of M, L and C is one command, and equal fill texts
-    other than ``none`` are equal paints."""
+    """The record of the document whose ``(d, fill)`` slices are ``paths``
+    and whose canonical text is ``svg``, classified on the text as
+    :func:`~svgforge.classifier.classify` does on the document: each of M,
+    L and C is one command, and equal fill texts other than ``none`` are
+    equal paints."""
     n_commands = sum(d.count("M") + d.count("L") + d.count("C") for d, _ in paths)
     c = classify_counts(len({fill for _, fill in paths} - {"none"}), n_commands, len(paths))
     return DatasetRecord(
         id=doc_id,
-        svg=serialize_paths(paths),
+        svg=svg,
         color_category=c.color_category.value,
         difficulty_level=c.level_name,
         command_count=c.command_count,
@@ -460,7 +462,7 @@ def run_classify(input_dir: Path, out_path: Path, jobs: int = 1) -> int:
         claim(rel)
         text = (input_dir / rel).read_text(encoding="utf-8")
         paths, _, svg = normalize_text(text)
-        row = _slices_record(file_id(rel), paths).to_dict()
+        row = _slices_record(file_id(rel), paths, svg).to_dict()
         if svg != text.strip():
             row["auto_normalized"] = True
         return [row]
@@ -696,7 +698,8 @@ def run_augment(
             for note in notes:
                 log.info("augment: %s variant %d: %s", rid, k, note)
             if variant != source:
-                record = _slices_record(f"{rid}__aug{k + 1}", variant, augmented_from=rid)
+                record = _slices_record(f"{rid}__aug{k + 1}", variant, serialize_paths(variant),
+                                        augmented_from=rid)
                 variants.append(record.to_dict())
         return variants
 

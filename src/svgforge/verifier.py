@@ -22,12 +22,13 @@ degree-elevated and arcs by angle rather than as cubics; the converted
 side is flattened by adaptive subdivision; transforms and the canvas map
 are applied to the samples; and the distance kernel is this module's own.
 
-Each document is prepared on its own (``prepare_columns``: the survivor
+Each document is prepared on its own (``prepare_columns``: the check that
+its normalized paths are M/L/C columns led by a MoveTo, the survivor
 count, each surviving drawable's outline and its transform with the canvas
-map), and any error there is that document's. The prepared documents of a
-chunk, one for ``verify_columns`` and ``verify_normalization``, a chunk of
-``run_verify``'s files in the pipeline, are then verified together
-(``verify_chunk``), in one pass per side, on columns. ``_plan`` reads the
+map), and any error there is that document's. ``verify_chunk`` is the one
+pass that verifies prepared documents: one for ``verify_normalization``, a
+chunk of ``run_verify``'s files in the pipeline, all verified together in
+one pass per side, on columns. ``_plan`` reads the
 drawables' outlines once and decides every sample's
 place, which segments draw nothing, where each chain starts, and how many
 samples an arc gets, the last of them its end. Each segment kind's formula
@@ -132,6 +133,7 @@ cost.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -184,6 +186,8 @@ _FULL_PASS_PAIRS = 1 << 14
 # comparison.
 _IS_MOVE = bytes(c == ord("M") for c in range(256))
 _IS_CUBIC = bytes(c == ord("C") for c in range(256))
+# The opcodes of one normalized path: M, L and C led by an M, no M right after an M.
+_MLC_OPS = re.compile(r"M(?:[LC]+M)*[LC]*")
 
 
 def check_tolerance(tolerance: float) -> None:
@@ -632,7 +636,7 @@ def max_deviation(a: Polyline, b: Polyline) -> DeviationReport:
 
 
 class _Chain(NamedTuple):
-    """One subpath of a side in :func:`verify_columns`: its points as an
+    """One subpath of a side in :func:`verify_chunk`: its points as an
     ``(n, 2)`` array, where ``n = 1`` is a subpath collapsed to a point."""
 
     points: np.ndarray
@@ -786,14 +790,20 @@ def prepare_columns(
     paths,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> PreparedCheck:
-    """The :class:`PreparedCheck` of :func:`verify_columns`'s arguments.
+    """The :class:`PreparedCheck` of ``raw_doc`` against its normalized
+    paths as M/L/C columns ``(ops, xy)`` (:mod:`svgforge.model`).
 
     Raises :class:`ValidationError` for a tolerance that is not finite and
-    positive, and :class:`PathCountMismatch` when the surviving drawables,
-    those :func:`~svgforge.normalizer.element_columns` keeps, are not as
-    many as ``paths``.
+    positive, :class:`NotNormalized` for a path that is not M, L and C led
+    by an M, with no M right after an M and 2 numbers per M or L, 6 per C
+    (a trailing M draws nothing), and :class:`PathCountMismatch` when the
+    surviving drawables, those :func:`~svgforge.normalizer.element_columns`
+    keeps, are not as many as ``paths``.
     """
     check_tolerance(tolerance)
+    for k, (ops, xy) in enumerate(paths):
+        if not _MLC_OPS.fullmatch(ops) or len(xy) != 2 * len(ops) + 4 * ops.count("C"):
+            raise NotNormalized(f"path {k} is not M/L/C columns led by a MoveTo")
     kept = [(el, c[0]) for el in raw_doc.paths if (c := element_columns(el)) is not None]
     if len(kept) != len(paths):
         raise PathCountMismatch(f"{len(kept)} surviving drawables vs {len(paths)} paths")
@@ -802,69 +812,42 @@ def prepare_columns(
                          list(paths), tolerance)
 
 
-def _verify_together(checks: list[PreparedCheck]) -> list[VerificationResult]:
-    """The result of each check: every path of them flattened in one
-    :func:`_flatten_document` pass, every drawable sampled in one
-    :func:`_sample_document` pass, then each drawable measured with
-    :func:`set_deviation`. Raises whatever any of them raises."""
-    # Chords on both sides add to the measured deviation; keep them well
-    # below the tolerance so only real conversion error can trip it. The
-    # flattening's levels run before the samples are held.
-    converted = _flatten_document([p for c in checks for p in c.paths],
-                                  [min(0.02, max(1e-4, c.tolerance / 20.0))
-                                   for c in checks for _ in c.paths])
-    originals = _sample_document([o for c in checks for o in c.outlines],
-                                 [t for c in checks for t in c.transforms], SAMPLES_PER_SPAN)
-    results = []
-    for c in checks:
-        sides = list(zip(originals[:len(c.paths)], converted[:len(c.paths)]))
-        del originals[:len(c.paths)], converted[:len(c.paths)]  # freed once measured
-        reports = tuple(set_deviation(original, flattened)
-                        for original, flattened in sides if original or flattened)
-        # a NaN deviation is not within the tolerance either
-        results.append(VerificationResult(all(r.max_deviation <= c.tolerance for r in reports),
-                                          c.tolerance, reports))
-    return results
-
-
 def verify_chunk(checks: list[PreparedCheck]) -> list[VerificationResult | Exception]:
-    """The :func:`verify_columns` result of each check, all of them verified
-    in one pass per side.
+    """The result of each check, all of them verified in one pass per side:
+    every path flattened in one :func:`_flatten_document` pass, every
+    drawable sampled in one :func:`_sample_document` pass, then each
+    drawable measured with :func:`set_deviation`.
 
     When that pass raises, each check is verified again alone, and what
     one raises is its item of the list, so every document gets the result
-    or the error it gets alone.
+    or the error it gets alone. An empty list takes no pass.
     """
+    if not checks:
+        return []
     try:
-        return _verify_together(checks)
+        # Chords on both sides add to the measured deviation; keep them well
+        # below the tolerance so only real conversion error can trip it. The
+        # flattening's levels run before the samples are held.
+        converted = _flatten_document([p for c in checks for p in c.paths],
+                                      [min(0.02, max(1e-4, c.tolerance / 20.0))
+                                       for c in checks for _ in c.paths])
+        originals = _sample_document([o for c in checks for o in c.outlines],
+                                     [t for c in checks for t in c.transforms], SAMPLES_PER_SPAN)
+        results: list[VerificationResult | Exception] = []
+        for c in checks:
+            sides = list(zip(originals[:len(c.paths)], converted[:len(c.paths)]))
+            del originals[:len(c.paths)], converted[:len(c.paths)]  # freed once measured
+            reports = tuple(set_deviation(original, flattened)
+                            for original, flattened in sides if original or flattened)
+            # a NaN deviation is not within the tolerance either
+            results.append(VerificationResult(all(r.max_deviation <= c.tolerance for r in reports),
+                                              c.tolerance, reports))
+        return results
     except Exception as exc:
         if len(checks) == 1:
             return [exc]
-    out: list[VerificationResult | Exception] = []
-    for check in checks:
-        try:
-            out.extend(_verify_together([check]))
-        except Exception as exc:
-            out.append(exc)
-    return out
-
-
-def verify_columns(
-    raw_doc: Document,
-    paths,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> VerificationResult:
-    """:func:`verify_normalization` against normalized paths given as M/L/C
-    columns ``(ops, xy)`` (:mod:`svgforge.model`), one per path, each
-    starting with M, with no M right after an M.
-
-    The one-document case of :func:`verify_chunk`: the document is
-    prepared (:func:`prepare_columns`), every path flattened
-    (:func:`_flatten_document`) and the outline of every drawable that
-    survives sampled (:func:`_sample_document`), one pass per side, before
-    the drawables are measured one by one with :func:`set_deviation`.
-    """
-    return _verify_together([prepare_columns(raw_doc, paths, tolerance)])[0]
+    converted = originals = sides = []  # free the shared pass's points before each check runs alone
+    return [outcome for check in checks for outcome in verify_chunk([check])]
 
 
 def normalized_columns(normalized_doc: Document) -> list[tuple[str, list[float]]]:
@@ -896,10 +879,16 @@ def verify_normalization(
     Each surviving original drawable is sampled analytically, mapped
     through its composed transform plus the canvas transform, and compared
     against its converted path, read as M/L/C columns
-    (:func:`normalized_columns`).
+    (:func:`normalized_columns`): the document is prepared
+    (:func:`prepare_columns`) and verified alone by :func:`verify_chunk`,
+    and an error there is raised.
     Raises :class:`NotNormalized` when ``normalized_doc`` is not in
     normalized form, and :class:`PathCountMismatch` when the
     surviving-drawable count differs from the normalized path count, which
     signals a pipeline bug rather than a geometric error.
     """
-    return verify_columns(raw_doc, normalized_columns(normalized_doc), tolerance)
+    (outcome,) = verify_chunk([prepare_columns(raw_doc, normalized_columns(normalized_doc),
+                                               tolerance)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -50,6 +50,19 @@ class TestFormatNumber:
             once = format_number(v)
             assert format_number(float(once)) == once
 
+    @staticmethod
+    def stripped(value):
+        """The rule format_number used before it shared format_columns' trimming."""
+        s = f"{value:.2f}".rstrip("0").rstrip(".")
+        return "0" if s in ("-0", "") else s
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.floats(allow_nan=False),
+                     st.integers(-10**6, 10**6).map(lambda n: n / 1000)))  # ties and .d0 decimals
+    def test_one_trimming_rule(self, value):
+        assert format_number(value) == self.stripped(value)
+        assert format_columns("M", [value, 0.0]) == "M" + format_number(value) + " 0"
+
 
 _COORD = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),

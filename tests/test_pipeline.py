@@ -193,6 +193,20 @@ class TestClassify:
         assert row["command_count"] == 120
         assert row["difficulty_level"] == "Multicolor_difficult"
 
+    def test_canonical_files_are_not_serialized_again(self, tmp_path, corpus_dir, monkeypatch):
+        # each record's svg is the canonical text that normalize_text returned
+        normalized = tmp_path / "norm"
+        run_normalize(corpus_dir, normalized)
+        calls = []
+        real = pipeline.serialize_paths
+        monkeypatch.setattr(pipeline, "serialize_paths", lambda paths: calls.append(1) or real(paths))
+        out = tmp_path / "records.jsonl"
+        assert run_classify(normalized, out) == EXIT_OK
+        rows = read_jsonl(out)
+        assert len(rows) == len(list(normalized.glob("*.svg"))) and calls == []
+        assert all("auto_normalized" not in r for r in rows)
+        assert {r["svg"] for r in rows} == {p.read_text().strip() for p in normalized.glob("*.svg")}
+
     def test_empty_dir(self, tmp_path):
         src = tmp_path / "in"
         src.mkdir()

@@ -63,7 +63,7 @@ def agrees(text) -> bool:
     assert paths == document_slices(doc)
     assert serialize_paths(paths) == svg
     c = classify(doc)
-    assert _slices_record("x", paths) == DatasetRecord(
+    assert _slices_record("x", paths, svg) == DatasetRecord(
         "x", svg, c.color_category.value, c.level_name, c.command_count, c.path_count)
     assert len({fill for _, fill in paths}) == len(distinct_fills(doc))
     # the columns that verify reads are the typed document's floats, to the bit

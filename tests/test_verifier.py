@@ -901,8 +901,17 @@ def _report_keys(reports):
              r.samples_used) for r in reports]
 
 
+def _verify(raw, columns):
+    """The result of ``raw`` against normalized ``columns``, verified alone
+    by ``verify_chunk``; the error it gets there is raised."""
+    (outcome,) = verifier.verify_chunk([verifier.prepare_columns(raw, columns)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def _one_at_a_time(raw, columns):
-    """The reports of ``verify_columns(raw, columns)`` measured as verify did
+    """The reports of ``_verify(raw, columns)`` measured as verify did
     before its document pass: each drawable sampled, flattened and measured
     in turn."""
     kept = [el for el in raw.paths if convert_element(el) is not None]
@@ -955,7 +964,7 @@ class TestDocumentPass:
         norm, _ = normalize_document(raw)
         self.assert_flattened_alone(norm.paths, tol)
         cols = [command_columns(p.commands) for p in norm.paths]
-        assert _report_keys(verifier.verify_columns(raw, cols).reports) == _report_keys(
+        assert _report_keys(_verify(raw, cols).reports) == _report_keys(
             _one_at_a_time(raw, cols))
 
     def test_no_point_is_dropped_across_drawables(self):
@@ -1008,14 +1017,14 @@ class TestDocumentPass:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeWarning) as together:
-                verifier.verify_columns(raw, columns)
+                _verify(raw, columns)
             with pytest.raises(RuntimeWarning) as alone:
                 _one_at_a_time(raw, columns)
         assert str(together.value) == str(alone.value)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             self.assert_sampled_alone(kept, ts, 64)
-            got = verifier.verify_columns(raw, columns)
+            got = _verify(raw, columns)
             want = _one_at_a_time(raw, columns)
         assert _report_keys(got.reports) == _report_keys(want)
         assert not math.isfinite(got.reports[1].max_deviation)
@@ -1027,7 +1036,7 @@ class TestDocumentPass:
         raw, _, _ = self.document("".join(bodies[::order]), "0 0 1e-150 1e-150")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = verifier.verify_columns(raw, columns[::order])
+            got = _verify(raw, columns[::order])
         assert [math.isnan(r.max_deviation) for r in got.reports] == [False, True][::order]
         assert not got.passed
         assert math.isnan(got.worst)
@@ -1036,7 +1045,7 @@ class TestDocumentPass:
         raw, _ = parse_document(random_raw_svg(random.Random(7)))
         norm, _ = normalize_document(raw)
         cols = [command_columns(p.commands) for p in norm.paths]
-        expected = verifier.verify_columns(raw, cols)
+        expected = _verify(raw, cols)
         assert verify_normalization(raw, norm) == expected
         # normalized text parsed but not normalized holds raw M/L/C commands
         parsed, _ = parse_document(serialize_document(norm))
@@ -1061,6 +1070,61 @@ class TestDocumentPass:
         with pytest.raises(NotNormalized) as exc:
             verify_normalization(raw, side)
         assert str(exc.value) == message
+
+    # the second path of each case draws M100 100 L900 100 L100 900 where it can
+    _BENT = [100.0, 100.0, 900.0, 100.0, 500.0, 500.0, 100.0, 900.0]
+
+    @pytest.mark.parametrize("ops, xy", [
+        ("MLQL", _BENT),
+        ("MLXL", _BENT),
+        ("MLL", _BENT[:4] + _BENT[6:7]),  # one number short
+        ("MLL", _BENT[:4] + _BENT[6:] + [0.0]),  # one number over
+        ("MLC", _BENT),  # a cubic of 4 numbers
+        ("LLL", _BENT[:4] + _BENT[6:]),
+        ("", []),
+        ("MMLL", [0.0, 0.0, *_BENT[:4], *_BENT[6:]]),
+    ], ids=["quadratic", "unknown", "short", "long", "short_cubic", "no_moveto", "empty",
+            "moveto_after_moveto"])
+    def test_columns_that_are_not_mlc_are_refused(self, ops, xy):
+        raw, _ = parse_document('<svg viewBox="0 0 1024 1024"><path d="M0 0L10 0"/>'
+                                '<path d="M100 100L900 100L100 900"/></svg>')
+        with pytest.raises(NotNormalized) as exc:
+            _verify(raw, [("ML", [0.0, 0.0, 10.0, 0.0]), (ops, xy)])
+        assert str(exc.value) == "path 1 is not M/L/C columns led by a MoveTo"
+
+    def test_a_flagged_side_with_a_quadratic_is_refused(self):
+        raw, _ = parse_document('<svg viewBox="0 0 1024 1024">'
+                                '<path d="M100 100L900 100L100 900"/></svg>')
+        (path,) = normalize_document(raw)[0].paths
+        side = Document(NORMALIZED_VIEW_BOX, (PathElement(
+            ops="MLQL", args=self._BENT, fill=path.fill, is_raw=False),), True)
+        with pytest.raises(NotNormalized, match="path 0 is not M/L/C columns"):
+            verify_normalization(raw, side)
+
+
+def test_an_empty_chunk_takes_no_pass(tmp_path):
+    """``verify_chunk([])`` is ``[]``, and a verify run whose every NORM file
+    is refused before it is prepared leaves numpy unloaded."""
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    for name in ("a", "b"):
+        (raw / f"{name}.svg").write_text(
+            '<svg viewBox="0 0 24 24"><rect x="2" y="2" width="20" height="20"/></svg>')
+    script = (
+        "import json, sys\n"
+        "from svgforge.pipeline import run_verify\n"
+        "from svgforge.verifier import verify_chunk\n"
+        "empty = verify_chunk([])\n"
+        "code = run_verify(sys.argv[1], sys.argv[1])\n"
+        "print(json.dumps({'empty': empty, 'code': code, 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(raw)], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"empty": [], "code": 3, "numpy": False}
 
 
 def test_long_curve_verifies_in_bounded_memory():
@@ -1288,7 +1352,7 @@ class TestChunk:
         alone, checks = [], []
         for raw, columns in docs:
             try:
-                alone.append(verifier.verify_columns(raw, columns))
+                alone.append(_verify(raw, columns))
             except Exception as exc:
                 alone.append(exc)
             checks.append(verifier.prepare_columns(raw, columns, verifier.DEFAULT_TOLERANCE))

@@ -15,14 +15,13 @@ corpora are ``verify_corpus(601)``, ``full_corpus()``,
 ``random_raw_svg(random.Random(3))`` and ``build_corpus(601)`` without its
 dense tier. The dense tier, 300 icons of 20-260 commands, takes about 45 s
 to verify on one core and runs only with ``--dense``; without it, its line
-says it was skipped. ``--batch N`` computes every line through the
-chunked entry point, ``verify_chunk``, in chunks of N documents (2N
-verifications, the typed and the re-loaded side of each), as ``verify
---jobs`` does; the digests must be the same as one document at a time.
-``--list FILE``
-writes one line per document. ``--check FILE`` compares those lines with
-a listing that ``--list`` saved from another checkout, prints the first
-line that differs, and exits 1 if any does.
+says it was skipped. Every line comes through the one route that
+``verify`` takes, ``verify_chunk``, in chunks of N documents (``--batch
+N``, 1 by default), each chunk 2N verifications: the typed and the
+re-loaded side of each document. The digests must not depend on N.
+``--list FILE`` writes one line per document. ``--check FILE`` compares
+those lines with a listing that ``--list`` saved from another checkout,
+prints the first line that differs, and exits 1 if any does.
 
 The script imports svgforge from the ``src/`` of the checkout it is in, so
 two commits are compared from two ``git worktree`` checkouts:
@@ -54,7 +53,6 @@ from svgforge.verifier import (  # noqa: E402
     normalized_columns,
     prepare_columns,
     verify_chunk,
-    verify_normalization,
 )
 
 DENSE = "build601-dense"
@@ -67,13 +65,6 @@ def _outcome(outcome) -> str:
         f"{r.max_deviation.hex()},{r.argmax_point.x.hex()},{r.argmax_point.y.hex()},{r.samples_used}"
         for r in outcome.reports)
     return f"{'pass' if outcome.passed else 'fail'} {reports}".rstrip()
-
-
-def _verified(raw, norm) -> str:
-    try:
-        return _outcome(verify_normalization(raw, norm))
-    except Exception as exc:
-        return _outcome(exc)
 
 
 def _documents(name: str, svg: str):
@@ -90,11 +81,7 @@ def _documents(name: str, svg: str):
 def document_line(name: str, svg: str) -> str:
     """``name``, then the verification against the typed and the re-loaded
     normalized document, tab-separated."""
-    docs = _documents(name, svg)
-    if isinstance(docs, str):
-        return docs
-    raw, norm, reloaded = docs
-    return f"{name}\t{_verified(raw, norm)}\t{_verified(raw, reloaded)}"
+    return batch_lines({name: svg}, 1)[0]
 
 
 def batch_lines(docs: dict[str, str], size: int) -> list[str]:
@@ -142,18 +129,15 @@ def corpora(dense: bool) -> dict[str, dict[str, str] | None]:
 
 
 def write_digests(named: dict[str, dict[str, str] | None], out, listing=None,
-                  batch: int | None = None) -> None:
+                  batch: int = 1) -> None:
     """Print one ``corpus documents sha256`` line per corpus to ``out``, and
-    each document's line, prefixed with its corpus, to ``listing``; with
-    ``batch``, the lines come from :func:`batch_lines` in chunks of it."""
+    each document's line, prefixed with its corpus, to ``listing``; the
+    lines come from :func:`batch_lines` in chunks of ``batch``."""
     for corpus, docs in named.items():
         if docs is None:
             print(f"{corpus}\tskipped (pass --dense)", file=out)
             continue
-        if batch is None:
-            lines = [document_line(name, svg) for name, svg in docs.items()]
-        else:
-            lines = batch_lines(docs, batch)
+        lines = batch_lines(docs, batch)
         if listing is not None:
             listing.writelines(f"{corpus}\t{line}\n" for line in lines)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -191,11 +175,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--dense", action="store_true",
                         help=f"also verify the {DENSE} tier (about 45 s)")
-    parser.add_argument("--batch", type=int, metavar="N",
-                        help="verify through verify_chunk, N documents a chunk")
+    parser.add_argument("--batch", type=int, default=1, metavar="N",
+                        help="verify N documents a chunk (default 1)")
     add_listing_options(parser, "document")
     args = parser.parse_args(argv)
-    if args.batch is not None and args.batch < 1:
+    if args.batch < 1:
         parser.error("--batch must be at least 1")
     listing = io.StringIO()
     write_digests(corpora(args.dense), sys.stdout, listing, args.batch)
